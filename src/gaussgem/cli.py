@@ -23,6 +23,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import lattice
 from .errors import GaussGemError, InvalidArgumentError
 from .graphs import (
@@ -32,6 +34,7 @@ from .graphs import (
     gem_three_mode_g2,
     gem_two_mode_closed,
     graph_state_covariance,
+    graph_state_covariances,
     log_negativity_two_mode,
 )
 from .measure import gem_from_purity, mode_purities
@@ -159,22 +162,16 @@ def cmd_gem(args) -> int:
 def cmd_scan2(args) -> int:
     re_lo, re_hi = _parse_range(args.re_range)
     im_lo, im_hi = _parse_range(args.im_range)
-    re_grid = _grid(re_lo, re_hi, args.steps)
-    im_grid = _grid(im_lo, im_hi, args.steps)
+    points = [complex(re_w, im_w) for re_w in _grid(re_lo, re_hi, args.steps)
+              for im_w in _grid(im_lo, im_hi, args.steps)]
     out = _Output(args.out)
-    gems = []
     try:
         out.row(["re_w", "im_w", "gem", "log_gem", "logneg"])
-        points = []
-        for re_w in re_grid:
-            for im_w in im_grid:
-                w = complex(re_w, im_w)
-                gem = gem_two_mode_closed(PolarCoupling.from_complex(w))
-                gamma = graph_state_covariance(GraphSpec(2, ((1, 2, w),)))
-                logneg = log_negativity_two_mode(gamma)
-                gems.append(gem)
-                points.append(w)
-                out.row([_fmt(re_w), _fmt(im_w), _fmt(gem), _fmt(_log_or_neginf(gem)), _fmt(logneg)])
+        weights = np.array(points).reshape(-1, 1)
+        lognegs = log_negativity_two_mode(graph_state_covariances(2, ((1, 2),), weights)).tolist()
+        gems = [gem_two_mode_closed(PolarCoupling.from_complex(w)) for w in points]
+        for w, gem, logneg in zip(points, gems, lognegs):
+            out.row([_fmt(w.real), _fmt(w.imag), _fmt(gem), _fmt(_log_or_neginf(gem)), _fmt(logneg)])
         if args.self_test:
             _self_test(
                 gems,
@@ -191,13 +188,16 @@ def _scan3_equal_row(w: complex) -> tuple[float, float]:
     return gem_three_mode_g1(coupling), gem_three_mode_g2(coupling)
 
 
-def _scan3_xy_row(x: float, y: float) -> tuple[float, float]:
-    g1_spec = GraphSpec(3, ((1, 2, 1j * x), (2, 3, 1j * y), (1, 3, 1.0 + 0j)))
-    g2_spec = GraphSpec(3, ((1, 2, 1j * x), (2, 3, 1j * y)))
-    return (
-        gem_from_purity(graph_state_covariance(g1_spec)),
-        gem_from_purity(graph_state_covariance(g2_spec)),
-    )
+def _scan3_xy_columns(coords: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """(g1, g2) at every (x, y), each topology evaluated as one stack.
+
+    The triangle carries weights (i x, i y, 1) on edges (12, 23, 13); the
+    path carries the first two of them on (12, 23).
+    """
+    triangle = np.array([(1j * x, 1j * y, 1.0 + 0j) for x, y in coords])
+    g1 = gem_from_purity(graph_state_covariances(3, THREE_MODE_TRIANGLE, triangle))
+    g2 = gem_from_purity(graph_state_covariances(3, THREE_MODE_PATH, triangle[:, :2]))
+    return list(zip(g1.tolist(), g2.tolist()))
 
 
 def cmd_scan3(args) -> int:
@@ -206,30 +206,27 @@ def cmd_scan3(args) -> int:
     a_grid = _grid(a_lo, a_hi, args.steps)
     b_grid = _grid(b_lo, b_hi, args.steps)
     out = _Output(args.out)
-    g1_col = []
-    coords = []
+    coords = [(a, b) for a in a_grid for b in b_grid]
     try:
         header = ["re_w", "im_w"] if args.family == "equal" else ["x", "y"]
         out.row(header + ["gem_g1", "gem_g2", "ratio_g2_g1"])
-        for a in a_grid:
-            for b in b_grid:
-                if args.family == "equal":
-                    g1, g2 = _scan3_equal_row(complex(a, b))
-                else:
-                    g1, g2 = _scan3_xy_row(a, b)
-                ratio = g2 / g1 if g1 > 0.0 else float("nan")
-                g1_col.append(g1)
-                coords.append((a, b))
-                out.row([_fmt(a), _fmt(b), _fmt(g1), _fmt(g2), _fmt(ratio)])
+        if args.family == "equal":
+            columns = [_scan3_equal_row(complex(a, b)) for a, b in coords]
+        else:
+            columns = _scan3_xy_columns(coords)
+        for (a, b), (g1, g2) in zip(coords, columns):
+            ratio = g2 / g1 if g1 > 0.0 else float("nan")
+            out.row([_fmt(a), _fmt(b), _fmt(g1), _fmt(g2), _fmt(ratio)])
         if args.self_test:
             def recompute(idx):
                 a, b = coords[idx]
                 if args.family == "equal":
                     spec = GraphSpec.with_uniform_weight(3, THREE_MODE_TRIANGLE, complex(a, b))
-                    return gem_from_purity(graph_state_covariance(spec))
-                return _scan3_xy_row(a, b)[0]
+                else:
+                    spec = GraphSpec(3, ((1, 2, 1j * a), (2, 3, 1j * b), (1, 3, 1.0 + 0j)))
+                return gem_from_purity(graph_state_covariance(spec))
 
-            _self_test(g1_col, recompute, "scan3 gem_g1")
+            _self_test([g1 for g1, _ in columns], recompute, "scan3 gem_g1")
     finally:
         out.close()
     return EXIT_OK
@@ -312,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan3 = sub.add_parser("scan3", help="three-mode topology comparison (CSV)")
     p_scan3.add_argument("--family", choices=("equal", "xy"), required=True)
-    p_scan3.add_argument("--topology", choices=("g1", "g2"), default="g1",
-                         help="accepted for interface compatibility; both measure columns are always emitted")
     p_scan3.add_argument("--re-range", required=True,
                          help="a:b range of Re(w) (equal family) or x (xy family)")
     p_scan3.add_argument("--im-range", required=True,

@@ -10,12 +10,17 @@ symmetric covariance matrix
 pure if and only if (Gamma Omega^{-1})^2 = -I/4, with Omega the symplectic
 form of the commutation relations.  Everything in this module is a pure
 function of its arguments; nothing mutates its inputs.
+
+The state-level functions also take stacks: arrays of shape (..., 2N, 2N)
+holding one matrix per leading index.  A stack is processed slice by slice
+with the same arithmetic as a single matrix, so each slice of the result is
+bit-identical to the single-matrix call, and a 2-D input returns exactly
+what it always did.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericOverflowError, UnphysicalStateError
 
@@ -51,24 +56,27 @@ def build_omega(num_modes: int) -> np.ndarray:
 
 
 def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
-    """exp(M) for a square real matrix.
+    """exp(M) for a square real matrix, or for each slice of a (..., n, n) stack.
 
     Backed by scipy's scaling-and-squaring Pade implementation, which handles
     the non-normal generators Omega @ h arising here without relying on an
-    eigendecomposition.
+    eigendecomposition.  scipy is imported on first use, so commands that
+    never exponentiate do not pay for loading it.
 
     Raises:
         InvalidArgumentError: non-square input or non-finite entries.
         NumericOverflowError: the exponential overflows to non-finite values.
     """
+    import scipy.linalg
+
     M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise InvalidArgumentError(f"matrix_exponential needs a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise InvalidArgumentError("matrix_exponential needs finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
         out = scipy.linalg.expm(M)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericOverflowError("matrix exponential overflowed for the given norm")
     return out
 
@@ -80,22 +88,25 @@ def symplectic_from_hamiltonian(h: np.ndarray, omega: np.ndarray | None = None) 
     result satisfies S Omega S^T = Omega and det S = 1.
 
     Args:
-        h: 2N x 2N real symmetric matrix.
+        h: 2N x 2N real symmetric matrix, or a (..., 2N, 2N) stack of them;
+            the result has the same shape.
         omega: optional symplectic form; built from the size of ``h`` if omitted.
 
     Raises:
-        InvalidArgumentError: dimension mismatch or non-symmetric ``h``.
+        InvalidArgumentError: dimension mismatch or a non-symmetric slice of ``h``.
     """
     h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] % 2:
         raise InvalidArgumentError(f"quadratic generator must be 2N x 2N, got shape {h.shape}")
-    if not np.allclose(h, h.T, atol=1e-12):
+    hT = h.swapaxes(-1, -2)
+    # The test of np.allclose(h, hT, atol=1e-12), without its per-call overhead.
+    if not (np.abs(h - hT) <= 1e-12 + 1e-5 * np.abs(hT)).all():
         raise InvalidArgumentError("quadratic generator must be symmetric")
     if omega is None:
-        omega = build_omega(h.shape[0] // 2)
+        omega = build_omega(h.shape[-1] // 2)
     else:
         omega = np.asarray(omega, dtype=float)
-        if omega.shape != h.shape:
+        if omega.shape != h.shape[-2:]:
             raise InvalidArgumentError(
                 f"symplectic form shape {omega.shape} does not match generator shape {h.shape}"
             )
@@ -110,15 +121,21 @@ def vacuum_state(num_modes: int) -> np.ndarray:
 
 
 def evolve_covariance(gamma: np.ndarray, symplectic: np.ndarray) -> np.ndarray:
-    """Conjugate a covariance matrix: Gamma -> S Gamma S^T."""
+    """Conjugate a covariance matrix: Gamma -> S Gamma S^T.
+
+    Either argument may be a (..., 2N, 2N) stack; leading axes broadcast, so
+    one covariance can be pushed through a whole stack of symplectics.
+    """
     gamma = np.asarray(gamma, dtype=float)
     S = np.asarray(symplectic, dtype=float)
-    if gamma.shape != S.shape or gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
-        raise InvalidArgumentError(
-            f"covariance shape {gamma.shape} does not match symplectic shape {S.shape}"
-        )
-    out = S @ gamma @ S.T
-    return 0.5 * (out + out.T)
+    mismatch = "covariance shape {} does not match symplectic shape {}"
+    if min(gamma.ndim, S.ndim) < 2 or len({*gamma.shape[-2:], *S.shape[-2:]}) != 1:
+        raise InvalidArgumentError(mismatch.format(gamma.shape, S.shape))
+    try:
+        out = S @ gamma @ S.swapaxes(-1, -2)
+    except ValueError as exc:  # leading axes that do not broadcast
+        raise InvalidArgumentError(mismatch.format(gamma.shape, S.shape)) from exc
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def reduced_covariance(gamma: np.ndarray, mode: int) -> np.ndarray:
@@ -155,20 +172,30 @@ def purity(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> float:
     return min(1.0, 0.5**num_modes / np.sqrt(max(det, bound)))
 
 
+def _purity_residual(gamma: np.ndarray) -> np.ndarray:
+    """||(Gamma Omega^-1)^2 + I/4||_max of each slice, as an array of shape (...)."""
+    if gamma.ndim < 2 or gamma.shape[-1] != gamma.shape[-2] or gamma.shape[-1] % 2:
+        raise InvalidArgumentError(f"covariance must be 2N x 2N, got shape {gamma.shape}")
+    # Gamma Omega^{-1} = -Gamma Omega only moves columns: column 2m is Gamma's
+    # column 2m+1 and column 2m+1 is minus column 2m.  Every entry is one
+    # entry of Gamma times +-1, so this equals the dense product exactly.
+    J = np.empty_like(gamma)
+    J[..., 0::2] = gamma[..., 1::2]
+    J[..., 1::2] = -gamma[..., 0::2]
+    return np.abs(J @ J + 0.25 * np.eye(gamma.shape[-1])).max(axis=(-2, -1))
+
+
 def check_pure(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> tuple[bool, float]:
     """Purity test: max-norm of (Gamma Omega^{-1})^2 + I/4 against ``tol``.
 
     Returns:
         (is_pure, residual) where residual = ||(Gamma Omega^-1)^2 + I/4||_max.
+        For a (..., 2N, 2N) stack both are arrays of shape (...), one entry
+        per slice.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] % 2:
-        raise InvalidArgumentError(f"covariance must be 2N x 2N, got shape {gamma.shape}")
-    num_modes = gamma.shape[0] // 2
-    omega = build_omega(num_modes)
-    # Omega^{-1} = -Omega since Omega^2 = -I.
-    J = gamma @ (-omega)
-    residual = float(np.max(np.abs(J @ J + 0.25 * np.eye(2 * num_modes))))
+    residual = _purity_residual(np.asarray(gamma, dtype=float))
+    if residual.ndim == 0:
+        residual = float(residual)
     return residual < tol, residual
 
 
@@ -179,18 +206,27 @@ def require_pure(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> np.ndarr
     like ||Gamma||^2, so strongly squeezed pure states would fail a fixed
     absolute threshold; the acceptance bound is therefore ``tol`` scaled by
     max(1, ||Gamma||_1^2).  Genuinely mixed states have residuals of the same
-    order as that scale and are still rejected.
+    order as that scale and are still rejected.  A (..., 2N, 2N) stack is
+    accepted only if every slice passes on its own.
 
     Raises:
-        UnphysicalStateError: purity residual exceeds the scaled tolerance.
+        UnphysicalStateError: purity residual exceeds the scaled tolerance;
+            for a stack, the message names the first failing slice.
     """
     gamma = np.asarray(gamma, dtype=float)
-    ok, residual = check_pure(gamma, tol)
-    if not ok:
-        scale = max(1.0, float(np.linalg.norm(gamma, 1)) ** 2)
-        if residual >= tol * scale:
-            raise UnphysicalStateError(
-                f"state is not pure: purity residual {residual:.3e} exceeds {tol:.1e} "
-                f"(conditioning scale {scale:.3e})"
-            )
+    residual = _purity_residual(gamma)
+    if not (residual >= tol).any():
+        return gamma
+    with np.errstate(over="ignore"):  # a norm beyond 1e154 scales the bound to inf
+        scale = np.maximum(1.0, np.linalg.norm(gamma, 1, axis=(-2, -1)) ** 2)
+    failed = np.flatnonzero(residual >= tol * scale)
+    if failed.size:
+        k = failed[0]
+        where = ""
+        if gamma.ndim > 2:
+            where = f" at stack index {tuple(int(i) for i in np.unravel_index(k, gamma.shape[:-2]))}"
+        raise UnphysicalStateError(
+            f"state{where} is not pure: purity residual {residual.flat[k]:.3e} exceeds {tol:.1e} "
+            f"(conditioning scale {scale.flat[k]:.3e})"
+        )
     return gamma

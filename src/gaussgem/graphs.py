@@ -17,6 +17,10 @@ w = r e^{i phi}.  They involve sqrt(cos 2 phi); for cos 2 phi < 0 the
 continuation sin(ix) = i sinh(x) keeps every displayed quantity real, and the
 rays cos 2 phi = 0 are removable limits.  Both are handled by the piecewise
 real helpers below rather than complex arithmetic.
+
+``graph_state_covariances`` prepares one topology under a whole array of
+weights as a single (..., 2N, 2N) stack; each slice equals the one-state
+``graph_state_covariance`` bit for bit.
 """
 
 from __future__ import annotations
@@ -63,6 +67,30 @@ class PolarCoupling:
         return cls(abs(w), cmath.phase(w))
 
 
+def _validated_pairs(num_modes, pairs) -> tuple:
+    """Edge pairs (i, j) checked as 1 <= i < j <= num_modes, integer, no repeats."""
+    if not isinstance(num_modes, (int, np.integer)) or num_modes < 1:
+        raise InvalidArgumentError(f"mode count must be a positive integer, got {num_modes!r}")
+    seen = {}  # insertion-ordered set
+    for pair in pairs:
+        try:
+            i, j = pair
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"edge {pair!r} is not an (i, j) pair") from exc
+        if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+            raise InvalidArgumentError(f"edge endpoints must be integers, got ({i!r}, {j!r})")
+        if i == j:
+            raise InvalidArgumentError(f"self-loop on mode {i} is not allowed")
+        if not (1 <= i < j <= num_modes):
+            raise InvalidArgumentError(
+                f"edge ({i}, {j}) must satisfy 1 <= i < j <= {num_modes}"
+            )
+        if (i, j) in seen:
+            raise InvalidArgumentError(f"duplicate edge ({i}, {j})")
+        seen[int(i), int(j)] = None
+    return tuple(seen)
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Mode count plus undirected weighted edges (i < j, 1-based, no loops)."""
@@ -71,31 +99,29 @@ class GraphSpec:
     edges: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not isinstance(self.num_modes, (int, np.integer)) or self.num_modes < 1:
-            raise InvalidArgumentError(f"mode count must be a positive integer, got {self.num_modes!r}")
-        seen = set()
-        normalized = []
+        triples = []
         for edge in self.edges:
             try:
                 i, j, w = edge
             except (TypeError, ValueError) as exc:
                 raise InvalidArgumentError(f"edge {edge!r} is not an (i, j, weight) triple") from exc
-            if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
-                raise InvalidArgumentError(f"edge endpoints must be integers, got ({i!r}, {j!r})")
-            if i == j:
-                raise InvalidArgumentError(f"self-loop on mode {i} is not allowed")
-            if not (1 <= i < j <= self.num_modes):
-                raise InvalidArgumentError(
-                    f"edge ({i}, {j}) must satisfy 1 <= i < j <= {self.num_modes}"
-                )
-            w = complex(w)
+            triples.append((i, j, w))
+        pairs = _validated_pairs(self.num_modes, [(i, j) for i, j, _ in triples])
+        weights = [complex(w) for _, _, w in triples]
+        for (i, j), w in zip(pairs, weights):
             if not (math.isfinite(w.real) and math.isfinite(w.imag)):
                 raise InvalidArgumentError(f"edge ({i}, {j}) has non-finite weight {w}")
-            if (i, j) in seen:
-                raise InvalidArgumentError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            normalized.append((int(i), int(j), w))
-        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "edges", tuple((i, j, w) for (i, j), w in zip(pairs, weights)))
+
+    @property
+    def pairs(self) -> tuple:
+        """The edges' (i, j) pairs, in edge order."""
+        return tuple((i, j) for i, j, _ in self.edges)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The edges' weights as a complex array of shape (E,), in edge order."""
+        return np.array([w for _, _, w in self.edges], dtype=complex)
 
     @classmethod
     def with_uniform_weight(cls, num_modes: int, pairs, weight: complex) -> "GraphSpec":
@@ -104,27 +130,67 @@ class GraphSpec:
 
     def reweighted(self, weight: complex) -> "GraphSpec":
         """Copy of this topology with all weights replaced by ``weight``."""
-        return GraphSpec.with_uniform_weight(self.num_modes, [(i, j) for i, j, _ in self.edges], weight)
+        return GraphSpec.with_uniform_weight(self.num_modes, self.pairs, weight)
+
+
+def _generators(num_modes: int, pairs: tuple, weights: np.ndarray) -> np.ndarray:
+    """(..., 2N, 2N) generator stack for validated pairs and complex weights (..., E)."""
+    blocks = np.empty(weights.shape + (2, 2))  # [[Re w, -Im w], [-Im w, Re w]] per edge
+    blocks[..., 0, 0] = blocks[..., 1, 1] = weights.real
+    blocks[..., 0, 1] = blocks[..., 1, 0] = -weights.imag
+    h = np.zeros(weights.shape[:-1] + (2 * num_modes, 2 * num_modes))
+    for e, (i, j) in enumerate(pairs):
+        a, b = 2 * (i - 1), 2 * (j - 1)
+        h[..., a : a + 2, b : b + 2] = h[..., b : b + 2, a : a + 2] = blocks[..., e, :, :]
+    return h
+
+
+def _covariances(num_modes: int, pairs: tuple, weights: np.ndarray) -> np.ndarray:
+    h = _generators(num_modes, pairs, weights)
+    S = symplectic_from_hamiltonian(h, build_omega(num_modes))
+    return evolve_covariance(vacuum_state(num_modes), S)
+
+
+def graph_state_covariances(num_modes: int, pairs, weights) -> np.ndarray:
+    """Covariances S S^T / 2 of one graph topology under a whole array of weights.
+
+    Args:
+        num_modes: mode count N.
+        pairs: the E edges as (i, j) pairs, checked as :class:`GraphSpec` checks them.
+        weights: complex array of shape (..., E); ``weights[..., e]`` is the
+            weight of edge ``pairs[e]``.
+
+    Returns:
+        (..., 2N, 2N) array; slice k equals ``graph_state_covariance`` of the
+        graph carrying weights ``weights[k]``, bit for bit.
+
+    Raises:
+        InvalidArgumentError: bad topology, or weights of the wrong shape or
+            with non-finite entries.
+    """
+    pairs = _validated_pairs(num_modes, pairs)
+    weights = np.asarray(weights, dtype=complex)
+    if weights.ndim < 1 or weights.shape[-1] != len(pairs):
+        raise InvalidArgumentError(
+            f"weights must have shape (..., {len(pairs)}) for {len(pairs)} edges, got {weights.shape}"
+        )
+    if not np.isfinite(weights).all():
+        raise InvalidArgumentError("edge weights must be finite")
+    return _covariances(num_modes, pairs, weights)
 
 
 def hamiltonian_from_graph(spec: GraphSpec) -> np.ndarray:
     """2N x 2N symmetric generator of the graph preparation unitary."""
     if not isinstance(spec, GraphSpec):
         raise InvalidArgumentError("hamiltonian_from_graph needs a GraphSpec")
-    h = np.zeros((2 * spec.num_modes, 2 * spec.num_modes))
-    for i, j, w in spec.edges:
-        block = np.array([[w.real, -w.imag], [-w.imag, w.real]])
-        a, b = 2 * (i - 1), 2 * (j - 1)
-        h[a : a + 2, b : b + 2] = block
-        h[b : b + 2, a : a + 2] = block
-    return h
+    return _generators(spec.num_modes, spec.pairs, spec.weights)
 
 
 def graph_state_covariance(spec: GraphSpec) -> np.ndarray:
     """Pure covariance matrix S S^T / 2 of the graph state, S = exp(Omega h)."""
-    h = hamiltonian_from_graph(spec)
-    S = symplectic_from_hamiltonian(h, build_omega(spec.num_modes))
-    return evolve_covariance(vacuum_state(spec.num_modes), S)
+    if not isinstance(spec, GraphSpec):
+        raise InvalidArgumentError("graph_state_covariance needs a GraphSpec")
+    return _covariances(spec.num_modes, spec.pairs, spec.weights)
 
 
 # --- analytic continuation helpers (piecewise real) -------------------------
@@ -242,21 +308,24 @@ def gem_ratio_small_r(spec_a: GraphSpec, spec_b: GraphSpec, r: float) -> float:
     return num / den
 
 
-def log_negativity_two_mode(gamma: np.ndarray) -> float:
+def log_negativity_two_mode(gamma: np.ndarray) -> float | np.ndarray:
     """Logarithmic negativity max(0, -ln 2 nu-) of a pure two-mode state.
 
     nu- is the smallest symplectic eigenvalue of the partial transpose
-    (momentum sign flip on mode 2); natural-log convention.
+    (momentum sign flip on mode 2); natural-log convention.  Returns a float
+    for a 4 x 4 covariance and an array of shape (...) for a (..., 4, 4) stack.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (4, 4):
+    if gamma.shape[-2:] != (4, 4):
         raise InvalidArgumentError(f"log negativity needs a two-mode covariance, got shape {gamma.shape}")
     gamma = require_pure(gamma)
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     partial = flip @ gamma @ flip
     eigs = np.linalg.eigvals(1j * build_omega(2) @ partial)
-    nu_min = float(np.min(np.abs(eigs)))
-    return max(0.0, -math.log(2.0 * nu_min))
+    nu_min = np.min(np.abs(eigs), axis=-1)
+    # math.log, not np.log: the two differ in the last bit on some inputs.
+    lognegs = [max(0.0, -math.log(2.0 * nu)) for nu in nu_min.ravel().tolist()]
+    return lognegs[0] if nu_min.ndim == 0 else np.reshape(lognegs, nu_min.shape)
 
 
 def two_mode_metric_closed(r: float, phi: float) -> MetricTensor:

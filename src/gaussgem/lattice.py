@@ -164,10 +164,10 @@ def reduced_det_from_xy(b: BogoliubovMatrices, mode: int) -> float:
     N = b.x.shape[0]
     if not 1 <= mode <= N:
         raise InvalidArgumentError(f"site index {mode} outside 1..{N}")
-    a = mode - 1
-    xx_yy = float((b.x.T @ b.x + b.y.T @ b.y)[a, a])
-    yx = float((b.y.T @ b.x)[a, a])
-    xy = float((b.x.T @ b.y)[a, a])
+    x, y = b.x[:, mode - 1], b.y[:, mode - 1]
+    xx_yy = float(x @ x + y @ y)
+    # (Y^T X)_aa and (X^T Y)_aa are the same column dot product.
+    yx = xy = float(y @ x)
     return 0.25 * xx_yy**2 - 0.5 * (yx**2 + xy**2)
 
 
@@ -209,8 +209,8 @@ def field_covariance(cfg: LatticeFieldConfig) -> np.ndarray:
     freqs = np.concatenate([[cfg.mass], omegas, omegas])
     var_q = cfg.spacing / (2.0 * freqs)
     var_p = freqs / (2.0 * cfg.spacing)
-    gq = fourier.T @ np.diag(var_q) @ fourier
-    gp = fourier.T @ np.diag(var_p) @ fourier
+    gq = (fourier.T * var_q) @ fourier
+    gp = (fourier.T * var_p) @ fourier
     gamma = np.zeros((2 * N, 2 * N))
     q = np.arange(0, 2 * N, 2)
     gamma[np.ix_(q, q)] = gq

@@ -59,7 +59,8 @@ def killing_form_sp2() -> Sp2KillingForm:
 
     Recomputed from the structure constants on every call and checked against
     the closed form, so a sign-convention drift in the algebra constants
-    cannot pass silently.
+    cannot pass silently.  :func:`killing_contraction` uses the copy computed
+    once at import.
     """
     ad = [np.array([[_STRUCTURE[i, j, k] for j in range(3)] for k in range(3)]) for i in range(3)]
     kappa = np.array([[np.trace(ad[i] @ ad[j]) for j in range(3)] for i in range(3)])
@@ -70,6 +71,9 @@ def killing_form_sp2() -> Sp2KillingForm:
     if not np.allclose(kappa, expected, atol=1e-14):
         raise AssertionError(f"structure constants give {kappa}, expected {expected}")
     return Sp2KillingForm(matrix=kappa, inverse=np.linalg.inv(kappa))
+
+
+_KILLING_INVERSE = killing_form_sp2().inverse
 
 
 @dataclass(frozen=True)
@@ -132,15 +136,13 @@ def _assemble(num_modes: int, families: dict) -> np.ndarray:
     (j, i) families follow from the overall symmetry of the tensor; diagonal
     families are symmetrized over the mode pair.
     """
-    M = np.zeros((3 * num_modes, 3 * num_modes))
+    M = np.zeros((num_modes, 3, num_modes, 3))  # M[m, i, n, j] is entry (3m + i, 3n + j)
     for (i, j), F in families.items():
         if i == j:
             F = 0.5 * (F + F.T)
-        for m in range(num_modes):
-            for n in range(num_modes):
-                M[3 * m + i, 3 * n + j] = F[m, n]
-                M[3 * n + j, 3 * m + i] = F[m, n]
-    return M
+        M[:, i, :, j] = F
+        M[:, j, :, i] = F.T
+    return M.reshape(3 * num_modes, 3 * num_modes)
 
 
 def moments_from_covariance(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> MomentTable:
@@ -197,13 +199,10 @@ def moments_from_covariance(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) 
 def metric_from_moments(moments: MomentTable) -> MetricTensor:
     """Metric assembly g = -(M_ij + M_ji)/2 + M_i M_j from a moment table."""
     n = moments.num_modes
-    M = np.zeros((3 * n, 3 * n))
-    for i in range(3):
-        for j in range(3):
-            block = -moments.second[:, :, i, j] + np.outer(moments.first[:, i], moments.first[:, j])
-            for m in range(n):
-                for nn in range(n):
-                    M[3 * m + i, 3 * nn + j] = block[m, nn]
+    first = moments.first
+    # Entry [m, n, i, j] is component ((m, i), (n, j)); reorder to [m, i, n, j].
+    M = -moments.second + first[:, None, :, None] * first[None, :, None, :]
+    M = M.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
     return MetricTensor(matrix=0.5 * (M + M.T), num_modes=n, flavor="g")
 
 
@@ -274,7 +273,7 @@ def killing_contraction(metric: MetricTensor) -> float:
     The Killing form of the direct-sum algebra is block diagonal across modes,
     so cross-mode blocks never enter the contraction.
     """
-    kappa_inv = killing_form_sp2().inverse
+    kappa_inv = _KILLING_INVERSE
     total = 0.0
     for m in range(1, metric.num_modes + 1):
         total += float(np.sum(kappa_inv * metric.mode_block(m, m)))
@@ -293,18 +292,25 @@ def gem_from_metric(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> float
     return killing_contraction(metric_g(gamma, tol)) - num_modes / 8.0
 
 
-def gem_from_purity(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> float:
+def gem_from_purity(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> float | np.ndarray:
     """Entanglement measure from reduced purities.
 
     (1/32) sum_mode [P(rho^(mode))^-2 - 1] = (1/8) sum_mode [det Gamma^(mode) - 1/4].
     Non-negative for every pure state and zero exactly on product states.
+
+    Returns a float for a 2N x 2N covariance and an array of shape (...) for
+    a (..., 2N, 2N) stack; every slice must pass the purity gate.
     """
     gamma = require_pure(gamma, tol)
-    num_modes = gamma.shape[0] // 2
+    rows = np.arange(gamma.shape[-1]).reshape(-1, 2, 1)  # rows 2m, 2m + 1 of mode m
+    # One stacked det over the (..., N, 2, 2) mode blocks; it runs the same
+    # LAPACK call per block as a det of each block on its own.
+    dets = np.linalg.det(gamma[..., rows, rows.reshape(-1, 1, 2)])
     total = 0.0
-    for mode in range(1, num_modes + 1):
-        total += float(np.linalg.det(reduced_covariance(gamma, mode))) - 0.25
-    return total / 8.0
+    for mode in range(dets.shape[-1]):  # summed in mode order, not pairwise
+        total = total + (dets[..., mode] - 0.25)
+    total = total / 8.0
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def mode_purities(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> list[float]:

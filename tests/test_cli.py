@@ -191,13 +191,6 @@ class TestScan3:
                                "--im-range", "0:1", "--steps", "2"])
         assert proc.returncode == 2
 
-    def test_topology_flag_accepted(self, capsys):
-        base = ["scan3", "--family", "equal", "--re-range", "0:0.5",
-                "--im-range", "0:0.5", "--steps", "2"]
-        _, out_default, _ = run_cli(base, capsys)
-        _, out_g2, _ = run_cli(base + ["--topology", "g2"], capsys)
-        assert out_default == out_g2
-
     def test_self_test_flag(self, capsys):
         for family in ("equal", "xy"):
             code, *_ = run_cli(
@@ -278,6 +271,12 @@ class TestGoldenFiles:
                     assert g == w
                 else:
                     assert float(g) == pytest.approx(float(w), rel=1e-8, abs=1e-12)
+
+    def test_scan2_golden_bytes(self, capsys):
+        _, out, _ = run_cli(
+            ["scan2", "--re-range", "-1:1", "--im-range", "-1:1", "--steps", "5"], capsys
+        )
+        assert out.encode("utf-8") == (GOLDEN / "scan2_5x5.csv").read_bytes()
 
     def test_field_golden(self, capsys):
         want_header, want_rows = parse_csv((GOLDEN / "field_small.csv").read_text(encoding="utf-8"))

@@ -27,6 +27,7 @@ from oracles import (
     single_mode_squeezed_state,
 )
 from gaussgem import hamiltonian_from_graph
+from gaussgem.measure import _assemble
 
 
 class TestKillingForm:
@@ -88,6 +89,34 @@ class TestMoments:
     def test_nonpure_rejected(self):
         with pytest.raises(UnphysicalStateError):
             moments_from_covariance(np.eye(4))
+
+
+class TestAssemblyMatchesModePairLoops:
+    """The reshaped metric assembly against the mode-pair loops it replaced.
+
+    The arithmetic is unchanged, so the matrices must be equal, not close.
+    """
+
+    def test_metric_from_moments(self, rng):
+        moments = moments_from_covariance(graph_state_covariance(random_graph_spec(rng, 4)))
+        first, second = moments.first, moments.second
+        M = np.zeros((12, 12))
+        for i in range(3):
+            for j in range(3):
+                for m in range(4):
+                    for n in range(4):
+                        M[3 * m + i, 3 * n + j] = -second[m, n, i, j] + first[m, i] * first[n, j]
+        assert np.array_equal(metric_from_moments(moments).matrix, 0.5 * (M + M.T))
+
+    def test_assemble(self, rng):
+        families = {(i, j): rng.normal(size=(4, 4)) for i in range(3) for j in range(i, 3)}
+        M = np.zeros((12, 12))
+        for (i, j), F in families.items():
+            F = 0.5 * (F + F.T) if i == j else F
+            for m in range(4):
+                for n in range(4):
+                    M[3 * m + i, 3 * n + j] = M[3 * n + j, 3 * m + i] = F[m, n]
+        assert np.array_equal(_assemble(4, families), M)
 
 
 class TestMetricG:

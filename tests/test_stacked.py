@@ -1,0 +1,181 @@
+"""Stacked (..., 2N, 2N) calls against the same functions called one state at a time.
+
+The stacked engine promises more than closeness: every slice of a stacked
+result must equal the single-state call bit for bit, because the CLI scans
+now run on stacks while --self-test and library callers run single states.
+"""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from gaussgem import (
+    GraphSpec,
+    InvalidArgumentError,
+    UnphysicalStateError,
+    build_omega,
+    check_pure,
+    evolve_covariance,
+    gem_from_purity,
+    graph_state_covariance,
+    graph_state_covariances,
+    hamiltonian_from_graph,
+    log_negativity_two_mode,
+    matrix_exponential,
+    require_pure,
+    symplectic_from_hamiltonian,
+    vacuum_state,
+)
+
+TRIANGLE = ((1, 2), (2, 3), (1, 3))
+PATH3 = ((1, 2), (2, 3))
+
+
+def _two_mode_grid():
+    """Weights on a 9 x 9 grid in [-1.5, 1.5]^2: cos 2 phi takes both signs and 0."""
+    axis = np.linspace(-1.5, 1.5, 9)
+    return np.array([[complex(re, im) for im in axis] for re in axis])[..., None]
+
+
+def _xy_grid(pairs):
+    """Triangle or path weights (i x, i y[, 1]) on a 7 x 7 grid in [0, 4]^2."""
+    axis = np.linspace(0.0, 4.0, 7)
+    rows = [[(1j * x, 1j * y, 1.0 + 0j)[: len(pairs)] for y in axis] for x in axis]
+    return np.array(rows)
+
+
+def _single(num_modes, pairs, weights):
+    edges = tuple((i, j, complex(w)) for (i, j), w in zip(pairs, weights))
+    return graph_state_covariance(GraphSpec(num_modes, edges))
+
+
+def _cases():
+    yield 2, ((1, 2),), _two_mode_grid()
+    yield 3, TRIANGLE, _xy_grid(TRIANGLE)
+    yield 3, PATH3, _xy_grid(PATH3)
+
+
+class TestStackEqualsSlices:
+    @pytest.mark.parametrize("num_modes,pairs,weights", list(_cases()))
+    def test_graph_state_covariances(self, num_modes, pairs, weights):
+        stack = graph_state_covariances(num_modes, pairs, weights)
+        assert stack.shape == weights.shape[:-1] + (2 * num_modes, 2 * num_modes)
+        for index in np.ndindex(weights.shape[:-1]):
+            assert np.array_equal(stack[index], _single(num_modes, pairs, weights[index]))
+
+    @pytest.mark.parametrize("num_modes,pairs,weights", list(_cases()))
+    def test_gem_from_purity(self, num_modes, pairs, weights):
+        stack = graph_state_covariances(num_modes, pairs, weights)
+        gems = gem_from_purity(stack)
+        assert isinstance(gems, np.ndarray) and gems.shape == weights.shape[:-1]
+        for index in np.ndindex(gems.shape):
+            single = gem_from_purity(stack[index])
+            assert type(single) is float
+            assert gems[index] == single
+
+    def test_log_negativity_two_mode(self):
+        stack = graph_state_covariances(2, ((1, 2),), _two_mode_grid())
+        lognegs = log_negativity_two_mode(stack)
+        assert isinstance(lognegs, np.ndarray) and lognegs.shape == stack.shape[:-2]
+        for index in np.ndindex(lognegs.shape):
+            single = log_negativity_two_mode(stack[index])
+            assert type(single) is float
+            assert lognegs[index] == single
+
+    def test_check_pure(self):
+        stack = graph_state_covariances(3, TRIANGLE, _xy_grid(TRIANGLE))
+        ok, residual = check_pure(stack)
+        assert ok.shape == residual.shape == stack.shape[:-2]
+        for index in np.ndindex(residual.shape):
+            single_ok, single_residual = check_pure(stack[index])
+            assert type(single_ok) is bool and type(single_residual) is float
+            assert (ok[index], residual[index]) == (single_ok, single_residual)
+
+    def test_matrix_exponential_and_evolution(self, rng):
+        h = rng.uniform(-1.0, 1.0, (5, 4, 6, 6))
+        h = 0.5 * (h + np.swapaxes(h, -1, -2))
+        S = symplectic_from_hamiltonian(h)
+        gammas = evolve_covariance(vacuum_state(3), S)
+        for index in np.ndindex(h.shape[:-2]):
+            single_S = symplectic_from_hamiltonian(h[index])
+            assert np.array_equal(S[index], single_S)
+            assert np.array_equal(matrix_exponential(build_omega(3) @ h[index]), single_S)
+            assert np.array_equal(gammas[index], evolve_covariance(vacuum_state(3), single_S))
+
+
+class TestPurityGate:
+    def test_column_swap_equals_dense_product(self, rng):
+        # Gamma Omega^-1 is formed by moving columns; it must equal the
+        # dense product the gate was defined with, so the residual is unchanged.
+        for num_modes in (1, 2, 3, 5):
+            h = rng.uniform(-1.0, 1.0, (2 * num_modes, 2 * num_modes))
+            S = symplectic_from_hamiltonian(0.5 * (h + h.T))
+            for gamma in (0.5 * S @ S.T, 0.55 * S @ S.T):
+                J = gamma @ (-build_omega(num_modes))
+                dense = float(np.max(np.abs(J @ J + 0.25 * np.eye(2 * num_modes))))
+                assert check_pure(gamma)[1] == dense
+
+    def test_mixed_slice_named(self):
+        # Squeezed thermal state S (nu I/2) S^T, nu = 1.1, at small squeezing.
+        weights = 1j * np.linspace(0.05, 0.3, 12).reshape(3, 4, 1)
+        stack = graph_state_covariances(2, ((1, 2),), weights)
+        S = symplectic_from_hamiltonian(hamiltonian_from_graph(GraphSpec(2, ((1, 2, 0.1j),))))
+        thermal = evolve_covariance(1.1 * vacuum_state(2), S)
+        with pytest.raises(UnphysicalStateError):
+            require_pure(thermal)
+        stack[1, 2] = thermal
+        for call in (require_pure, gem_from_purity, log_negativity_two_mode):
+            with pytest.raises(UnphysicalStateError, match=r"stack index \(1, 2\)"):
+                call(stack)
+
+    def test_first_failing_slice_named(self):
+        stack = np.stack([vacuum_state(1), np.eye(2), vacuum_state(1), 2.0 * np.eye(2)])
+        with pytest.raises(UnphysicalStateError, match=r"stack index \(1,\)"):
+            require_pure(stack)
+
+
+class TestStackValidation:
+    def test_weights_shape_must_match_edges(self):
+        with pytest.raises(InvalidArgumentError):
+            graph_state_covariances(3, TRIANGLE, np.zeros((4, 2), dtype=complex))
+
+    def test_nonfinite_weight_rejected(self):
+        weights = np.full((3, 1), 0.5j)
+        weights[2, 0] = complex(np.nan, 0.0)
+        with pytest.raises(InvalidArgumentError):
+            graph_state_covariances(2, ((1, 2),), weights)
+
+    @pytest.mark.parametrize("pairs", [((1, 1),), ((2, 1),), ((1, 2), (1, 2)), ((1, 4),), ((1, 2, 3),)])
+    def test_topology_checked_like_graph_spec(self, pairs):
+        with pytest.raises(InvalidArgumentError):
+            graph_state_covariances(3, pairs, np.zeros((2, len(pairs)), dtype=complex))
+
+    def test_asymmetric_slice_rejected(self):
+        h = np.zeros((3, 4, 4))
+        h[2, 0, 1] = 1.0
+        with pytest.raises(InvalidArgumentError):
+            symplectic_from_hamiltonian(h)
+
+    def test_nonfinite_slice_rejected(self):
+        M = np.zeros((3, 2, 2))
+        M[1, 0, 0] = np.inf
+        with pytest.raises(InvalidArgumentError):
+            matrix_exponential(M)
+
+    def test_unbroadcastable_stacks_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            evolve_covariance(np.zeros((3, 4, 4)), np.zeros((2, 4, 4)))
+
+
+def test_import_leaves_scipy_unloaded():
+    # Only matrix_exponential needs scipy; importing the package, a field run
+    # and the equal-family scan (closed forms only) must not load it.
+    code = (
+        "import sys; from gaussgem.cli import main; "
+        "main(['field', '--n-list', '1,10', '--mass', '1', '--radius', '1', '--self-test']); "
+        "main(['scan3', '--family', 'equal', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3']); "
+        "sys.exit(10 if 'scipy' in sys.modules else 0)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True).returncode == 0
