@@ -7,6 +7,9 @@ vacuum = I/2.  The measure of a pure state is
 
 equivalently the inverse-Killing-form contraction of the local-sp(2,R)
 restriction of the Fubini-Study metric minus the separable baseline N/8.
+
+Every route runs the purity gate once per call, against the one threshold
+``DEFAULT_PURITY_TOL`` fixed in ``core``; no function takes a tolerance.
 """
 
 from .core import (

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericOverflowError, UnphysicalStateError
 
-#: Default tolerance on the purity residual max-norm |(Gamma Omega^-1)^2 + I/4|.
+#: The purity gate's one threshold, on the residual max-norm |(Gamma Omega^-1)^2 + I/4|.
 DEFAULT_PURITY_TOL = 1e-9
 
 
@@ -148,13 +148,14 @@ def reduced_covariance(gamma: np.ndarray, mode: int) -> np.ndarray:
     return gamma[a : a + 2, a : a + 2].copy()
 
 
-def purity(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> float:
+def purity(gamma: np.ndarray) -> float:
     """Purity tr(rho^2) of the Gaussian state with covariance ``gamma``.
 
     For an N-mode covariance this is (1/2)^N / sqrt(det Gamma); the single-mode
-    case reduces to 1/(2 sqrt(det)).  The determinant is required to sit above
-    the uncertainty bound (1/4)^N up to ``tol``, and the result is clamped to 1
-    to absorb rounding on pure states.
+    case reduces to 1/(2 sqrt(det)).  It is computed from ln det(2 Gamma), which
+    does not underflow at large N, and must not fall below the uncertainty
+    bound by a relative 4 ``DEFAULT_PURITY_TOL`` (one mode: det >= 1/4 - tol).
+    The result is clamped to 1 to absorb rounding on pure states.
 
     Raises:
         UnphysicalStateError: det below the uncertainty bound.
@@ -162,14 +163,12 @@ def purity(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> float:
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] % 2:
         raise InvalidArgumentError(f"covariance must be 2N x 2N, got shape {gamma.shape}")
-    num_modes = gamma.shape[0] // 2
-    det = float(np.linalg.det(gamma))
-    bound = 0.25**num_modes
-    if det < bound - tol:
+    sign, excess = np.linalg.slogdet(2.0 * gamma)  # det(2 Gamma) = det Gamma / (1/4)^N
+    if not (sign > 0 and excess >= np.log1p(-4.0 * DEFAULT_PURITY_TOL)):
         raise UnphysicalStateError(
-            f"det(Gamma) = {det} below the uncertainty bound {bound}"
+            f"det(Gamma) below the uncertainty bound: det(2 Gamma) = {sign:+.0f} e^{excess:.6g}"
         )
-    return min(1.0, 0.5**num_modes / np.sqrt(max(det, bound)))
+    return min(1.0, float(np.exp(-0.5 * excess)))
 
 
 def _purity_residual(gamma: np.ndarray) -> np.ndarray:
@@ -185,8 +184,8 @@ def _purity_residual(gamma: np.ndarray) -> np.ndarray:
     return np.abs(J @ J + 0.25 * np.eye(gamma.shape[-1])).max(axis=(-2, -1))
 
 
-def check_pure(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> tuple[bool, float]:
-    """Purity test: max-norm of (Gamma Omega^{-1})^2 + I/4 against ``tol``.
+def check_pure(gamma: np.ndarray) -> tuple[bool, float]:
+    """Purity test: max-norm of (Gamma Omega^{-1})^2 + I/4 against ``DEFAULT_PURITY_TOL``.
 
     Returns:
         (is_pure, residual) where residual = ||(Gamma Omega^-1)^2 + I/4||_max.
@@ -196,35 +195,34 @@ def check_pure(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> tuple[bool
     residual = _purity_residual(np.asarray(gamma, dtype=float))
     if residual.ndim == 0:
         residual = float(residual)
-    return residual < tol, residual
+    return residual < DEFAULT_PURITY_TOL, residual
 
 
-def require_pure(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> np.ndarray:
+def require_pure(gamma: np.ndarray) -> np.ndarray:
     """Validate purity and return ``gamma`` as a float array.
 
     The raw residual of ``check_pure`` carries cancellation error that grows
     like ||Gamma||^2, so strongly squeezed pure states would fail a fixed
-    absolute threshold; the acceptance bound is therefore ``tol`` scaled by
-    max(1, ||Gamma||_1^2).  Genuinely mixed states have residuals of the same
-    order as that scale and are still rejected.  A (..., 2N, 2N) stack is
-    accepted only if every slice passes on its own.
+    absolute threshold; the acceptance bound is therefore ``DEFAULT_PURITY_TOL``
+    scaled by max(1, ||Gamma||_1^2).  Genuinely mixed states have residuals of
+    the same order as that scale and are still rejected, and so is a NaN.  A
+    (..., 2N, 2N) stack is accepted only if every slice passes on its own.
 
     Raises:
-        UnphysicalStateError: purity residual exceeds the scaled tolerance;
-            for a stack, the message names the first failing slice.
+        UnphysicalStateError: purity residual exceeds the scaled tolerance or
+            is NaN; for a stack, the message names the first failing slice.
     """
-    gamma = np.asarray(gamma, dtype=float)
+    gamma, tol = np.asarray(gamma, dtype=float), DEFAULT_PURITY_TOL
     residual = _purity_residual(gamma)
-    if not (residual >= tol).any():
+    if (residual < tol).all():
         return gamma
     with np.errstate(over="ignore"):  # a norm beyond 1e154 scales the bound to inf
         scale = np.maximum(1.0, np.linalg.norm(gamma, 1, axis=(-2, -1)) ** 2)
-    failed = np.flatnonzero(residual >= tol * scale)
+    failed = np.flatnonzero(~(residual < tol * scale))
     if failed.size:
         k = failed[0]
-        where = ""
-        if gamma.ndim > 2:
-            where = f" at stack index {tuple(int(i) for i in np.unravel_index(k, gamma.shape[:-2]))}"
+        index = tuple(int(i) for i in np.unravel_index(k, gamma.shape[:-2]))
+        where = f" at stack index {index}" if index else ""
         raise UnphysicalStateError(
             f"state{where} is not pure: purity residual {residual.flat[k]:.3e} exceeds {tol:.1e} "
             f"(conditioning scale {scale.flat[k]:.3e})"

@@ -16,7 +16,8 @@ two-edge path) the measure has closed forms in the polar weight
 w = r e^{i phi}.  They involve sqrt(cos 2 phi); for cos 2 phi < 0 the
 continuation sin(ix) = i sinh(x) keeps every displayed quantity real, and the
 rays cos 2 phi = 0 are removable limits.  Both are handled by the piecewise
-real helpers below rather than complex arithmetic.
+real helpers below rather than complex arithmetic.  A closed form whose value
+exceeds double precision raises ``NumericOverflowError``.
 
 ``graph_state_covariances`` prepares one topology under a whole array of
 weights as a single (..., 2N, 2N) stack; each slice equals the one-state
@@ -38,7 +39,7 @@ from .core import (
     symplectic_from_hamiltonian,
     vacuum_state,
 )
-from .errors import DivisionByZeroError, InvalidArgumentError
+from .errors import DivisionByZeroError, InvalidArgumentError, NumericOverflowError
 from .measure import MetricTensor, _assemble, gem_from_purity, mode_purities
 
 #: Switchover window around the removable rays cos(2 phi) = 0.
@@ -195,6 +196,14 @@ def graph_state_covariance(spec: GraphSpec) -> np.ndarray:
 
 # --- analytic continuation helpers (piecewise real) -------------------------
 
+def _hyperbolic(fn, x: float, power: int = 1) -> float:
+    """fn(x) ** power for fn = math.sinh or math.cosh; NumericOverflowError past double range."""
+    try:
+        return fn(x) ** power
+    except OverflowError as exc:
+        raise NumericOverflowError(f"closed form overflows double precision: {fn.__name__}({x:.6g})") from exc
+
+
 def _sin_sq_over(u: float, s: float) -> float:
     """sin^2(s sqrt(u)) / u, continued through u <= 0.
 
@@ -207,14 +216,14 @@ def _sin_sq_over(u: float, s: float) -> float:
         return s2 - s2 * s2 * u / 3.0 + 2.0 * s2**3 * u * u / 45.0
     if u > 0:
         return math.sin(s * math.sqrt(u)) ** 2 / u
-    return math.sinh(s * math.sqrt(-u)) ** 2 / (-u)
+    return _hyperbolic(math.sinh, s * math.sqrt(-u), 2) / (-u)
 
 
 def _cos_cont(u: float, s: float) -> float:
     """cos(s sqrt(u)) continued: cosh(s sqrt(-u)) for u < 0."""
     if u >= 0:
         return math.cos(s * math.sqrt(u))
-    return math.cosh(s * math.sqrt(-u))
+    return _hyperbolic(math.cosh, s * math.sqrt(-u))
 
 
 def _one_minus_cos_over(u: float, s: float) -> float:
@@ -224,7 +233,7 @@ def _one_minus_cos_over(u: float, s: float) -> float:
         return s2 / 2.0 - s2 * s2 * u / 24.0 + s2**3 * u * u / 720.0
     if u > 0:
         return (1.0 - math.cos(s * math.sqrt(u))) / u
-    return (1.0 - math.cosh(s * math.sqrt(-u))) / u
+    return (1.0 - _hyperbolic(math.cosh, s * math.sqrt(-u))) / u
 
 
 def _sin_phi_sq(phi: float) -> float:
@@ -279,12 +288,15 @@ def gem_three_mode_g2(coupling: PolarCoupling) -> float:
     v = sqrt(sin 4phi csc 2phi) = sqrt(2 cos 2phi), continued as above.
     """
     u2 = 2.0 * math.cos(2.0 * coupling.phi)  # sin(4 phi) csc(2 phi)
-    return (
+    value = (
         _sin_phi_sq(coupling.phi)
         * _sin_sq_over(u2, coupling.r)
         * (3.0 * _cos_cont(u2, 2.0 * coupling.r) + 5.0)
         / 16.0
     )
+    if math.isinf(value):  # two finite factors can overflow
+        raise NumericOverflowError(f"closed form overflows double precision at r = {coupling.r:.6g}")
+    return value
 
 
 def gem_ratio_small_r(spec_a: GraphSpec, spec_b: GraphSpec, r: float) -> float:

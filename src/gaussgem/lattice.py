@@ -98,19 +98,33 @@ class AsymptoticCoefficients:
     tau: float
 
 
+def _omega(cfg: LatticeFieldConfig, k) -> np.ndarray:
+    """omega_k for a mode number k or an array of them; :func:`dispersion` checks k."""
+    s = np.sin(np.pi * k / cfg.num_modes)
+    return np.sqrt(cfg.mass**2 + 4.0 * s * s / cfg.spacing**2)
+
+
 def dispersion(k: int, cfg: LatticeFieldConfig) -> float:
     """Normal-mode frequency omega_k, monotone in k with omega_0 = mass."""
     if not isinstance(k, (int, np.integer)) or not 0 <= k <= cfg.n:
         raise InvalidArgumentError(f"mode number {k!r} outside 0..{cfg.n}")
-    s = math.sin(math.pi * k / cfg.num_modes)
-    return math.sqrt(cfg.mass**2 + 4.0 * s * s / cfg.spacing**2)
+    return float(_omega(cfg, k))
 
 
-def _dispersion_vector(cfg: LatticeFieldConfig) -> np.ndarray:
-    """omega_k for k = 1..n (empty for n = 0)."""
-    k = np.arange(1, cfg.n + 1)
-    s = np.sin(np.pi * k / cfg.num_modes)
-    return np.sqrt(cfg.mass**2 + 4.0 * s * s / cfg.spacing**2)
+def _fourier_basis(cfg: LatticeFieldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized real Fourier rows over the sites a = 1..N, and each row's frequency.
+
+    Rows as in :class:`BogoliubovMatrices`: ones (frequency m), cos(2 pi k a / N), sin(2 pi k a / N).
+    """
+    N, n = cfg.num_modes, cfg.n
+    k = np.arange(1, n + 1)
+    angle = 2.0 * np.pi * k[:, None] * np.arange(1, N + 1) / N
+    basis = np.empty((N, N))
+    basis[0] = 1.0
+    np.cos(angle, out=basis[1 : n + 1])
+    np.sin(angle, out=basis[n + 1 :])
+    omegas = _omega(cfg, k)
+    return basis, np.concatenate([[cfg.mass], omegas, omegas])
 
 
 def bogoliubov_matrices(cfg: LatticeFieldConfig) -> BogoliubovMatrices:
@@ -123,24 +137,15 @@ def bogoliubov_matrices(cfg: LatticeFieldConfig) -> BogoliubovMatrices:
     mirror the cosine rows exactly (same +- pattern), which is what the four
     symplectic identities force.
     """
-    N = cfg.num_modes
+    basis, freqs = _fourier_basis(cfg)
     w_eff = math.sqrt(cfg.mass**2 + 2.0 / cfg.spacing**2)
-    sites = np.arange(1, N + 1)
-    X = np.zeros((N, N))
-    Y = np.zeros((N, N))
-    X[0, :] = 0.5 * (math.sqrt(cfg.mass / w_eff) + math.sqrt(w_eff / cfg.mass))
-    Y[0, :] = 0.5 * (math.sqrt(cfg.mass / w_eff) - math.sqrt(w_eff / cfg.mass))
-    omegas = _dispersion_vector(cfg)
-    for k in range(1, cfg.n + 1):
-        wk = omegas[k - 1]
-        plus = math.sqrt(wk / w_eff) + math.sqrt(w_eff / wk)
-        minus = math.sqrt(wk / w_eff) - math.sqrt(w_eff / wk)
-        angle = 2.0 * np.pi * k * sites / N
-        X[k, :] = np.cos(angle) * plus / math.sqrt(2.0)
-        X[cfg.n + k, :] = np.sin(angle) * plus / math.sqrt(2.0)
-        Y[k, :] = np.cos(angle) * minus / math.sqrt(2.0)
-        Y[cfg.n + k, :] = np.sin(angle) * minus / math.sqrt(2.0)
-    return BogoliubovMatrices(x=X / math.sqrt(N), y=-Y / math.sqrt(N))
+    up, down = np.sqrt(freqs / w_eff), np.sqrt(w_eff / freqs)
+    X, Y = basis * (up + down)[:, None], basis * (down - up)[:, None]  # Y's overall minus sign
+    for M in (X, Y):
+        M[0] *= 0.5
+        M[1:] /= math.sqrt(2.0)
+        M /= math.sqrt(cfg.num_modes)
+    return BogoliubovMatrices(x=X, y=Y)
 
 
 def bogoliubov_residuals(b: BogoliubovMatrices) -> dict:
@@ -166,9 +171,8 @@ def reduced_det_from_xy(b: BogoliubovMatrices, mode: int) -> float:
         raise InvalidArgumentError(f"site index {mode} outside 1..{N}")
     x, y = b.x[:, mode - 1], b.y[:, mode - 1]
     xx_yy = float(x @ x + y @ y)
-    # (Y^T X)_aa and (X^T Y)_aa are the same column dot product.
-    yx = xy = float(y @ x)
-    return 0.25 * xx_yy**2 - 0.5 * (yx**2 + xy**2)
+    xy = float(y @ x)  # (Y^T X)_aa = (X^T Y)_aa, so the mean of their squares is xy^2
+    return 0.25 * xx_yy**2 - xy**2
 
 
 def gem_field_exact(cfg: LatticeFieldConfig) -> float:
@@ -178,15 +182,12 @@ def gem_field_exact(cfg: LatticeFieldConfig) -> float:
     - N/32, with the double sum factorized as (sum omega)(sum 1/omega).
     """
     N = cfg.num_modes
-    omegas = _dispersion_vector(cfg)
-    if omegas.size:
-        bracket = (
-            1.0
-            + 2.0 * float(np.sum(cfg.mass / omegas + omegas / cfg.mass))
-            + 4.0 * float(np.sum(omegas)) * float(np.sum(1.0 / omegas))
-        )
-    else:
-        bracket = 1.0
+    omegas = _omega(cfg, np.arange(1, cfg.n + 1))  # empty sums leave bracket = 1 at n = 0
+    bracket = (
+        1.0
+        + 2.0 * float(np.sum(cfg.mass / omegas + omegas / cfg.mass))
+        + 4.0 * float(np.sum(omegas)) * float(np.sum(1.0 / omegas))
+    )
     return bracket / (32.0 * N) - N / 32.0
 
 
@@ -198,23 +199,14 @@ def field_covariance(cfg: LatticeFieldConfig) -> np.ndarray:
     those diagonal variances back through the orthogonal Fourier map.
     """
     N = cfg.num_modes
-    sites = np.arange(1, N + 1)
-    fourier = np.zeros((N, N))
-    fourier[0, :] = 1.0 / math.sqrt(N)
-    for k in range(1, cfg.n + 1):
-        angle = 2.0 * np.pi * k * sites / N
-        fourier[k, :] = math.sqrt(2.0 / N) * np.cos(angle)
-        fourier[cfg.n + k, :] = math.sqrt(2.0 / N) * np.sin(angle)
-    omegas = _dispersion_vector(cfg)
-    freqs = np.concatenate([[cfg.mass], omegas, omegas])
+    fourier, freqs = _fourier_basis(cfg)
+    fourier *= math.sqrt(2.0 / N)
+    fourier[0] = 1.0 / math.sqrt(N)
     var_q = cfg.spacing / (2.0 * freqs)
     var_p = freqs / (2.0 * cfg.spacing)
-    gq = (fourier.T * var_q) @ fourier
-    gp = (fourier.T * var_p) @ fourier
     gamma = np.zeros((2 * N, 2 * N))
-    q = np.arange(0, 2 * N, 2)
-    gamma[np.ix_(q, q)] = gq
-    gamma[np.ix_(q + 1, q + 1)] = gp
+    gamma[0::2, 0::2] = (fourier.T * var_q) @ fourier
+    gamma[1::2, 1::2] = (fourier.T * var_p) @ fourier
     return gamma
 
 

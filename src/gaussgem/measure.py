@@ -27,14 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_PURITY_TOL,
-    build_omega,
-    purity,
-    reduced_covariance,
-    require_pure,
-)
-from .errors import InvalidArgumentError
+from .core import DEFAULT_PURITY_TOL, build_omega, require_pure
+from .errors import InvalidArgumentError, UnphysicalStateError
 
 # Structure constants of sp(2,R) in the T1,T2,T3 basis: [T_i, T_j] = c[i,j,k] T_k.
 _STRUCTURE = np.zeros((3, 3, 3), dtype=complex)
@@ -123,10 +117,7 @@ class MetricTensor:
 
 def _quadrature_blocks(gamma: np.ndarray):
     """Split Gamma into N x N matrices Qq, Pp, Pq (Pq[m,n] = Gamma_{p_m, q_n})."""
-    num_modes = gamma.shape[0] // 2
-    q = np.arange(0, 2 * num_modes, 2)
-    p = q + 1
-    return gamma[np.ix_(q, q)], gamma[np.ix_(p, p)], gamma[np.ix_(p, q)]
+    return gamma[0::2, 0::2], gamma[1::2, 1::2], gamma[1::2, 0::2]
 
 
 def _assemble(num_modes: int, families: dict) -> np.ndarray:
@@ -145,7 +136,7 @@ def _assemble(num_modes: int, families: dict) -> np.ndarray:
     return M.reshape(3 * num_modes, 3 * num_modes)
 
 
-def moments_from_covariance(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> MomentTable:
+def moments_from_covariance(gamma: np.ndarray) -> MomentTable:
     """Generator moments of a pure Gaussian state via Wick pairings.
 
     Two-point data enters as C = Gamma + (i/2) Omega; four-point functions are
@@ -155,15 +146,10 @@ def moments_from_covariance(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) 
     Raises:
         UnphysicalStateError: ``gamma`` fails the purity check.
     """
-    gamma = require_pure(gamma, tol)
+    gamma = require_pure(gamma)
     num_modes = gamma.shape[0] // 2
     C = gamma + 0.5j * build_omega(num_modes)
-    q = np.arange(0, 2 * num_modes, 2)
-    p = q + 1
-    Cqq = C[np.ix_(q, q)]
-    Cpp = C[np.ix_(p, p)]
-    Cpq = C[np.ix_(p, q)]
-    Cqp = C[np.ix_(q, p)]
+    Cqq, Cpp, Cpq, Cqp = C[0::2, 0::2], C[1::2, 1::2], C[1::2, 0::2], C[0::2, 1::2]
     dq = np.diag(Cqq)
     dp = np.diag(Cpp)
     dcross = np.diag(Cpq) + np.diag(Cqp)  # = 2 Gamma_{pq} per mode, the i/2 parts cancel
@@ -206,7 +192,7 @@ def metric_from_moments(moments: MomentTable) -> MetricTensor:
     return MetricTensor(matrix=0.5 * (M + M.T), num_modes=n, flavor="g")
 
 
-def metric_g(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> MetricTensor:
+def metric_g(gamma: np.ndarray) -> MetricTensor:
     """Restricted Fubini-Study metric of a pure state, from the closed forms.
 
     Agrees entrywise with :func:`metric_from_moments` applied to
@@ -216,7 +202,7 @@ def metric_g(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> MetricTensor
     Raises:
         UnphysicalStateError: ``gamma`` fails the purity check.
     """
-    gamma = require_pure(gamma, tol)
+    gamma = require_pure(gamma)
     num_modes = gamma.shape[0] // 2
     Qq, Pp, Pq = _quadrature_blocks(gamma)
     Qp = Pq.T  # Qp[m, n] = Gamma_{q_m, p_n} = Gamma_{p_n, q_m}
@@ -232,7 +218,7 @@ def metric_g(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> MetricTensor
     return MetricTensor(matrix=_assemble(num_modes, fams), num_modes=num_modes, flavor="g")
 
 
-def metric_h(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> MetricTensor:
+def metric_h(gamma: np.ndarray) -> MetricTensor:
     """Shifted metric h = g - g[separable reference], entrywise closed forms.
 
     The reference is the pure product state sharing each mode's diagonal
@@ -243,7 +229,7 @@ def metric_h(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> MetricTensor
     Raises:
         UnphysicalStateError: ``gamma`` fails the purity check.
     """
-    gamma = require_pure(gamma, tol)
+    gamma = require_pure(gamma)
     num_modes = gamma.shape[0] // 2
     Qq, Pp, Pq = _quadrature_blocks(gamma)
     Qp = Pq.T
@@ -280,19 +266,27 @@ def killing_contraction(metric: MetricTensor) -> float:
     return total
 
 
-def gem_from_metric(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> float:
+def gem_from_metric(gamma: np.ndarray) -> float:
     """Entanglement measure via the Killing contraction of the metric.
 
     Equals killing_contraction(metric_g) - N/8; the subtraction is the
     separable baseline, so the result vanishes on product states.  Identical
     (up to rounding) to contracting metric_h without any subtraction.
+    The purity gate runs once, inside :func:`metric_g`.
     """
-    gamma = require_pure(gamma, tol)
-    num_modes = gamma.shape[0] // 2
-    return killing_contraction(metric_g(gamma, tol)) - num_modes / 8.0
+    metric = metric_g(gamma)
+    return killing_contraction(metric) - metric.num_modes / 8.0
 
 
-def gem_from_purity(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> float | np.ndarray:
+def _mode_dets(gamma: np.ndarray) -> np.ndarray:
+    """det Gamma^(mode) of every mode-diagonal 2x2 block, shape (..., N)."""
+    rows = np.arange(gamma.shape[-1]).reshape(-1, 2, 1)  # rows 2m, 2m + 1 of mode m
+    # One stacked det over the (..., N, 2, 2) mode blocks; it runs the same
+    # LAPACK call per block as a det of each block on its own.
+    return np.linalg.det(gamma[..., rows, rows.reshape(-1, 1, 2)])
+
+
+def gem_from_purity(gamma: np.ndarray) -> float | np.ndarray:
     """Entanglement measure from reduced purities.
 
     (1/32) sum_mode [P(rho^(mode))^-2 - 1] = (1/8) sum_mode [det Gamma^(mode) - 1/4].
@@ -301,20 +295,20 @@ def gem_from_purity(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> float
     Returns a float for a 2N x 2N covariance and an array of shape (...) for
     a (..., 2N, 2N) stack; every slice must pass the purity gate.
     """
-    gamma = require_pure(gamma, tol)
-    rows = np.arange(gamma.shape[-1]).reshape(-1, 2, 1)  # rows 2m, 2m + 1 of mode m
-    # One stacked det over the (..., N, 2, 2) mode blocks; it runs the same
-    # LAPACK call per block as a det of each block on its own.
-    dets = np.linalg.det(gamma[..., rows, rows.reshape(-1, 1, 2)])
-    total = 0.0
-    for mode in range(dets.shape[-1]):  # summed in mode order, not pairwise
-        total = total + (dets[..., mode] - 0.25)
-    total = total / 8.0
+    dets = _mode_dets(require_pure(gamma))
+    # cumsum adds in mode order, as a running sum does; np.sum would add pairwise.
+    total = (dets - 0.25).cumsum(axis=-1)[..., -1] / 8.0
     return float(total) if np.ndim(total) == 0 else total
 
 
-def mode_purities(gamma: np.ndarray, tol: float = DEFAULT_PURITY_TOL) -> list[float]:
-    """Reduced single-mode purities 1/(2 sqrt(det Gamma^(mode))), one per mode."""
-    gamma = require_pure(gamma, tol)
-    num_modes = gamma.shape[0] // 2
-    return [purity(reduced_covariance(gamma, mode)) for mode in range(1, num_modes + 1)]
+def mode_purities(gamma: np.ndarray) -> list[float]:
+    """Reduced single-mode purities 1/(2 sqrt(det Gamma^(mode))), one per mode, clamped to 1.
+
+    Raises:
+        UnphysicalStateError: ``gamma`` fails the purity check, or a reduced
+            det lies below the uncertainty bound 1/4 by more than ``DEFAULT_PURITY_TOL``.
+    """
+    dets = _mode_dets(require_pure(gamma))
+    if (dets < 0.25 - DEFAULT_PURITY_TOL).any():
+        raise UnphysicalStateError(f"reduced det {dets.min()} below the uncertainty bound 0.25")
+    return np.minimum(1.0, 0.5 / np.sqrt(np.maximum(dets, 0.25))).tolist()

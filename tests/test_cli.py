@@ -97,6 +97,14 @@ class TestGemCommand:
 
 
 class TestScan2:
+    def test_overflowing_closed_form_exit_3(self, capsys):
+        # The covariances pass the gate; the closed form's sinh^2 overflows.
+        code, _, err = run_cli(
+            ["scan2", "--re-range", "-3:3", "--im-range", "176:178", "--steps", "41"], capsys
+        )
+        assert code == 3
+        assert err.startswith("error:") and "overflow" in err
+
     def test_grid_shape_and_real_axis(self, capsys):
         code, out, _ = run_cli(
             ["scan2", "--re-range", "-1:1", "--im-range", "-1:1", "--steps", "5"], capsys

@@ -1,8 +1,12 @@
 """Tests for the covariance / symplectic machinery."""
 
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 
+import gaussgem
 from gaussgem import (
     GraphSpec,
     InvalidArgumentError,
@@ -11,10 +15,12 @@ from gaussgem import (
     build_omega,
     check_pure,
     evolve_covariance,
+    gem_from_purity,
     graph_state_covariance,
     matrix_exponential,
     purity,
     reduced_covariance,
+    require_pure,
     symplectic_from_hamiltonian,
     vacuum_state,
 )
@@ -212,6 +218,19 @@ class TestPurity:
         eps = 1e-12
         assert purity((0.5 - eps) * np.eye(2)) == 1.0
 
+    def test_no_underflow_at_600_modes(self):
+        # Vacuum except one mode at 2 I: det Gamma and (1/4)^600 both
+        # underflow as plain floats, but the purity is 1/4.
+        gamma = vacuum_state(600)
+        gamma[:2, :2] = 2.0 * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert purity(gamma) == pytest.approx(0.25, rel=1e-14)
+
+    def test_unphysical_rejected_at_600_modes(self):
+        with pytest.raises(UnphysicalStateError):
+            purity(0.49 * np.eye(1200))
+
 
 class TestCheckPure:
     def test_vacuum_residual_zero(self):
@@ -230,6 +249,26 @@ class TestCheckPure:
         ok, residual = check_pure(np.eye(2))
         assert not ok
         assert residual == pytest.approx(0.75, abs=1e-15)
+
+
+class TestRequirePure:
+    def test_nan_covariance_rejected(self):
+        with pytest.raises(UnphysicalStateError, match="not pure"):
+            require_pure(np.full((4, 4), np.nan))
+        with pytest.raises(UnphysicalStateError):
+            gem_from_purity(np.full((4, 4), np.nan))
+
+    def test_stack_with_one_nan_slice_names_it(self):
+        stack = np.stack([vacuum_state(2)] * 3)
+        stack[1, 0, 3] = stack[1, 3, 0] = np.nan
+        with pytest.raises(UnphysicalStateError, match=r"stack index \(1,\)"):
+            require_pure(stack)
+
+    def test_no_public_callable_takes_tol(self):
+        for name in gaussgem.__all__:
+            obj = getattr(gaussgem, name)
+            if inspect.isfunction(obj):
+                assert "tol" not in inspect.signature(obj).parameters, name
 
 
 class TestInvariants:

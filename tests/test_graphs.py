@@ -9,6 +9,7 @@ from gaussgem import (
     DivisionByZeroError,
     GraphSpec,
     InvalidArgumentError,
+    NumericOverflowError,
     PolarCoupling,
     check_pure,
     compact_gem_two_mode,
@@ -190,6 +191,18 @@ class TestThreeModeClosedForms:
         assert gem_three_mode_g2(c) == pytest.approx(
             _pipeline_uniform(3, PATH3, c.weight), abs=1e-9
         )
+
+    def test_overflow_raises_typed_error(self):
+        # sinh(2r)^2 at r = 180 is beyond double precision.
+        with pytest.raises(NumericOverflowError):
+            gem_two_mode_closed(PolarCoupling(180.0, np.pi / 2))
+        with pytest.raises(NumericOverflowError):
+            gem_three_mode_g1(PolarCoupling(180.0, np.pi / 2))
+        # Near r = 130 both factors of g2 are finite but their product is not.
+        with pytest.raises(NumericOverflowError):
+            gem_three_mode_g2(PolarCoupling(130.0, np.pi / 2))
+        with pytest.raises(NumericOverflowError):
+            two_mode_metric_closed(180.0, np.pi / 2)
 
     def test_closed_forms_match_pipeline_grid(self, rng):
         # 200 draws across the analytic-continuation boundary.

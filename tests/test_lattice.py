@@ -111,6 +111,68 @@ class TestBogoliubov:
         assert diag[0] == pytest.approx(want, abs=1e-13)
 
 
+def _omegas_vector(cfg):
+    """omega_1..n as the lattice module computed them before the shared formula."""
+    s = np.sin(np.pi * np.arange(1, cfg.n + 1) / cfg.num_modes)
+    return np.sqrt(cfg.mass**2 + 4.0 * s * s / cfg.spacing**2)
+
+
+class TestFourierRowsMatchLoops:
+    """The array-built Fourier rows against the per-k loops they replaced.
+
+    The arithmetic per entry is unchanged, so the matrices must be equal,
+    not close.
+    """
+
+    CONFIGS = [(0, 1.0, 1.0), (1, 1.0, 1.0), (7, 0.3, 2.7), (40, 10.0, 0.5), (150, 1.0, 1.0)]
+
+    @pytest.mark.parametrize("n,mass,radius", CONFIGS)
+    def test_field_covariance(self, n, mass, radius):
+        cfg = LatticeFieldConfig(n=n, mass=mass, radius=radius)
+        N = cfg.num_modes
+        sites = np.arange(1, N + 1)
+        fourier = np.zeros((N, N))
+        fourier[0, :] = 1.0 / math.sqrt(N)
+        for k in range(1, n + 1):
+            angle = 2.0 * np.pi * k * sites / N
+            fourier[k, :] = math.sqrt(2.0 / N) * np.cos(angle)
+            fourier[n + k, :] = math.sqrt(2.0 / N) * np.sin(angle)
+        omegas = _omegas_vector(cfg)
+        freqs = np.concatenate([[mass], omegas, omegas])
+        gamma = np.zeros((2 * N, 2 * N))
+        gamma[0::2, 0::2] = (fourier.T * (cfg.spacing / (2.0 * freqs))) @ fourier
+        gamma[1::2, 1::2] = (fourier.T * (freqs / (2.0 * cfg.spacing))) @ fourier
+        assert np.array_equal(field_covariance(cfg), gamma)
+
+    @pytest.mark.parametrize("n,mass,radius", CONFIGS)
+    def test_bogoliubov_matrices(self, n, mass, radius):
+        cfg = LatticeFieldConfig(n=n, mass=mass, radius=radius)
+        N = cfg.num_modes
+        w_eff = math.sqrt(mass**2 + 2.0 / cfg.spacing**2)
+        sites = np.arange(1, N + 1)
+        X = np.zeros((N, N))
+        Y = np.zeros((N, N))
+        X[0, :] = 0.5 * (math.sqrt(mass / w_eff) + math.sqrt(w_eff / mass))
+        Y[0, :] = 0.5 * (math.sqrt(mass / w_eff) - math.sqrt(w_eff / mass))
+        for k, wk in enumerate(_omegas_vector(cfg), start=1):
+            plus = math.sqrt(wk / w_eff) + math.sqrt(w_eff / wk)
+            minus = math.sqrt(wk / w_eff) - math.sqrt(w_eff / wk)
+            angle = 2.0 * np.pi * k * sites / N
+            X[k, :] = np.cos(angle) * plus / math.sqrt(2.0)
+            X[n + k, :] = np.sin(angle) * plus / math.sqrt(2.0)
+            Y[k, :] = np.cos(angle) * minus / math.sqrt(2.0)
+            Y[n + k, :] = np.sin(angle) * minus / math.sqrt(2.0)
+        b = bogoliubov_matrices(cfg)
+        assert np.array_equal(b.x, X / math.sqrt(N))
+        assert np.array_equal(b.y, -Y / math.sqrt(N))
+
+    def test_dispersion_matches_vector_formula(self):
+        cfg = LatticeFieldConfig(n=25, mass=0.7, radius=1.9)
+        for k in range(cfg.n + 1):
+            s = math.sin(math.pi * k / cfg.num_modes)
+            assert dispersion(k, cfg) == math.sqrt(cfg.mass**2 + 4.0 * s * s / cfg.spacing**2)
+
+
 class TestReducedDeterminant:
     def test_three_site_value(self):
         cfg = LatticeFieldConfig(n=1, mass=1.0, radius=1.0)

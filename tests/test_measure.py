@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gaussgem.measure
 from gaussgem import (
     GraphSpec,
     UnphysicalStateError,
@@ -15,7 +16,9 @@ from gaussgem import (
     metric_from_moments,
     metric_g,
     metric_h,
+    mode_purities,
     moments_from_covariance,
+    reduced_covariance,
     vacuum_state,
 )
 from conftest import random_graph_spec, random_local_symplectic
@@ -117,6 +120,54 @@ class TestAssemblyMatchesModePairLoops:
                 for n in range(4):
                     M[3 * m + i, 3 * n + j] = M[3 * n + j, 3 * m + i] = F[m, n]
         assert np.array_equal(_assemble(4, families), M)
+
+
+class TestPurityGateOnce:
+    @pytest.mark.parametrize(
+        "route",
+        [gem_from_metric, gem_from_purity, metric_g, metric_h, moments_from_covariance, mode_purities],
+    )
+    def test_each_public_call_gates_once(self, route, rng, monkeypatch):
+        calls = []
+        gate = gaussgem.measure.require_pure
+
+        def counted(gamma):
+            calls.append(1)
+            return gate(gamma)
+
+        monkeypatch.setattr(gaussgem.measure, "require_pure", counted)
+        route(graph_state_covariance(random_graph_spec(rng, 3)))
+        assert len(calls) == 1
+
+
+class TestModePurities:
+    """The stacked per-mode dets against the per-mode loops they replaced."""
+
+    def test_gem_from_purity_sums_in_mode_order(self, rng):
+        for num_modes in (2, 3, 5, 8):
+            gamma = graph_state_covariance(random_graph_spec(rng, num_modes))
+            total = 0.0
+            for mode in range(1, num_modes + 1):
+                total = total + (np.linalg.det(reduced_covariance(gamma, mode)) - 0.25)
+            assert gem_from_purity(gamma) == total / 8.0
+
+    def test_matches_per_mode_formula(self, rng):
+        for num_modes in (2, 3, 5, 8):
+            gamma = graph_state_covariance(random_graph_spec(rng, num_modes))
+            want = [
+                min(1.0, 0.5 / np.sqrt(max(np.linalg.det(reduced_covariance(gamma, mode)), 0.25)))
+                for mode in range(1, num_modes + 1)
+            ]
+            got = mode_purities(gamma)
+            assert np.array_equal(got, want)
+            assert all(type(p) is float for p in got)
+
+    def test_vacuum_clamped_to_one(self):
+        assert mode_purities(vacuum_state(3)) == [1.0, 1.0, 1.0]
+
+    def test_nonpure_rejected(self):
+        with pytest.raises(UnphysicalStateError):
+            mode_purities(np.eye(4))
 
 
 class TestMetricG:
