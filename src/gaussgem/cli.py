@@ -12,8 +12,12 @@ Graph JSON format (1-indexed modes, matching the usual figure labels):
 
 CSV is emitted with an LF-terminated header row, one row per grid point in
 grid order, floats at 9 significant digits, "nan"/"-inf" sentinels for
-undefined ratios and logs of zero.  Exit codes: 0 success, 2 input error,
-3 numerical or physical error.
+undefined ratios and logs of zero.  Exit codes: 0 success, 2 input error
+(including an unwritable --out), 3 numerical or physical error.
+
+Each command computes its whole result and runs its --self-test before
+returning the text; ``main`` then writes it through ``_write``.  A command
+that fails therefore writes nothing and leaves an existing --out untouched.
 """
 
 from __future__ import annotations
@@ -45,15 +49,6 @@ EXIT_NUMERIC = 3
 
 THREE_MODE_TRIANGLE = ((1, 2), (2, 3), (1, 3))
 THREE_MODE_PATH = ((1, 2), (2, 3))
-
-
-def _fmt(x: float) -> str:
-    """Fixed 9-significant-digit formatting; handles nan and infinities."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.9g}"
 
 
 def _log_or_neginf(x: float) -> float:
@@ -106,24 +101,31 @@ def _load_graph_spec(path: str) -> GraphSpec:
     return GraphSpec(doc["modes"], tuple(triples))
 
 
-class _Output:
-    """Write CSV rows to --out (LF endings) or stdout; summary goes wherever the CSV is not."""
+def _csv(header: list[str], rows) -> str:
+    """CSV text: the header line, then one line per row tuple of floats at 9 significant digits.
 
-    def __init__(self, out_path: str | None):
-        self.out_path = out_path
-        self._fh = open(out_path, "w", encoding="utf-8", newline="") if out_path else sys.stdout
+    Python already prints non-finite floats as the sentinels nan, inf and -inf.
+    """
+    line = ",".join(["%.9g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join([line % row for row in rows])
 
-    def row(self, fields) -> None:
-        self._fh.write(",".join(fields) + "\n")
 
-    def summary(self, lines) -> None:
-        target = sys.stdout if self.out_path else sys.stderr
-        for line in lines:
-            target.write(line + "\n")
+def _write(document: str, summary: str, out_path: str | None) -> None:
+    """The CLI's one output path: ``document`` to ``out_path`` or stdout, ``summary`` to the other.
 
-    def close(self) -> None:
-        if self.out_path:
-            self._fh.close()
+    ``out_path`` is opened only here, after the command has finished; an
+    unwritable path is an input error.
+    """
+    if not out_path:
+        sys.stdout.write(document)
+        sys.stderr.write(summary)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(document)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {out_path}: {exc}") from exc
+    sys.stdout.write(summary)
 
 
 def _self_test(rows, recompute, label: str) -> None:
@@ -143,7 +145,7 @@ def _self_test(rows, recompute, label: str) -> None:
             )
 
 
-def cmd_gem(args) -> int:
+def cmd_gem(args) -> tuple[str, str]:
     spec = _load_graph_spec(args.spec)
     gamma = graph_state_covariance(spec)
     purities = mode_purities(gamma)
@@ -154,33 +156,26 @@ def cmd_gem(args) -> int:
         if spec.num_modes != 2:
             raise InvalidArgumentError("logneg is defined here for two-mode states only")
         report["logneg"] = log_negativity_two_mode(gamma)
-    json.dump(report, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
-    return EXIT_OK
+    return json.dumps(report, sort_keys=True) + "\n", ""
 
 
-def cmd_scan2(args) -> int:
+def cmd_scan2(args) -> tuple[str, str]:
     re_lo, re_hi = _parse_range(args.re_range)
     im_lo, im_hi = _parse_range(args.im_range)
     points = [complex(re_w, im_w) for re_w in _grid(re_lo, re_hi, args.steps)
               for im_w in _grid(im_lo, im_hi, args.steps)]
-    out = _Output(args.out)
-    try:
-        out.row(["re_w", "im_w", "gem", "log_gem", "logneg"])
-        weights = np.array(points).reshape(-1, 1)
-        lognegs = log_negativity_two_mode(graph_state_covariances(2, ((1, 2),), weights)).tolist()
-        gems = [gem_two_mode_closed(PolarCoupling.from_complex(w)) for w in points]
-        for w, gem, logneg in zip(points, gems, lognegs):
-            out.row([_fmt(w.real), _fmt(w.imag), _fmt(gem), _fmt(_log_or_neginf(gem)), _fmt(logneg)])
-        if args.self_test:
-            _self_test(
-                gems,
-                lambda idx: gem_from_purity(graph_state_covariance(GraphSpec(2, ((1, 2, points[idx]),)))),
-                "scan2 gem",
-            )
-    finally:
-        out.close()
-    return EXIT_OK
+    weights = np.array(points).reshape(-1, 1)
+    lognegs = log_negativity_two_mode(graph_state_covariances(2, ((1, 2),), weights)).tolist()
+    gems = [gem_two_mode_closed(PolarCoupling.from_complex(w)) for w in points]
+    if args.self_test:
+        _self_test(
+            gems,
+            lambda idx: gem_from_purity(graph_state_covariance(GraphSpec(2, ((1, 2, points[idx]),)))),
+            "scan2 gem",
+        )
+    rows = [(w.real, w.imag, gem, _log_or_neginf(gem), logneg)
+            for w, gem, logneg in zip(points, gems, lognegs)]
+    return _csv(["re_w", "im_w", "gem", "log_gem", "logneg"], rows), ""
 
 
 def _scan3_equal_row(w: complex) -> tuple[float, float]:
@@ -200,39 +195,39 @@ def _scan3_xy_columns(coords: list[tuple[float, float]]) -> list[tuple[float, fl
     return list(zip(g1.tolist(), g2.tolist()))
 
 
-def cmd_scan3(args) -> int:
+def _scan3_spec(family: str, a: float, b: float, pairs) -> GraphSpec:
+    """One scan3 grid point on the topology ``pairs`` (triangle or path), as a graph."""
+    if family == "equal":
+        return GraphSpec.with_uniform_weight(3, pairs, complex(a, b))
+    return GraphSpec(3, tuple((i, j, w) for (i, j), w in zip(pairs, (1j * a, 1j * b, 1.0 + 0j))))
+
+
+def cmd_scan3(args) -> tuple[str, str]:
     a_lo, a_hi = _parse_range(args.re_range)
     b_lo, b_hi = _parse_range(args.im_range)
     a_grid = _grid(a_lo, a_hi, args.steps)
     b_grid = _grid(b_lo, b_hi, args.steps)
-    out = _Output(args.out)
     coords = [(a, b) for a in a_grid for b in b_grid]
-    try:
-        header = ["re_w", "im_w"] if args.family == "equal" else ["x", "y"]
-        out.row(header + ["gem_g1", "gem_g2", "ratio_g2_g1"])
-        if args.family == "equal":
-            columns = [_scan3_equal_row(complex(a, b)) for a, b in coords]
-        else:
-            columns = _scan3_xy_columns(coords)
-        for (a, b), (g1, g2) in zip(coords, columns):
-            ratio = g2 / g1 if g1 > 0.0 else float("nan")
-            out.row([_fmt(a), _fmt(b), _fmt(g1), _fmt(g2), _fmt(ratio)])
-        if args.self_test:
-            def recompute(idx):
-                a, b = coords[idx]
-                if args.family == "equal":
-                    spec = GraphSpec.with_uniform_weight(3, THREE_MODE_TRIANGLE, complex(a, b))
-                else:
-                    spec = GraphSpec(3, ((1, 2, 1j * a), (2, 3, 1j * b), (1, 3, 1.0 + 0j)))
-                return gem_from_purity(graph_state_covariance(spec))
-
-            _self_test([g1 for g1, _ in columns], recompute, "scan3 gem_g1")
-    finally:
-        out.close()
-    return EXIT_OK
+    if args.family == "equal":
+        columns = [_scan3_equal_row(complex(a, b)) for a, b in coords]
+    else:
+        columns = _scan3_xy_columns(coords)
+    if args.self_test:
+        for col, pairs in enumerate((THREE_MODE_TRIANGLE, THREE_MODE_PATH)):
+            _self_test(
+                [row[col] for row in columns],
+                lambda idx, pairs=pairs: gem_from_purity(
+                    graph_state_covariance(_scan3_spec(args.family, *coords[idx], pairs))
+                ),
+                f"scan3 gem_g{col + 1}",
+            )
+    rows = [(a, b, g1, g2, g2 / g1 if g1 > 0.0 else float("nan"))
+            for (a, b), (g1, g2) in zip(coords, columns)]
+    header = ["re_w", "im_w"] if args.family == "equal" else ["x", "y"]
+    return _csv(header + ["gem_g1", "gem_g2", "ratio_g2_g1"], rows), ""
 
 
-def cmd_field(args) -> int:
+def cmd_field(args) -> tuple[str, str]:
     if args.n_list is not None:
         ns = _parse_int_list(args.n_list, "n-list")
         configs = [lattice.LatticeFieldConfig(n=n, mass=args.mass, radius=args.radius) for n in ns]
@@ -243,38 +238,30 @@ def cmd_field(args) -> int:
         ]
     tau = configs[0].tau if configs else args.mass * args.radius
     coeffs = lattice.asymptotic_coefficients(tau, args.asymptotic_p)
-    out = _Output(args.out)
-    exact_col = []
-    try:
-        out.row(["n", "gem_exact", "gem_asymptotic", "rel_error"])
-        for cfg in configs:
-            exact = lattice.gem_field_exact(cfg)
-            asym = lattice.gem_field_asymptotic(cfg.n, cfg.tau, args.asymptotic_p) if cfg.n >= 1 else float("nan")
-            rel = abs(asym - exact) / abs(exact) if exact != 0.0 and not math.isnan(asym) else float("nan")
-            exact_col.append(exact)
-            out.row([_fmt(float(cfg.n)), _fmt(exact), _fmt(asym), _fmt(rel)])
-        out.summary(
-            [
-                f"# asymptotic coefficients (p={coeffs.p}, tau={_fmt(coeffs.tau)})",
-                f"# kappa1 = {_fmt(coeffs.kappa1)}",
-                f"# kappa2 = {_fmt(coeffs.kappa2)}",
-                f"# kappa3 = {_fmt(coeffs.kappa3)}",
-                f"# kappa4 = {_fmt(coeffs.kappa4)}",
-            ]
+    rows = []
+    for cfg in configs:
+        exact = lattice.gem_field_exact(cfg)
+        asym = lattice.gem_field_asymptotic(cfg.n, cfg.tau, args.asymptotic_p) if cfg.n >= 1 else float("nan")
+        rel = abs(asym - exact) / abs(exact) if exact != 0.0 and not math.isnan(asym) else float("nan")
+        rows.append((float(cfg.n), exact, asym, rel))
+    if args.self_test:
+        # The dense pipeline route is only sensible up to a few hundred
+        # sites; larger rows have no independent check and are skipped.
+        _self_test(
+            [row[1] for row in rows],
+            lambda idx: lattice.gem_field_pipeline(configs[idx])
+            if configs[idx].num_modes <= 401
+            else None,
+            "field gem_exact",
         )
-        if args.self_test:
-            # The dense pipeline route is only sensible up to a few hundred
-            # sites; larger rows have no independent check and are skipped.
-            _self_test(
-                exact_col,
-                lambda idx: lattice.gem_field_pipeline(configs[idx])
-                if configs[idx].num_modes <= 401
-                else None,
-                "field gem_exact",
-            )
-    finally:
-        out.close()
-    return EXIT_OK
+    summary = (
+        f"# asymptotic coefficients (p={coeffs.p}, tau={coeffs.tau:.9g})\n"
+        f"# kappa1 = {coeffs.kappa1:.9g}\n"
+        f"# kappa2 = {coeffs.kappa2:.9g}\n"
+        f"# kappa3 = {coeffs.kappa3:.9g}\n"
+        f"# kappa4 = {coeffs.kappa4:.9g}\n"
+    )
+    return _csv(["n", "gem_exact", "gem_asymptotic", "rel_error"], rows), summary
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -297,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gem = sub.add_parser("gem", help="measure of a single graph state (JSON report)")
     p_gem.add_argument("spec", help="path to a graph JSON file")
     p_gem.add_argument("--measure", choices=("gem", "logneg"), default="gem")
-    p_gem.set_defaults(func=cmd_gem)
+    p_gem.set_defaults(func=cmd_gem, out=None)
 
     p_scan2 = sub.add_parser("scan2", help="two-mode complex-weight grid (CSV)")
     p_scan2.add_argument("--re-range", required=True, help="a:b range of Re(w)")
@@ -354,13 +341,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_normalize_argv(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        _write(*args.func(args), args.out)
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GaussGemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

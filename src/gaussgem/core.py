@@ -81,7 +81,7 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def symplectic_from_hamiltonian(h: np.ndarray, omega: np.ndarray | None = None) -> np.ndarray:
+def symplectic_from_hamiltonian(h: np.ndarray) -> np.ndarray:
     """Symplectic transformation S = exp(Omega h) of a quadratic generator.
 
     ``h`` is the real symmetric coefficient matrix of (1/2) xi^T h xi.  The
@@ -90,10 +90,9 @@ def symplectic_from_hamiltonian(h: np.ndarray, omega: np.ndarray | None = None) 
     Args:
         h: 2N x 2N real symmetric matrix, or a (..., 2N, 2N) stack of them;
             the result has the same shape.
-        omega: optional symplectic form; built from the size of ``h`` if omitted.
 
     Raises:
-        InvalidArgumentError: dimension mismatch or a non-symmetric slice of ``h``.
+        InvalidArgumentError: ``h`` is not 2N x 2N, or a slice is not symmetric.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] % 2:
@@ -102,15 +101,7 @@ def symplectic_from_hamiltonian(h: np.ndarray, omega: np.ndarray | None = None) 
     # The test of np.allclose(h, hT, atol=1e-12), without its per-call overhead.
     if not (np.abs(h - hT) <= 1e-12 + 1e-5 * np.abs(hT)).all():
         raise InvalidArgumentError("quadratic generator must be symmetric")
-    if omega is None:
-        omega = build_omega(h.shape[-1] // 2)
-    else:
-        omega = np.asarray(omega, dtype=float)
-        if omega.shape != h.shape[-2:]:
-            raise InvalidArgumentError(
-                f"symplectic form shape {omega.shape} does not match generator shape {h.shape}"
-            )
-    return matrix_exponential(omega @ h)
+    return matrix_exponential(build_omega(h.shape[-1] // 2) @ h)
 
 
 def vacuum_state(num_modes: int) -> np.ndarray:
@@ -152,22 +143,27 @@ def purity(gamma: np.ndarray) -> float:
     """Purity tr(rho^2) of the Gaussian state with covariance ``gamma``.
 
     For an N-mode covariance this is (1/2)^N / sqrt(det Gamma); the single-mode
-    case reduces to 1/(2 sqrt(det)).  It is computed from ln det(2 Gamma), which
-    does not underflow at large N, and must not fall below the uncertainty
-    bound by a relative 4 ``DEFAULT_PURITY_TOL`` (one mode: det >= 1/4 - tol).
-    The result is clamped to 1 to absorb rounding on pure states.
+    case reduces to 1/(2 sqrt(det)).  It is computed from ln det(2 Gamma), read
+    off the Cholesky factor of 2 Gamma, which does not underflow at large N and
+    exists only for a positive-definite covariance.  det must not fall below
+    the uncertainty bound by a relative 4 ``DEFAULT_PURITY_TOL`` (one mode:
+    det >= 1/4 - tol).  The result is clamped to 1 to absorb rounding on pure
+    states.
 
     Raises:
-        UnphysicalStateError: det below the uncertainty bound.
+        UnphysicalStateError: ``gamma`` is not positive definite, or its det
+            lies below the uncertainty bound.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] % 2:
         raise InvalidArgumentError(f"covariance must be 2N x 2N, got shape {gamma.shape}")
-    sign, excess = np.linalg.slogdet(2.0 * gamma)  # det(2 Gamma) = det Gamma / (1/4)^N
-    if not (sign > 0 and excess >= np.log1p(-4.0 * DEFAULT_PURITY_TOL)):
-        raise UnphysicalStateError(
-            f"det(Gamma) below the uncertainty bound: det(2 Gamma) = {sign:+.0f} e^{excess:.6g}"
-        )
+    try:
+        chol = np.linalg.cholesky(2.0 * gamma)
+    except np.linalg.LinAlgError as exc:
+        raise UnphysicalStateError("covariance is not positive definite") from exc
+    excess = 2.0 * np.log(np.diagonal(chol)).sum()  # ln det(2 Gamma) = ln(det Gamma / (1/4)^N)
+    if not excess >= np.log1p(-4.0 * DEFAULT_PURITY_TOL):
+        raise UnphysicalStateError(f"det(Gamma) below the uncertainty bound: det(2 Gamma) = e^{excess:.6g}")
     return min(1.0, float(np.exp(-0.5 * excess)))
 
 
@@ -206,11 +202,14 @@ def require_pure(gamma: np.ndarray) -> np.ndarray:
     absolute threshold; the acceptance bound is therefore ``DEFAULT_PURITY_TOL``
     scaled by max(1, ||Gamma||_1^2).  Genuinely mixed states have residuals of
     the same order as that scale and are still rejected, and so is a NaN.  A
-    (..., 2N, 2N) stack is accepted only if every slice passes on its own.
+    slice passes only when its bound is finite and its residual is below it,
+    so a norm beyond 1e154, whose squared scale overflows, is rejected too.
+    A (..., 2N, 2N) stack is accepted only if every slice passes on its own.
 
     Raises:
-        UnphysicalStateError: purity residual exceeds the scaled tolerance or
-            is NaN; for a stack, the message names the first failing slice.
+        UnphysicalStateError: purity residual is NaN, exceeds the scaled
+            tolerance, or that tolerance overflows; for a stack, the message
+            names the first failing slice.
     """
     gamma, tol = np.asarray(gamma, dtype=float), DEFAULT_PURITY_TOL
     residual = _purity_residual(gamma)
@@ -218,11 +217,16 @@ def require_pure(gamma: np.ndarray) -> np.ndarray:
         return gamma
     with np.errstate(over="ignore"):  # a norm beyond 1e154 scales the bound to inf
         scale = np.maximum(1.0, np.linalg.norm(gamma, 1, axis=(-2, -1)) ** 2)
-    failed = np.flatnonzero(~(residual < tol * scale))
+    failed = np.flatnonzero(~(np.isfinite(scale) & (residual < tol * scale)))
     if failed.size:
         k = failed[0]
         index = tuple(int(i) for i in np.unravel_index(k, gamma.shape[:-2]))
         where = f" at stack index {index}" if index else ""
+        if np.isinf(scale.flat[k]):
+            raise UnphysicalStateError(
+                f"state{where} fails the purity gate: ||Gamma||_1^2 overflows double precision, "
+                f"so no finite bound applies (purity residual {residual.flat[k]:.3e})"
+            )
         raise UnphysicalStateError(
             f"state{where} is not pure: purity residual {residual.flat[k]:.3e} exceeds {tol:.1e} "
             f"(conditioning scale {scale.flat[k]:.3e})"

@@ -148,7 +148,7 @@ def _generators(num_modes: int, pairs: tuple, weights: np.ndarray) -> np.ndarray
 
 def _covariances(num_modes: int, pairs: tuple, weights: np.ndarray) -> np.ndarray:
     h = _generators(num_modes, pairs, weights)
-    S = symplectic_from_hamiltonian(h, build_omega(num_modes))
+    S = symplectic_from_hamiltonian(h)
     return evolve_covariance(vacuum_state(num_modes), S)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gaussgem import GraphSpec, gem_from_purity, graph_state_covariance
+from gaussgem import cli
 from gaussgem.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -98,7 +99,8 @@ class TestGemCommand:
 
 class TestScan2:
     def test_overflowing_closed_form_exit_3(self, capsys):
-        # The covariances pass the gate; the closed form's sinh^2 overflows.
+        # Near |w| = 178 the gate's scaled bound and the closed form's sinh^2 both
+        # overflow double precision; either way the run ends with exit 3.
         code, _, err = run_cli(
             ["scan2", "--re-range", "-3:3", "--im-range", "176:178", "--steps", "41"], capsys
         )
@@ -151,6 +153,16 @@ class TestScan2:
         code, *_ = run_cli(["scan2", "--re-range", "0:1", "--im-range", "0:1", "--steps", "1"], capsys)
         assert code == 2
 
+    def test_failing_scan_writes_nothing(self, tmp_path, capsys):
+        argv = ["scan2", "--re-range", "-3:3", "--im-range", "176:178", "--steps", "41"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        out_path = tmp_path / "kept.csv"
+        out_path.write_bytes(b"earlier run\n")
+        code, out, _ = run_cli(argv + ["--out", str(out_path)], capsys)
+        assert code == 3 and out == ""
+        assert out_path.read_bytes() == b"earlier run\n"
+
 
 class TestScan3:
     def test_equal_family_small_r_ratio(self, capsys):
@@ -198,6 +210,27 @@ class TestScan3:
         proc = run_subprocess(["scan3", "--family", "weird", "--re-range", "0:1",
                                "--im-range", "0:1", "--steps", "2"])
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("family", ["equal", "xy"])
+    def test_self_test_checks_g2(self, family, capsys, monkeypatch):
+        if family == "equal":
+            closed = cli.gem_three_mode_g2
+            monkeypatch.setattr(cli, "gem_three_mode_g2", lambda c: 1.01 * closed(c))
+        else:
+            stacked = cli._scan3_xy_columns
+            monkeypatch.setattr(
+                cli, "_scan3_xy_columns", lambda coords: [(g1, 1.01 * g2) for g1, g2 in stacked(coords)]
+            )
+        code, out, err = run_cli(
+            [
+                "scan3", "--family", family,
+                "--re-range", "0.2:0.6", "--im-range", "0.2:0.6", "--steps", "3",
+                "--self-test",
+            ],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert "self-test failed for scan3 gem_g2" in err
 
     def test_self_test_flag(self, capsys):
         for family in ("equal", "xy"):
@@ -265,6 +298,22 @@ class TestField:
         assert code == 2
 
 
+class TestOutPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan2", "--re-range", "-1:1", "--im-range", "-1:1", "--steps", "3"],
+            ["field", "--n-list", "1", "--mass", "1", "--radius", "1"],
+        ],
+    )
+    def test_unwritable_out_exit_2(self, tmp_path, argv):
+        proc = run_subprocess(argv + ["--out", str(tmp_path / "missing" / "run.csv")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestGoldenFiles:
     def test_scan2_golden(self, capsys):
         want_header, want_rows = parse_csv((GOLDEN / "scan2_5x5.csv").read_text(encoding="utf-8"))
@@ -297,6 +346,29 @@ class TestGoldenFiles:
         for got, want in zip(rows, want_rows):
             for g, w in zip(got, want):
                 assert float(g) == pytest.approx(float(w), rel=1e-8, abs=1e-12)
+
+    def test_field_golden_bytes(self, capsys):
+        _, out, _ = run_cli(
+            ["field", "--n-list", "1,5,25", "--mass", "0.5", "--radius", "2", "--asymptotic-p", "1"],
+            capsys,
+        )
+        assert out.encode("utf-8") == (GOLDEN / "field_small.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "family, ranges, golden",
+        [
+            ("equal", ["-1:1", "-1:1"], "scan3_equal_5x5.csv"),
+            ("xy", ["0:4", "0:4"], "scan3_xy_5x5.csv"),
+        ],
+    )
+    def test_scan3_golden_bytes(self, family, ranges, golden, tmp_path, capsys):
+        argv = ["scan3", "--family", family, "--re-range", ranges[0], "--im-range", ranges[1], "--steps", "5"]
+        _, out, _ = run_cli(argv, capsys)
+        assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+        out_path = tmp_path / golden
+        code, out, err = run_cli(argv + ["--out", str(out_path), "--self-test"], capsys)
+        assert code == 0 and out == "" and err == ""
+        assert out_path.read_bytes() == (GOLDEN / golden).read_bytes()
 
     def test_byte_determinism_across_processes(self):
         argv = ["scan2", "--re-range", "-1.5:1.5", "--im-range", "-1.5:1.5", "--steps", "7"]

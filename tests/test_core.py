@@ -94,7 +94,7 @@ class TestSymplecticFromHamiltonian:
         for _ in range(30):
             h = rng.uniform(-1.0, 1.0, (4, 4))
             h = 0.5 * (h + h.T)
-            S = symplectic_from_hamiltonian(h, omega)
+            S = symplectic_from_hamiltonian(h)
             assert np.max(np.abs(S @ omega @ S.T - omega)) < 1e-10
             assert abs(np.linalg.det(S) - 1.0) < 1e-10
 
@@ -109,10 +109,6 @@ class TestSymplecticFromHamiltonian:
         assert gamma[0, 0] == pytest.approx(fock_var, abs=1e-8)
         assert gamma[0, 0] == pytest.approx(np.cosh(2 * r) / 2, abs=1e-12)
         assert gamma[1, 1] == pytest.approx(np.cosh(2 * r) / 2, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            symplectic_from_hamiltonian(np.zeros((4, 4)), build_omega(1))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -213,6 +209,12 @@ class TestPurity:
         with pytest.raises(UnphysicalStateError):
             purity(0.1 * np.eye(2))
 
+    @pytest.mark.parametrize("diagonal", [[-1.0, -1.0], [-1.0, -1.0, 2.0, 2.0]])
+    def test_not_positive_definite_rejected(self, diagonal):
+        # det(2 Gamma) is positive here, but Gamma is no covariance.
+        with pytest.raises(UnphysicalStateError, match="positive definite"):
+            purity(np.diag(diagonal))
+
     def test_clamped_at_one(self):
         # Rounding can push det a hair under the bound; the clamp absorbs it.
         eps = 1e-12
@@ -263,6 +265,16 @@ class TestRequirePure:
         stack[1, 0, 3] = stack[1, 3, 0] = np.nan
         with pytest.raises(UnphysicalStateError, match=r"stack index \(1,\)"):
             require_pure(stack)
+
+    def test_overflowing_scale_rejected(self):
+        # ||Gamma||_1^2 overflows to inf, so the scaled bound would accept any
+        # finite residual (here 1e154); a slice needs a finite bound to pass.
+        gamma = vacuum_state(2)
+        gamma[0, 2] = gamma[2, 0] = 2e154
+        with pytest.raises(UnphysicalStateError, match="overflows double precision"):
+            require_pure(gamma)
+        with pytest.raises(UnphysicalStateError):
+            gem_from_purity(gamma)
 
     def test_no_public_callable_takes_tol(self):
         for name in gaussgem.__all__:
