@@ -41,7 +41,7 @@ from .graphs import (
     graph_state_covariances,
     log_negativity_two_mode,
 )
-from .measure import gem_from_purity, mode_purities
+from .measure import gem_from_metric, gem_from_purity, mode_purities
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -128,18 +128,17 @@ def _write(document: str, summary: str, out_path: str | None) -> None:
     sys.stdout.write(summary)
 
 
-def _self_test(rows, recompute, label: str) -> None:
-    """Spot-check up to three grid rows against a direct library call.
+def _self_test(column, reference, label: str) -> None:
+    """Spot-check the first, middle and last entries of ``column`` against an independent route.
 
-    ``recompute`` may return None to mark a row it has no independent route
-    for; such rows are skipped rather than trivially compared.
+    ``reference(picks)`` returns the independent values at the row indices
+    ``picks``; an entry of None marks a row it has no route for, which is
+    skipped rather than trivially compared.
     """
-    picks = [0, len(rows) // 2, len(rows) - 1]
-    for idx in sorted(set(picks)):
-        got, want = rows[idx], recompute(idx)
-        if want is None:
-            continue
-        if not math.isclose(got, want, rel_tol=1e-8, abs_tol=1e-12):
+    picks = sorted({0, len(column) // 2, len(column) - 1})
+    for idx, want in zip(picks, reference(picks)):
+        got = column[idx]
+        if want is not None and not math.isclose(got, want, rel_tol=1e-8, abs_tol=1e-12):
             raise GaussGemError(
                 f"self-test failed for {label} at row {idx}: column {got!r} vs library {want!r}"
             )
@@ -159,70 +158,56 @@ def cmd_gem(args) -> tuple[str, str]:
     return json.dumps(report, sort_keys=True) + "\n", ""
 
 
+def _scan_grid(args) -> np.ndarray:
+    """The scan's grid points a + ib as one complex array; a (from --re-range) varies slowest."""
+    ranges = [_parse_range(args.re_range), _parse_range(args.im_range)]
+    a_grid, b_grid = (_grid(lo, hi, args.steps) for lo, hi in ranges)
+    return np.array([complex(a, b) for a in a_grid for b in b_grid])
+
+
 def cmd_scan2(args) -> tuple[str, str]:
-    re_lo, re_hi = _parse_range(args.re_range)
-    im_lo, im_hi = _parse_range(args.im_range)
-    points = [complex(re_w, im_w) for re_w in _grid(re_lo, re_hi, args.steps)
-              for im_w in _grid(im_lo, im_hi, args.steps)]
-    weights = np.array(points).reshape(-1, 1)
-    lognegs = log_negativity_two_mode(graph_state_covariances(2, ((1, 2),), weights)).tolist()
-    gems = [gem_two_mode_closed(PolarCoupling.from_complex(w)) for w in points]
+    points = _scan_grid(args)
+    covs = graph_state_covariances(2, ((1, 2),), points[:, None])
+    lognegs = log_negativity_two_mode(covs).tolist()
+    gems = [gem_two_mode_closed(PolarCoupling.from_complex(w)) for w in points.tolist()]
     if args.self_test:
-        _self_test(
-            gems,
-            lambda idx: gem_from_purity(graph_state_covariance(GraphSpec(2, ((1, 2, points[idx]),)))),
-            "scan2 gem",
-        )
+        _self_test(gems, lambda picks: gem_from_purity(covs[picks]).tolist(), "scan2 gem")
     rows = [(w.real, w.imag, gem, _log_or_neginf(gem), logneg)
-            for w, gem, logneg in zip(points, gems, lognegs)]
+            for w, gem, logneg in zip(points.tolist(), gems, lognegs)]
     return _csv(["re_w", "im_w", "gem", "log_gem", "logneg"], rows), ""
 
 
-def _scan3_equal_row(w: complex) -> tuple[float, float]:
-    coupling = PolarCoupling.from_complex(w)
-    return gem_three_mode_g1(coupling), gem_three_mode_g2(coupling)
-
-
-def _scan3_xy_columns(coords: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """(g1, g2) at every (x, y), each topology evaluated as one stack.
-
-    The triangle carries weights (i x, i y, 1) on edges (12, 23, 13); the
-    path carries the first two of them on (12, 23).
-    """
-    triangle = np.array([(1j * x, 1j * y, 1.0 + 0j) for x, y in coords])
-    g1 = gem_from_purity(graph_state_covariances(3, THREE_MODE_TRIANGLE, triangle))
-    g2 = gem_from_purity(graph_state_covariances(3, THREE_MODE_PATH, triangle[:, :2]))
-    return list(zip(g1.tolist(), g2.tolist()))
-
-
-def _scan3_spec(family: str, a: float, b: float, pairs) -> GraphSpec:
-    """One scan3 grid point on the topology ``pairs`` (triangle or path), as a graph."""
-    if family == "equal":
-        return GraphSpec.with_uniform_weight(3, pairs, complex(a, b))
-    return GraphSpec(3, tuple((i, j, w) for (i, j), w in zip(pairs, (1j * a, 1j * b, 1.0 + 0j))))
-
-
 def cmd_scan3(args) -> tuple[str, str]:
-    a_lo, a_hi = _parse_range(args.re_range)
-    b_lo, b_hi = _parse_range(args.im_range)
-    a_grid = _grid(a_lo, a_hi, args.steps)
-    b_grid = _grid(b_lo, b_hi, args.steps)
-    coords = [(a, b) for a in a_grid for b in b_grid]
+    """Triangle (g1) against path (g2) on one weight array; the path carries its first two weights.
+
+    ``equal`` puts w = a + ib on every edge and takes the closed forms, checked
+    against the purity pipeline.  ``xy`` puts (i x, i y, 1) on edges (12, 23, 13)
+    and takes the purity pipeline, checked against the metric route.
+    """
+    points = _scan_grid(args)
+    topologies = (THREE_MODE_TRIANGLE, THREE_MODE_PATH)
     if args.family == "equal":
-        columns = [_scan3_equal_row(complex(a, b)) for a, b in coords]
+        weights = np.repeat(points[:, None], 3, axis=1)
+        couplings = [PolarCoupling.from_complex(w) for w in points.tolist()]
+        columns = [[gem(c) for c in couplings] for gem in (gem_three_mode_g1, gem_three_mode_g2)]
     else:
-        columns = _scan3_xy_columns(coords)
+        weights = np.column_stack([1j * points.real, 1j * points.imag, np.ones(points.size)])
+        stacks, columns = [], []
+        for pairs in topologies:
+            stacks.append(graph_state_covariances(3, pairs, weights[:, : len(pairs)]))
+            columns.append(gem_from_purity(stacks[-1]).tolist())
     if args.self_test:
-        for col, pairs in enumerate((THREE_MODE_TRIANGLE, THREE_MODE_PATH)):
-            _self_test(
-                [row[col] for row in columns],
-                lambda idx, pairs=pairs: gem_from_purity(
-                    graph_state_covariance(_scan3_spec(args.family, *coords[idx], pairs))
-                ),
-                f"scan3 gem_g{col + 1}",
-            )
-    rows = [(a, b, g1, g2, g2 / g1 if g1 > 0.0 else float("nan"))
-            for (a, b), (g1, g2) in zip(coords, columns)]
+        for col, pairs in enumerate(topologies):
+            if args.family == "equal":
+                def reference(picks):
+                    covs = graph_state_covariances(3, pairs, weights[picks, : len(pairs)])
+                    return gem_from_purity(covs).tolist()
+            else:
+                def reference(picks):
+                    return [gem_from_metric(stacks[col][k]) for k in picks]
+            _self_test(columns[col], reference, f"scan3 gem_g{col + 1}")
+    rows = [(w.real, w.imag, g1, g2, g2 / g1 if g1 > 0.0 else float("nan"))
+            for w, g1, g2 in zip(points.tolist(), *columns)]
     header = ["re_w", "im_w"] if args.family == "equal" else ["x", "y"]
     return _csv(header + ["gem_g1", "gem_g2", "ratio_g2_g1"], rows), ""
 
@@ -249,9 +234,10 @@ def cmd_field(args) -> tuple[str, str]:
         # sites; larger rows have no independent check and are skipped.
         _self_test(
             [row[1] for row in rows],
-            lambda idx: lattice.gem_field_pipeline(configs[idx])
-            if configs[idx].num_modes <= 401
-            else None,
+            lambda picks: [
+                lattice.gem_field_pipeline(configs[idx]) if configs[idx].num_modes <= 401 else None
+                for idx in picks
+            ],
             "field gem_exact",
         )
     summary = (

@@ -81,6 +81,14 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_symmetric(matrix: np.ndarray, name: str) -> None:
+    """InvalidArgumentError unless each slice passes np.allclose(slice, slice^T, atol=1e-12)."""
+    # The test of np.allclose, without its per-call overhead.
+    mT = matrix.swapaxes(-1, -2)
+    if not (np.abs(matrix - mT) <= 1e-12 + 1e-5 * np.abs(mT)).all():
+        raise InvalidArgumentError(f"{name} must be symmetric")
+
+
 def symplectic_from_hamiltonian(h: np.ndarray) -> np.ndarray:
     """Symplectic transformation S = exp(Omega h) of a quadratic generator.
 
@@ -97,10 +105,7 @@ def symplectic_from_hamiltonian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] % 2:
         raise InvalidArgumentError(f"quadratic generator must be 2N x 2N, got shape {h.shape}")
-    hT = h.swapaxes(-1, -2)
-    # The test of np.allclose(h, hT, atol=1e-12), without its per-call overhead.
-    if not (np.abs(h - hT) <= 1e-12 + 1e-5 * np.abs(hT)).all():
-        raise InvalidArgumentError("quadratic generator must be symmetric")
+    _require_symmetric(h, "quadratic generator")
     return matrix_exponential(build_omega(h.shape[-1] // 2) @ h)
 
 
@@ -151,12 +156,14 @@ def purity(gamma: np.ndarray) -> float:
     states.
 
     Raises:
+        InvalidArgumentError: ``gamma`` is not a symmetric 2N x 2N matrix.
         UnphysicalStateError: ``gamma`` is not positive definite, or its det
             lies below the uncertainty bound.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] % 2:
         raise InvalidArgumentError(f"covariance must be 2N x 2N, got shape {gamma.shape}")
+    _require_symmetric(gamma, "covariance")
     try:
         chol = np.linalg.cholesky(2.0 * gamma)
     except np.linalg.LinAlgError as exc:

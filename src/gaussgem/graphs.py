@@ -129,10 +129,6 @@ class GraphSpec:
         """Same topology, every edge carrying ``weight``."""
         return cls(num_modes, tuple((i, j, weight) for (i, j) in pairs))
 
-    def reweighted(self, weight: complex) -> "GraphSpec":
-        """Copy of this topology with all weights replaced by ``weight``."""
-        return GraphSpec.with_uniform_weight(self.num_modes, self.pairs, weight)
-
 
 def _generators(num_modes: int, pairs: tuple, weights: np.ndarray) -> np.ndarray:
     """(..., 2N, 2N) generator stack for validated pairs and complex weights (..., E)."""
@@ -313,8 +309,10 @@ def gem_ratio_small_r(spec_a: GraphSpec, spec_b: GraphSpec, r: float) -> float:
             f"graphs live on different mode counts: {spec_a.num_modes} vs {spec_b.num_modes}"
         )
     w = 1j * r
-    num = gem_from_purity(graph_state_covariance(spec_a.reweighted(w)))
-    den = gem_from_purity(graph_state_covariance(spec_b.reweighted(w)))
+    num, den = (
+        gem_from_purity(graph_state_covariance(GraphSpec.with_uniform_weight(spec.num_modes, spec.pairs, w)))
+        for spec in (spec_a, spec_b)
+    )
     if den == 0.0:
         raise DivisionByZeroError("denominator graph has zero measure at this coupling")
     return num / den

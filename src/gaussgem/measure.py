@@ -259,11 +259,11 @@ def killing_contraction(metric: MetricTensor) -> float:
     The Killing form of the direct-sum algebra is block diagonal across modes,
     so cross-mode blocks never enter the contraction.
     """
-    kappa_inv = _KILLING_INVERSE
-    total = 0.0
-    for m in range(1, metric.num_modes + 1):
-        total += float(np.sum(kappa_inv * metric.mode_block(m, m)))
-    return total
+    n = metric.num_modes
+    modes = np.arange(n)
+    blocks = metric.matrix.reshape(n, 3, n, 3)[modes, :, modes]  # (n, 3, 3) mode-diagonal blocks
+    # cumsum adds the per-mode terms in mode order, as a running sum does.
+    return float((blocks * _KILLING_INVERSE).sum(axis=(1, 2)).cumsum()[-1])
 
 
 def gem_from_metric(gamma: np.ndarray) -> float:

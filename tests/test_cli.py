@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from gaussgem import GraphSpec, gem_from_purity, graph_state_covariance
-from gaussgem import cli
+from gaussgem import cli, lattice
 from gaussgem.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -217,10 +217,15 @@ class TestScan3:
             closed = cli.gem_three_mode_g2
             monkeypatch.setattr(cli, "gem_three_mode_g2", lambda c: 1.01 * closed(c))
         else:
-            stacked = cli._scan3_xy_columns
-            monkeypatch.setattr(
-                cli, "_scan3_xy_columns", lambda coords: [(g1, 1.01 * g2) for g1, g2 in stacked(coords)]
-            )
+            # The xy columns are two pipeline calls, triangle then path; only
+            # the second, the g2 column, comes out 1% high.
+            pipeline, calls = cli.gem_from_purity, []
+
+            def faulty(gamma):
+                calls.append(None)
+                return (1.01 if len(calls) == 2 else 1.0) * pipeline(gamma)
+
+            monkeypatch.setattr(cli, "gem_from_purity", faulty)
         code, out, err = run_cli(
             [
                 "scan3", "--family", family,
@@ -243,6 +248,37 @@ class TestScan3:
                 capsys,
             )
             assert code == 0
+
+
+GRID = ["--re-range", "0.2:0.6", "--im-range", "0.2:0.6", "--steps", "3", "--self-test"]
+SCAN2 = ["scan2", *GRID]
+EQUAL = ["scan3", "--family", "equal", *GRID]
+XY = ["scan3", "--family", "xy", *GRID]
+FIELD = ["field", "--n-list", "1,3,5", "--mass", "1", "--radius", "1", "--self-test"]
+
+
+class TestSelfTestFaults:
+    @pytest.mark.parametrize(
+        "argv, module, route, label",
+        [
+            # Each measure column: the route that produced it, then its reference route.
+            pytest.param(SCAN2, cli, "gem_two_mode_closed", "scan2 gem", id="scan2-closed"),
+            pytest.param(SCAN2, cli, "gem_from_purity", "scan2 gem", id="scan2-purity"),
+            pytest.param(EQUAL, cli, "gem_three_mode_g1", "scan3 gem_g1", id="equal-g1-closed"),
+            pytest.param(EQUAL, cli, "gem_three_mode_g2", "scan3 gem_g2", id="equal-g2-closed"),
+            pytest.param(EQUAL, cli, "gem_from_purity", "scan3 gem_g1", id="equal-purity"),
+            pytest.param(XY, cli, "gem_from_purity", "scan3 gem_g1", id="xy-purity"),
+            pytest.param(XY, cli, "gem_from_metric", "scan3 gem_g1", id="xy-metric"),
+            pytest.param(FIELD, lattice, "gem_field_exact", "field gem_exact", id="field-exact"),
+            pytest.param(FIELD, lattice, "gem_field_pipeline", "field gem_exact", id="field-pipeline"),
+        ],
+    )
+    def test_one_percent_fault_exits_3(self, argv, module, route, label, capsys, monkeypatch):
+        original = getattr(module, route)
+        monkeypatch.setattr(module, route, lambda *args: 1.01 * original(*args))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert f"self-test failed for {label}" in err
 
 
 class TestField:

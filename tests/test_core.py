@@ -215,6 +215,12 @@ class TestPurity:
         with pytest.raises(UnphysicalStateError, match="positive definite"):
             purity(np.diag(diagonal))
 
+    def test_asymmetric_rejected(self):
+        # The Cholesky factor reads only the lower triangle; without a symmetry
+        # test the 5.0 above the diagonal goes unseen and the purity comes out 1.
+        with pytest.raises(InvalidArgumentError, match="symmetric"):
+            purity(np.array([[0.5, 5.0], [0.0, 0.5]]))
+
     def test_clamped_at_one(self):
         # Rounding can push det a hair under the bound; the clamp absorbs it.
         eps = 1e-12
