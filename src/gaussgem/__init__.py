@@ -18,7 +18,6 @@ from .core import (
     check_pure,
     evolve_covariance,
     matrix_exponential,
-    p_index,
     purity,
     q_index,
     reduced_covariance,
@@ -127,7 +126,6 @@ __all__ = [
     "metric_h",
     "mode_purities",
     "moments_from_covariance",
-    "p_index",
     "purity",
     "q_index",
     "reduced_covariance",

@@ -129,19 +129,26 @@ def _write(document: str, summary: str, out_path: str | None) -> None:
 
 
 def _self_test(column, reference, label: str) -> None:
-    """Spot-check the first, middle and last entries of ``column`` against an independent route.
+    """Check every row of ``column`` against ``reference``, the same rows by an independent route.
 
-    ``reference(picks)`` returns the independent values at the row indices
-    ``picks``; an entry of None marks a row it has no route for, which is
-    skipped rather than trivially compared.
+    A row passes when math.isclose(got, want, rel_tol=1e-8, abs_tol=1e-12)
+    holds.  A None entry of ``reference`` marks a row that route does not
+    cover; it is skipped rather than trivially compared.
     """
-    picks = sorted({0, len(column) // 2, len(column) - 1})
-    for idx, want in zip(picks, reference(picks)):
-        got = column[idx]
-        if want is not None and not math.isclose(got, want, rel_tol=1e-8, abs_tol=1e-12):
-            raise GaussGemError(
-                f"self-test failed for {label} at row {idx}: column {got!r} vs library {want!r}"
-            )
+    want = np.asarray(reference)
+    rows = np.flatnonzero(want != None)  # noqa: E711 -- elementwise: the rows the route covers
+    got, want = np.asarray(column, dtype=float)[rows], want[rows].astype(float)
+    # math.isclose on whole columns: equal values pass, an infinite difference never does.
+    with np.errstate(invalid="ignore"):  # inf - inf
+        diff = np.abs(got - want)
+    bound = np.maximum(1e-8 * np.maximum(np.abs(got), np.abs(want)), 1e-12)
+    close = (got == want) | (np.isfinite(diff) & (diff <= bound))
+    if not close.all():
+        k = np.argmin(close)
+        raise GaussGemError(
+            f"self-test failed for {label} at row {rows[k]}: "
+            f"column {float(got[k])!r} vs library {float(want[k])!r}"
+        )
 
 
 def cmd_gem(args) -> tuple[str, str]:
@@ -171,7 +178,7 @@ def cmd_scan2(args) -> tuple[str, str]:
     lognegs = log_negativity_two_mode(covs).tolist()
     gems = [gem_two_mode_closed(PolarCoupling.from_complex(w)) for w in points.tolist()]
     if args.self_test:
-        _self_test(gems, lambda picks: gem_from_purity(covs[picks]).tolist(), "scan2 gem")
+        _self_test(gems, gem_from_purity(covs), "scan2 gem")
     rows = [(w.real, w.imag, gem, _log_or_neginf(gem), logneg)
             for w, gem, logneg in zip(points.tolist(), gems, lognegs)]
     return _csv(["re_w", "im_w", "gem", "log_gem", "logneg"], rows), ""
@@ -192,19 +199,14 @@ def cmd_scan3(args) -> tuple[str, str]:
         columns = [[gem(c) for c in couplings] for gem in (gem_three_mode_g1, gem_three_mode_g2)]
     else:
         weights = np.column_stack([1j * points.real, 1j * points.imag, np.ones(points.size)])
-        stacks, columns = [], []
-        for pairs in topologies:
-            stacks.append(graph_state_covariances(3, pairs, weights[:, : len(pairs)]))
-            columns.append(gem_from_purity(stacks[-1]).tolist())
+        stacks = [graph_state_covariances(3, pairs, weights[:, : len(pairs)]) for pairs in topologies]
+        columns = [gem_from_purity(stack).tolist() for stack in stacks]
     if args.self_test:
         for col, pairs in enumerate(topologies):
             if args.family == "equal":
-                def reference(picks):
-                    covs = graph_state_covariances(3, pairs, weights[picks, : len(pairs)])
-                    return gem_from_purity(covs).tolist()
+                reference = gem_from_purity(graph_state_covariances(3, pairs, weights[:, : len(pairs)]))
             else:
-                def reference(picks):
-                    return [gem_from_metric(stacks[col][k]) for k in picks]
+                reference = gem_from_metric(stacks[col])
             _self_test(columns[col], reference, f"scan3 gem_g{col + 1}")
     rows = [(w.real, w.imag, g1, g2, g2 / g1 if g1 > 0.0 else float("nan"))
             for w, g1, g2 in zip(points.tolist(), *columns)]
@@ -232,14 +234,8 @@ def cmd_field(args) -> tuple[str, str]:
     if args.self_test:
         # The dense pipeline route is only sensible up to a few hundred
         # sites; larger rows have no independent check and are skipped.
-        _self_test(
-            [row[1] for row in rows],
-            lambda picks: [
-                lattice.gem_field_pipeline(configs[idx]) if configs[idx].num_modes <= 401 else None
-                for idx in picks
-            ],
-            "field gem_exact",
-        )
+        pipeline = [lattice.gem_field_pipeline(cfg) if cfg.num_modes <= 401 else None for cfg in configs]
+        _self_test([row[1] for row in rows], pipeline, "field gem_exact")
     summary = (
         f"# asymptotic coefficients (p={coeffs.p}, tau={coeffs.tau:.9g})\n"
         f"# kappa1 = {coeffs.kappa1:.9g}\n"

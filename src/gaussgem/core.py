@@ -33,11 +33,6 @@ def q_index(mode: int) -> int:
     return 2 * (mode - 1)
 
 
-def p_index(mode: int) -> int:
-    """0-based row/column of the momentum quadrature of ``mode`` (1-based)."""
-    return 2 * mode - 1
-
-
 def build_omega(num_modes: int) -> np.ndarray:
     """Symplectic form: block-diagonal with ``num_modes`` copies of [[0,1],[-1,0]].
 
@@ -184,58 +179,67 @@ def _purity_residual(gamma: np.ndarray) -> np.ndarray:
     J = np.empty_like(gamma)
     J[..., 0::2] = gamma[..., 1::2]
     J[..., 1::2] = -gamma[..., 0::2]
-    return np.abs(J @ J + 0.25 * np.eye(gamma.shape[-1])).max(axis=(-2, -1))
+    # An overflowing product leaves an inf or NaN residual, which the gate rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(J @ J + 0.25 * np.eye(gamma.shape[-1])).max(axis=(-2, -1))
+
+
+def _purity_verdict(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The purity gate on each slice: (passes, residual, scale), arrays of shape (...).
+
+    The residual carries cancellation error that grows like ||Gamma||^2, so
+    the bound is ``DEFAULT_PURITY_TOL`` times scale = max(1, ||Gamma||_1^2):
+    strongly squeezed pure states pass, while mixed states, whose residuals
+    are of the order of that scale, and NaN still fail.  An overflowing scale
+    (a norm beyond 1e154) leaves the bound unscaled.  Scales are at least 1,
+    so a residual below the unscaled bound passes whatever its scale; they
+    are computed only when some residual is not, and are None otherwise.
+    """
+    residual = _purity_residual(gamma)
+    passes = residual < DEFAULT_PURITY_TOL
+    if passes.all():
+        return passes, residual, None
+    with np.errstate(over="ignore"):  # a norm beyond 1e154 scales the bound to inf
+        scale = np.maximum(1.0, np.linalg.norm(gamma, 1, axis=(-2, -1)) ** 2)
+    return residual < DEFAULT_PURITY_TOL * np.where(np.isfinite(scale), scale, 1.0), residual, scale
 
 
 def check_pure(gamma: np.ndarray) -> tuple[bool, float]:
-    """Purity test: max-norm of (Gamma Omega^{-1})^2 + I/4 against ``DEFAULT_PURITY_TOL``.
+    """The purity gate's verdict, without raising.
 
     Returns:
-        (is_pure, residual) where residual = ||(Gamma Omega^-1)^2 + I/4||_max.
+        (is_pure, residual) where residual = ||(Gamma Omega^-1)^2 + I/4||_max
+        and is_pure is the verdict of :func:`require_pure` on the same input.
         For a (..., 2N, 2N) stack both are arrays of shape (...), one entry
         per slice.
     """
-    residual = _purity_residual(np.asarray(gamma, dtype=float))
-    if residual.ndim == 0:
-        residual = float(residual)
-    return residual < DEFAULT_PURITY_TOL, residual
+    passes, residual, _ = _purity_verdict(np.asarray(gamma, dtype=float))
+    return (bool(passes), float(residual)) if residual.ndim == 0 else (passes, residual)
 
 
 def require_pure(gamma: np.ndarray) -> np.ndarray:
     """Validate purity and return ``gamma`` as a float array.
 
-    The raw residual of ``check_pure`` carries cancellation error that grows
-    like ||Gamma||^2, so strongly squeezed pure states would fail a fixed
-    absolute threshold; the acceptance bound is therefore ``DEFAULT_PURITY_TOL``
-    scaled by max(1, ||Gamma||_1^2).  Genuinely mixed states have residuals of
-    the same order as that scale and are still rejected, and so is a NaN.  A
-    slice passes only when its bound is finite and its residual is below it,
-    so a norm beyond 1e154, whose squared scale overflows, is rejected too.
-    A (..., 2N, 2N) stack is accepted only if every slice passes on its own.
+    Raises from the verdict of :func:`check_pure`.  A (..., 2N, 2N) stack is
+    accepted only if every slice passes on its own.
 
     Raises:
-        UnphysicalStateError: purity residual is NaN, exceeds the scaled
-            tolerance, or that tolerance overflows; for a stack, the message
-            names the first failing slice.
+        UnphysicalStateError: purity residual is NaN or exceeds the scaled
+            tolerance; for a stack, the message names the first failing slice.
     """
-    gamma, tol = np.asarray(gamma, dtype=float), DEFAULT_PURITY_TOL
-    residual = _purity_residual(gamma)
-    if (residual < tol).all():
+    gamma = np.asarray(gamma, dtype=float)
+    passes, residual, scale = _purity_verdict(gamma)
+    if scale is None or passes.all():
         return gamma
-    with np.errstate(over="ignore"):  # a norm beyond 1e154 scales the bound to inf
-        scale = np.maximum(1.0, np.linalg.norm(gamma, 1, axis=(-2, -1)) ** 2)
-    failed = np.flatnonzero(~(np.isfinite(scale) & (residual < tol * scale)))
-    if failed.size:
-        k = failed[0]
-        index = tuple(int(i) for i in np.unravel_index(k, gamma.shape[:-2]))
-        where = f" at stack index {index}" if index else ""
-        if np.isinf(scale.flat[k]):
-            raise UnphysicalStateError(
-                f"state{where} fails the purity gate: ||Gamma||_1^2 overflows double precision, "
-                f"so no finite bound applies (purity residual {residual.flat[k]:.3e})"
-            )
+    k = np.flatnonzero(~passes)[0]
+    index = tuple(int(i) for i in np.unravel_index(k, gamma.shape[:-2]))
+    where = f" at stack index {index}" if index else ""
+    if np.isinf(scale.flat[k]):
         raise UnphysicalStateError(
-            f"state{where} is not pure: purity residual {residual.flat[k]:.3e} exceeds {tol:.1e} "
-            f"(conditioning scale {scale.flat[k]:.3e})"
+            f"state{where} fails the purity gate: ||Gamma||_1^2 overflows double precision, "
+            f"so the bound stays {DEFAULT_PURITY_TOL:.1e} (purity residual {residual.flat[k]:.3e})"
         )
-    return gamma
+    raise UnphysicalStateError(
+        f"state{where} is not pure: purity residual {residual.flat[k]:.3e} exceeds "
+        f"{DEFAULT_PURITY_TOL:.1e} (conditioning scale {scale.flat[k]:.3e})"
+    )

@@ -222,16 +222,6 @@ def _cos_cont(u: float, s: float) -> float:
     return _hyperbolic(math.cosh, s * math.sqrt(-u))
 
 
-def _one_minus_cos_over(u: float, s: float) -> float:
-    """(1 - cos(s sqrt(u))) / u, continued through u <= 0."""
-    if abs(u) < _RAY_WINDOW:
-        s2 = s * s
-        return s2 / 2.0 - s2 * s2 * u / 24.0 + s2**3 * u * u / 720.0
-    if u > 0:
-        return (1.0 - math.cos(s * math.sqrt(u))) / u
-    return (1.0 - _hyperbolic(math.cosh, s * math.sqrt(-u))) / u
-
-
 def _sin_phi_sq(phi: float) -> float:
     """sin^2(phi) with the zeros at multiples of pi made exact.
 
@@ -349,7 +339,8 @@ def two_mode_metric_closed(r: float, phi: float) -> MetricTensor:
     s2 = math.sin(phi) ** 2
     ssr2 = _sin_sq_over(u, 2.0 * r)
     ssr1 = _sin_sq_over(u, r)
-    bracket = 1.0 + s2 * _one_minus_cos_over(u, 2.0 * r)  # (cos^2 phi - sin^2 phi cos(2r sqrt u)) / u
+    # (cos^2 phi - sin^2 phi cos(2r sqrt u)) / u, with 1 - cos(2r sqrt u) = 2 sin^2(r sqrt u)
+    bracket = 1.0 + 2.0 * s2 * ssr1
     a_val = -s2 * ssr2 / 16.0
     b_val = (2.0 - s2 * ssr2) / 16.0
     c_val = s2 * ssr2 / 16.0 + bracket**2 / 8.0
@@ -365,4 +356,4 @@ def two_mode_metric_closed(r: float, phi: float) -> MetricTensor:
         (1, 2): d_val * off,
         (2, 2): -a_val * eye + e_val * off,
     }
-    return MetricTensor(matrix=_assemble(2, fams), num_modes=2, flavor="h")
+    return MetricTensor(_assemble(2, fams))

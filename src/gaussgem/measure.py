@@ -19,6 +19,9 @@ independent cross-check of the whole construction.
 
 Metric tensors are stored as dense 3N x 3N symmetric arrays with row index
 3*(mode-1) + (i-1) for generator i of the given mode.
+
+Every route also takes a (..., 2N, 2N) stack and keeps its leading axes:
+each slice is bit-identical to the one-state call, where a float stays a float.
 """
 
 from __future__ import annotations
@@ -74,10 +77,10 @@ _KILLING_INVERSE = killing_form_sp2().inverse
 class MomentTable:
     """First and second moments of the local generators in a Gaussian state.
 
-    ``first[m, i]`` is <T_(m,i)>; ``second[m, n, i, j]`` is the symmetrized
-    real part of <T_(m,i) T_(n,j)> (the value entering the metric; the
-    imaginary part cancels between the (m,i),(n,j) and (n,j),(m,i) orders).
-    Mode axes are 0-based here.
+    ``first[..., m, i]`` is <T_(m,i)>; ``second[..., m, n, i, j]`` is the
+    symmetrized real part of <T_(m,i) T_(n,j)> (the value entering the metric;
+    the imaginary part cancels between the (m,i),(n,j) and (n,j),(m,i)
+    orders).  Mode axes are 0-based here; leading axes index a stack.
     """
 
     first: np.ndarray
@@ -85,21 +88,24 @@ class MomentTable:
 
     @property
     def num_modes(self) -> int:
-        return self.first.shape[0]
+        return self.first.shape[-2]
 
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """Restricted Fubini-Study metric g, or its shifted flavor h.
+    """Restricted Fubini-Study metric g, or its shifted form h.
 
-    ``matrix`` is 3N x 3N, symmetric under ((mode,i) <-> (mode',j)).
+    ``matrix`` is (..., 3N, 3N), each slice symmetric under
+    ((mode,i) <-> (mode',j)).
     """
 
     matrix: np.ndarray
-    num_modes: int
-    flavor: str
 
-    def component(self, mode_a: int, gen_a: int, mode_b: int, gen_b: int) -> float:
+    @property
+    def num_modes(self) -> int:
+        return self.matrix.shape[-1] // 3
+
+    def component(self, mode_a: int, gen_a: int, mode_b: int, gen_b: int) -> float | np.ndarray:
         """Entry for (mode_a, T_gen_a) x (mode_b, T_gen_b); all indices 1-based."""
         for mode in (mode_a, mode_b):
             if not 1 <= mode <= self.num_modes:
@@ -107,33 +113,36 @@ class MetricTensor:
         for gen in (gen_a, gen_b):
             if not 1 <= gen <= 3:
                 raise InvalidArgumentError(f"generator index {gen} outside 1..3")
-        return float(self.matrix[3 * (mode_a - 1) + gen_a - 1, 3 * (mode_b - 1) + gen_b - 1])
+        entry = self.matrix[..., 3 * (mode_a - 1) + gen_a - 1, 3 * (mode_b - 1) + gen_b - 1]
+        return float(entry) if entry.ndim == 0 else entry
 
     def mode_block(self, mode_a: int, mode_b: int) -> np.ndarray:
         """3x3 generator block for a mode pair (1-based)."""
         a, b = 3 * (mode_a - 1), 3 * (mode_b - 1)
-        return self.matrix[a : a + 3, b : b + 3].copy()
+        return self.matrix[..., a : a + 3, b : b + 3].copy()
 
 
 def _quadrature_blocks(gamma: np.ndarray):
-    """Split Gamma into N x N matrices Qq, Pp, Pq (Pq[m,n] = Gamma_{p_m, q_n})."""
-    return gamma[0::2, 0::2], gamma[1::2, 1::2], gamma[1::2, 0::2]
+    """Split Gamma into (..., N, N) matrices Qq, Pp, Pq (Pq[m,n] = Gamma_{p_m, q_n})."""
+    return gamma[..., 0::2, 0::2], gamma[..., 1::2, 1::2], gamma[..., 1::2, 0::2]
 
 
 def _assemble(num_modes: int, families: dict) -> np.ndarray:
-    """Build the symmetric 3N x 3N metric from family matrices F^{ij} (i <= j).
+    """Build the symmetric (..., 3N, 3N) metric from family matrices F^{ij} (i <= j).
 
-    ``families[(i, j)][m, n]`` holds the ((m,i),(n,j)) component family.  The
-    (j, i) families follow from the overall symmetry of the tensor; diagonal
-    families are symmetrized over the mode pair.
+    ``families[(i, j)][..., m, n]`` holds the ((m,i),(n,j)) component family.
+    The (j, i) families follow from the overall symmetry of the tensor;
+    diagonal families are symmetrized over the mode pair.
     """
-    M = np.zeros((num_modes, 3, num_modes, 3))  # M[m, i, n, j] is entry (3m + i, 3n + j)
+    lead = np.broadcast_shapes(*(F.shape[:-2] for F in families.values()))
+    M = np.zeros(lead + (num_modes, 3, num_modes, 3))  # M[..., m, i, n, j] is entry (3m + i, 3n + j)
     for (i, j), F in families.items():
+        FT = F.swapaxes(-1, -2)
         if i == j:
-            F = 0.5 * (F + F.T)
-        M[:, i, :, j] = F
-        M[:, j, :, i] = F.T
-    return M.reshape(3 * num_modes, 3 * num_modes)
+            F = FT = 0.5 * (F + FT)
+        M[..., :, i, :, j] = F
+        M[..., :, j, :, i] = FT
+    return M.reshape(lead + (3 * num_modes, 3 * num_modes))
 
 
 def moments_from_covariance(gamma: np.ndarray) -> MomentTable:
@@ -147,21 +156,17 @@ def moments_from_covariance(gamma: np.ndarray) -> MomentTable:
         UnphysicalStateError: ``gamma`` fails the purity check.
     """
     gamma = require_pure(gamma)
-    num_modes = gamma.shape[0] // 2
+    num_modes = gamma.shape[-1] // 2
     C = gamma + 0.5j * build_omega(num_modes)
-    Cqq, Cpp, Cpq, Cqp = C[0::2, 0::2], C[1::2, 1::2], C[1::2, 0::2], C[0::2, 1::2]
-    dq = np.diag(Cqq)
-    dp = np.diag(Cpp)
-    dcross = np.diag(Cpq) + np.diag(Cqp)  # = 2 Gamma_{pq} per mode, the i/2 parts cancel
+    Cqq, Cpp, Cpq, Cqp = C[..., 0::2, 0::2], C[..., 1::2, 1::2], C[..., 1::2, 0::2], C[..., 0::2, 1::2]
+    dq = np.diagonal(Cqq, 0, -2, -1)
+    dp = np.diagonal(Cpp, 0, -2, -1)
+    dcross = np.diagonal(Cpq, 0, -2, -1) + np.diagonal(Cqp, 0, -2, -1)  # = 2 Gamma_{pq} per mode
 
-    first = np.column_stack([
-        (dq - dp).real / 4.0,
-        -dcross.real / 4.0,
-        (dq + dp).real / 4.0,
-    ])
+    first = np.stack([(dq - dp).real / 4.0, -dcross.real / 4.0, (dq + dp).real / 4.0], axis=-1)
 
-    out = lambda u, v: np.outer(u, v)
-    second = np.empty((3, 3, num_modes, num_modes), dtype=complex)
+    out = lambda u, v: u[..., :, None] * v[..., None, :]
+    second = np.empty((3, 3) + C.shape[:-2] + (num_modes, num_modes), dtype=complex)
     second[0, 0] = (2 * Cpp**2 - 2 * Cpq**2 - 2 * Cqp**2 + out(dp - dq, dp - dq) + 2 * Cqq**2) / 16
     second[0, 1] = (4 * Cpp * Cpq - 4 * Cqq * Cqp + out(dp - dq, dcross)) / 16
     second[0, 2] = (-2 * Cpp**2 - 2 * Cpq**2 + 2 * (Cqp**2 + Cqq**2) - out(dp - dq, dp + dq)) / 16
@@ -174,22 +179,18 @@ def moments_from_covariance(gamma: np.ndarray) -> MomentTable:
 
     # Symmetrized real part; <T_(n,j) T_(m,i)> is the conjugate of
     # <T_(m,i) T_(n,j)>, so the average is real by construction.
-    table = np.empty((num_modes, num_modes, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            sym = 0.5 * (second[i, j] + second[j, i].T)
-            table[:, :, i, j] = sym.real
-    return MomentTable(first=first, second=table)
+    sym = 0.5 * (second + second.swapaxes(0, 1).swapaxes(-1, -2))
+    return MomentTable(first=first, second=np.moveaxis(sym.real, (0, 1), (-2, -1)))
 
 
 def metric_from_moments(moments: MomentTable) -> MetricTensor:
     """Metric assembly g = -(M_ij + M_ji)/2 + M_i M_j from a moment table."""
     n = moments.num_modes
     first = moments.first
-    # Entry [m, n, i, j] is component ((m, i), (n, j)); reorder to [m, i, n, j].
-    M = -moments.second + first[:, None, :, None] * first[None, :, None, :]
-    M = M.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
-    return MetricTensor(matrix=0.5 * (M + M.T), num_modes=n, flavor="g")
+    # Entry [..., m, n, i, j] is component ((m, i), (n, j)); reorder to [..., m, i, n, j].
+    M = -moments.second + first[..., :, None, :, None] * first[..., None, :, None, :]
+    M = M.swapaxes(-3, -2).reshape(first.shape[:-2] + (3 * n, 3 * n))
+    return MetricTensor(0.5 * (M + M.swapaxes(-1, -2)))
 
 
 def metric_g(gamma: np.ndarray) -> MetricTensor:
@@ -203,9 +204,9 @@ def metric_g(gamma: np.ndarray) -> MetricTensor:
         UnphysicalStateError: ``gamma`` fails the purity check.
     """
     gamma = require_pure(gamma)
-    num_modes = gamma.shape[0] // 2
+    num_modes = gamma.shape[-1] // 2
     Qq, Pp, Pq = _quadrature_blocks(gamma)
-    Qp = Pq.T  # Qp[m, n] = Gamma_{q_m, p_n} = Gamma_{p_n, q_m}
+    Qp = Pq.swapaxes(-1, -2)  # Qp[m, n] = Gamma_{q_m, p_n} = Gamma_{p_n, q_m}
     eye = np.eye(num_modes)
     fams = {
         (0, 0): (-Pp**2 + Pq**2 + Qp**2 - Qq**2) / 8.0 - eye / 16.0,
@@ -215,7 +216,7 @@ def metric_g(gamma: np.ndarray) -> MetricTensor:
         (1, 2): (Pp * Qp + Qq * Pq) / 4.0,
         (2, 2): (eye - 2.0 * (Pp**2 + Pq**2 + Qp**2 + Qq**2)) / 16.0,
     }
-    return MetricTensor(matrix=_assemble(num_modes, fams), num_modes=num_modes, flavor="g")
+    return MetricTensor(_assemble(num_modes, fams))
 
 
 def metric_h(gamma: np.ndarray) -> MetricTensor:
@@ -230,15 +231,15 @@ def metric_h(gamma: np.ndarray) -> MetricTensor:
         UnphysicalStateError: ``gamma`` fails the purity check.
     """
     gamma = require_pure(gamma)
-    num_modes = gamma.shape[0] // 2
+    num_modes = gamma.shape[-1] // 2
     Qq, Pp, Pq = _quadrature_blocks(gamma)
-    Qp = Pq.T
-    dq = np.diag(Qq)
-    dp = np.diag(Pp)
-    c = np.diag(Pq)
+    Qp = Pq.swapaxes(-1, -2)
+    dq = np.diagonal(Qq, 0, -2, -1)
+    dp = np.diagonal(Pp, 0, -2, -1)
+    c = np.diagonal(Pq, 0, -2, -1)
     eye = np.eye(num_modes)
     ones = np.ones((num_modes, num_modes))
-    col = lambda v: np.outer(v, np.ones(num_modes))  # mode-m data broadcast across n
+    col = lambda v: v[..., :, None]  # mode-m data broadcast across n
     fams = {
         (0, 0): (-Pp**2 + Pq**2 + Qp**2 - Qq**2 + col((dp - dq) ** 2) + ones - eye / 2.0) / 8.0,
         (0, 1): (-Pp * Pq + Qq * Qp + col(c * (dp - dq))) / 4.0,
@@ -250,23 +251,24 @@ def metric_h(gamma: np.ndarray) -> MetricTensor:
         # reproduces the purity route exactly.
         (2, 2): (-Pp**2 - Pq**2 - Qp**2 - Qq**2 + col((dp + dq) ** 2) - ones + eye / 2.0) / 8.0,
     }
-    return MetricTensor(matrix=_assemble(num_modes, fams), num_modes=num_modes, flavor="h")
+    return MetricTensor(_assemble(num_modes, fams))
 
 
-def killing_contraction(metric: MetricTensor) -> float:
+def killing_contraction(metric: MetricTensor) -> float | np.ndarray:
     """Sum over modes of kappa^{ij} g[(m,i),(m,j)] (mode-diagonal blocks only).
 
     The Killing form of the direct-sum algebra is block diagonal across modes,
     so cross-mode blocks never enter the contraction.
     """
     n = metric.num_modes
-    modes = np.arange(n)
-    blocks = metric.matrix.reshape(n, 3, n, 3)[modes, :, modes]  # (n, 3, 3) mode-diagonal blocks
+    M = metric.matrix.reshape(metric.matrix.shape[:-2] + (n, 3, n, 3))
+    blocks = np.moveaxis(np.diagonal(M, 0, -4, -2), -1, -3)  # (..., n, 3, 3) mode-diagonal blocks
     # cumsum adds the per-mode terms in mode order, as a running sum does.
-    return float((blocks * _KILLING_INVERSE).sum(axis=(1, 2)).cumsum()[-1])
+    total = (blocks * _KILLING_INVERSE).sum(axis=(-2, -1)).cumsum(axis=-1)[..., -1]
+    return float(total) if total.ndim == 0 else total
 
 
-def gem_from_metric(gamma: np.ndarray) -> float:
+def gem_from_metric(gamma: np.ndarray) -> float | np.ndarray:
     """Entanglement measure via the Killing contraction of the metric.
 
     Equals killing_contraction(metric_g) - N/8; the subtraction is the
@@ -301,8 +303,10 @@ def gem_from_purity(gamma: np.ndarray) -> float | np.ndarray:
     return float(total) if np.ndim(total) == 0 else total
 
 
-def mode_purities(gamma: np.ndarray) -> list[float]:
+def mode_purities(gamma: np.ndarray) -> list[float] | np.ndarray:
     """Reduced single-mode purities 1/(2 sqrt(det Gamma^(mode))), one per mode, clamped to 1.
+
+    A list of N floats for one state; an array of shape (..., N) for a stack.
 
     Raises:
         UnphysicalStateError: ``gamma`` fails the purity check, or a reduced
@@ -311,4 +315,5 @@ def mode_purities(gamma: np.ndarray) -> list[float]:
     dets = _mode_dets(require_pure(gamma))
     if (dets < 0.25 - DEFAULT_PURITY_TOL).any():
         raise UnphysicalStateError(f"reduced det {dets.min()} below the uncertainty bound 0.25")
-    return np.minimum(1.0, 0.5 / np.sqrt(np.maximum(dets, 0.25))).tolist()
+    purities = np.minimum(1.0, 0.5 / np.sqrt(np.maximum(dets, 0.25)))
+    return purities.tolist() if purities.ndim == 1 else purities

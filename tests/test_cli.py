@@ -1,13 +1,15 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gaussgem import GraphSpec, gem_from_purity, graph_state_covariance
+from gaussgem import GraphSpec, PolarCoupling, gem_from_purity, graph_state_covariance, graph_state_covariances
 from gaussgem import cli, lattice
 from gaussgem.cli import main
 
@@ -237,6 +239,16 @@ class TestScan3:
         assert code == 3 and out == ""
         assert "self-test failed for scan3 gem_g2" in err
 
+    def test_overflow_error_is_the_only_stderr_line(self):
+        # The purity residual overflows at these weights; numpy's warning must
+        # not reach stderr ahead of the error line.
+        result = run_subprocess(
+            ["scan3", "--family", "xy", "--re-range", "0:200", "--im-range", "0:200", "--steps", "5"]
+        )
+        assert result.returncode == 3 and result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_self_test_flag(self, capsys):
         for family in ("equal", "xy"):
             code, *_ = run_cli(
@@ -279,6 +291,75 @@ class TestSelfTestFaults:
         code, out, err = run_cli(argv, capsys)
         assert code == 3 and out == ""
         assert f"self-test failed for {label}" in err
+
+    # A 4 x 4 grid and five field rows: the faulty row is none of the first,
+    # middle and last rows that a spot check would cover.
+    ROW, FIELD_ROW = 5, 1
+    GRID = argparse.Namespace(re_range="0.2:0.6", im_range="0.2:0.6", steps=4)
+
+    @classmethod
+    def _is_row(cls, kind, family, pairs):
+        """Predicate on a route's argument: does it hold the state of the faulty row?"""
+        if kind == "field":
+            return lambda cfg: cfg.n == cls.FIELD_ROW + 1  # --n-list 1,2,3,4,5
+        points = cli._scan_grid(cls.GRID)
+        if kind == "coupling":
+            target = PolarCoupling.from_complex(points.tolist()[cls.ROW])
+            return lambda coupling: coupling == target
+        # The weight array the scan builds, so the row's covariance matches bit for bit.
+        if family == "xy":
+            weights = np.column_stack([1j * points.real, 1j * points.imag, np.ones(points.size)])
+        else:
+            weights = np.repeat(points[:, None], len(pairs), axis=1)
+        num_modes = max(j for _, j in pairs)
+        target = graph_state_covariances(num_modes, pairs, weights[:, : len(pairs)])[cls.ROW]
+        return lambda gamma: np.all(gamma == target, axis=(-2, -1))  # one entry per slice
+
+    @pytest.mark.parametrize(
+        "command, module, route, kind, pairs, label",
+        [
+            pytest.param("scan2", cli, "gem_two_mode_closed", "coupling", None, "scan2 gem", id="scan2-closed"),
+            pytest.param("scan2", cli, "gem_from_purity", "state", ((1, 2),), "scan2 gem", id="scan2-purity"),
+            pytest.param("equal", cli, "gem_three_mode_g1", "coupling", None, "scan3 gem_g1", id="equal-g1-closed"),
+            pytest.param("equal", cli, "gem_three_mode_g2", "coupling", None, "scan3 gem_g2", id="equal-g2-closed"),
+            pytest.param("equal", cli, "gem_from_purity", "state", cli.THREE_MODE_TRIANGLE, "scan3 gem_g1",
+                         id="equal-g1-purity"),
+            pytest.param("equal", cli, "gem_from_purity", "state", cli.THREE_MODE_PATH, "scan3 gem_g2",
+                         id="equal-g2-purity"),
+            pytest.param("xy", cli, "gem_from_purity", "state", cli.THREE_MODE_TRIANGLE, "scan3 gem_g1",
+                         id="xy-g1-purity"),
+            pytest.param("xy", cli, "gem_from_purity", "state", cli.THREE_MODE_PATH, "scan3 gem_g2",
+                         id="xy-g2-purity"),
+            pytest.param("xy", cli, "gem_from_metric", "state", cli.THREE_MODE_TRIANGLE, "scan3 gem_g1",
+                         id="xy-g1-metric"),
+            pytest.param("xy", cli, "gem_from_metric", "state", cli.THREE_MODE_PATH, "scan3 gem_g2",
+                         id="xy-g2-metric"),
+            pytest.param("field", lattice, "gem_field_exact", "field", None, "field gem_exact", id="field-exact"),
+            pytest.param("field", lattice, "gem_field_pipeline", "field", None, "field gem_exact",
+                         id="field-pipeline"),
+        ],
+    )
+    def test_fault_in_one_inner_row_exits_3(self, command, module, route, kind, pairs, label, capsys, monkeypatch):
+        # The fault follows the row's state, not a call count or an output
+        # position, so it hits the same row however the command batches it.
+        grid = ["--re-range", "0.2:0.6", "--im-range", "0.2:0.6", "--steps", "4", "--self-test"]
+        argv = {
+            "scan2": ["scan2", *grid],
+            "equal": ["scan3", "--family", "equal", *grid],
+            "xy": ["scan3", "--family", "xy", *grid],
+            "field": ["field", "--n-list", "1,2,3,4,5", "--mass", "1", "--radius", "1", "--self-test"],
+        }[command]
+        original, is_row = getattr(module, route), self._is_row(kind, command, pairs)
+
+        def faulty(arg):
+            value, hit = original(arg), is_row(arg)
+            return np.where(hit, 1.01 * value, value) if np.ndim(value) else (1.01 * value if hit else value)
+
+        monkeypatch.setattr(module, route, faulty)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        row = self.FIELD_ROW if command == "field" else self.ROW
+        assert f"self-test failed for {label} at row {row}:" in err
 
 
 class TestField:

@@ -8,6 +8,7 @@ import pytest
 
 import gaussgem
 from gaussgem import (
+    DEFAULT_PURITY_TOL,
     GraphSpec,
     InvalidArgumentError,
     NumericOverflowError,
@@ -257,6 +258,19 @@ class TestCheckPure:
         ok, residual = check_pure(np.eye(2))
         assert not ok
         assert residual == pytest.approx(0.75, abs=1e-15)
+
+    def test_verdict_is_the_gate_verdict(self):
+        # A squeezed pure state whose raw residual exceeds the unscaled 1e-9:
+        # the scaled bound accepts it, in check_pure as in require_pure.
+        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 5j),)))
+        ok, residual = check_pure(gamma)
+        assert residual > DEFAULT_PURITY_TOL
+        assert ok is True
+        require_pure(gamma)
+
+    def test_nan_covariance_fails(self):
+        ok, residual = check_pure(np.full((4, 4), np.nan))
+        assert ok is False and np.isnan(residual)
 
 
 class TestRequirePure:

@@ -11,6 +11,7 @@ from gaussgem import (
     gem_from_metric,
     gem_from_purity,
     graph_state_covariance,
+    graph_state_covariances,
     killing_contraction,
     killing_form_sp2,
     metric_from_moments,
@@ -138,6 +139,23 @@ class TestPurityGateOnce:
         monkeypatch.setattr(gaussgem.measure, "require_pure", counted)
         route(graph_state_covariance(random_graph_spec(rng, 3)))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "route",
+        [gem_from_metric, gem_from_purity, metric_g, metric_h, moments_from_covariance, mode_purities],
+    )
+    def test_each_stacked_call_gates_once(self, route, monkeypatch):
+        calls = []
+        gate = gaussgem.measure.require_pure
+
+        def counted(gamma):
+            calls.append(np.shape(gamma))
+            return gate(gamma)
+
+        monkeypatch.setattr(gaussgem.measure, "require_pure", counted)
+        weights = 1j * np.linspace(0.1, 1.2, 12).reshape(3, 4, 1)
+        route(graph_state_covariances(2, ((1, 2),), weights))
+        assert calls == [(3, 4, 4, 4)]
 
 
 class TestModePurities:

@@ -2,7 +2,7 @@
 
 The stacked engine promises more than closeness: every slice of a stacked
 result must equal the single-state call bit for bit, because the CLI scans
-now run on stacks while --self-test and library callers run single states.
+and their --self-test run on stacks while library callers run single states.
 """
 
 import subprocess
@@ -15,15 +15,24 @@ from gaussgem import (
     GraphSpec,
     InvalidArgumentError,
     UnphysicalStateError,
+    MetricTensor,
+    MomentTable,
     build_omega,
     check_pure,
     evolve_covariance,
+    gem_from_metric,
     gem_from_purity,
     graph_state_covariance,
     graph_state_covariances,
     hamiltonian_from_graph,
+    killing_contraction,
     log_negativity_two_mode,
     matrix_exponential,
+    metric_from_moments,
+    metric_g,
+    metric_h,
+    mode_purities,
+    moments_from_covariance,
     require_pure,
     symplectic_from_hamiltonian,
     vacuum_state,
@@ -103,6 +112,59 @@ class TestStackEqualsSlices:
             assert np.array_equal(S[index], single_S)
             assert np.array_equal(matrix_exponential(build_omega(3) @ h[index]), single_S)
             assert np.array_equal(gammas[index], evolve_covariance(vacuum_state(3), single_S))
+
+
+class TestMetricRouteStacks:
+    """The metric and moments routes on stacks against their one-state calls."""
+
+    @pytest.mark.parametrize("num_modes,pairs,weights", list(_cases()))
+    def test_tensors(self, num_modes, pairs, weights):
+        stack = graph_state_covariances(num_modes, pairs, weights)
+        lead = weights.shape[:-1]
+        moments = moments_from_covariance(stack)
+        tensors = [metric_g(stack), metric_h(stack), metric_from_moments(moments)]
+        assert moments.first.shape == lead + (num_modes, 3)
+        assert moments.second.shape == lead + (num_modes, num_modes, 3, 3)
+        for metric in tensors:
+            assert metric.matrix.shape == lead + (3 * num_modes, 3 * num_modes)
+            assert metric.num_modes == num_modes
+        for index in np.ndindex(lead):
+            one = moments_from_covariance(stack[index])
+            assert isinstance(one, MomentTable) and one.first.shape == (num_modes, 3)
+            assert np.array_equal(moments.first[index], one.first)
+            assert np.array_equal(moments.second[index], one.second)
+            singles = [metric_g(stack[index]), metric_h(stack[index]), metric_from_moments(one)]
+            for metric, single in zip(tensors, singles):
+                assert isinstance(single, MetricTensor) and single.matrix.ndim == 2
+                assert np.array_equal(metric.matrix[index], single.matrix)
+                assert metric.component(1, 3, num_modes, 2)[index] == single.component(1, 3, num_modes, 2)
+
+    @pytest.mark.parametrize("num_modes,pairs,weights", list(_cases()))
+    def test_contractions(self, num_modes, pairs, weights):
+        stack = graph_state_covariances(num_modes, pairs, weights)
+        routes = [
+            gem_from_metric,
+            lambda gamma: killing_contraction(metric_g(gamma)),
+            lambda gamma: killing_contraction(metric_h(gamma)),
+            lambda gamma: killing_contraction(metric_from_moments(moments_from_covariance(gamma))),
+        ]
+        for route in routes:
+            values = route(stack)
+            assert isinstance(values, np.ndarray) and values.shape == weights.shape[:-1]
+            for index in np.ndindex(values.shape):
+                single = route(stack[index])
+                assert type(single) is float
+                assert values[index] == single
+
+    @pytest.mark.parametrize("num_modes,pairs,weights", list(_cases()))
+    def test_mode_purities(self, num_modes, pairs, weights):
+        stack = graph_state_covariances(num_modes, pairs, weights)
+        purities = mode_purities(stack)
+        assert isinstance(purities, np.ndarray) and purities.shape == weights.shape[:-1] + (num_modes,)
+        for index in np.ndindex(weights.shape[:-1]):
+            single = mode_purities(stack[index])
+            assert type(single) is list and all(type(p) is float for p in single)
+            assert np.array_equal(purities[index], single)
 
 
 class TestPurityGate:
