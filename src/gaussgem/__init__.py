@@ -8,12 +8,19 @@ vacuum = I/2.  The measure of a pure state is
 equivalently the inverse-Killing-form contraction of the local-sp(2,R)
 restriction of the Fubini-Study metric minus the separable baseline N/8.
 
-Every route runs the purity gate once per call, against the one threshold
-``DEFAULT_PURITY_TOL`` fixed in ``core``; no function takes a tolerance.
+The measure holds for pure states only, so purity is judged once per state,
+by one gate against the one threshold ``DEFAULT_PURITY_TOL`` fixed in
+``core``; no function takes a tolerance.  A ``PureState`` is a covariance (or
+stack) that has passed the gate; every route takes one in place of an array
+and does not judge it again.  An array passed to a route is gated once per
+call.  The lattice pipeline's ground state is pure by construction and skips
+the gate's residual; graph states stay gated, since there the gate also
+catches covariances beyond double precision.
 """
 
 from .core import (
     DEFAULT_PURITY_TOL,
+    PureState,
     build_omega,
     check_pure,
     evolve_covariance,
@@ -93,6 +100,7 @@ __all__ = [
     "MomentTable",
     "NumericOverflowError",
     "PolarCoupling",
+    "PureState",
     "Sp2KillingForm",
     "UnphysicalStateError",
     "asymptotic_coefficients",

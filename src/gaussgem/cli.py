@@ -30,6 +30,7 @@ import sys
 import numpy as np
 
 from . import lattice
+from .core import PureState
 from .errors import GaussGemError, InvalidArgumentError
 from .graphs import (
     GraphSpec,
@@ -153,15 +154,15 @@ def _self_test(column, reference, label: str) -> None:
 
 def cmd_gem(args) -> tuple[str, str]:
     spec = _load_graph_spec(args.spec)
-    gamma = graph_state_covariance(spec)
-    purities = mode_purities(gamma)
+    state = PureState(graph_state_covariance(spec))  # the one purity gate of the command
+    purities = mode_purities(state)
     report = {"modes": spec.num_modes, "purities": purities}
     if args.measure == "gem":
-        report["gem"] = gem_from_purity(gamma)
+        report["gem"] = gem_from_purity(state)
     else:
         if spec.num_modes != 2:
             raise InvalidArgumentError("logneg is defined here for two-mode states only")
-        report["logneg"] = log_negativity_two_mode(gamma)
+        report["logneg"] = log_negativity_two_mode(state)
     return json.dumps(report, sort_keys=True) + "\n", ""
 
 

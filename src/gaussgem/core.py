@@ -20,6 +20,8 @@ what it always did.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericOverflowError, UnphysicalStateError
@@ -116,6 +118,10 @@ def evolve_covariance(gamma: np.ndarray, symplectic: np.ndarray) -> np.ndarray:
 
     Either argument may be a (..., 2N, 2N) stack; leading axes broadcast, so
     one covariance can be pushed through a whole stack of symplectics.
+
+    Raises:
+        InvalidArgumentError: the shapes do not match or do not broadcast.
+        NumericOverflowError: S Gamma S^T has non-finite entries.
     """
     gamma = np.asarray(gamma, dtype=float)
     S = np.asarray(symplectic, dtype=float)
@@ -123,10 +129,14 @@ def evolve_covariance(gamma: np.ndarray, symplectic: np.ndarray) -> np.ndarray:
     if min(gamma.ndim, S.ndim) < 2 or len({*gamma.shape[-2:], *S.shape[-2:]}) != 1:
         raise InvalidArgumentError(mismatch.format(gamma.shape, S.shape))
     try:
-        out = S @ gamma @ S.swapaxes(-1, -2)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            out = S @ gamma @ S.swapaxes(-1, -2)
+            out = 0.5 * (out + out.swapaxes(-1, -2))
     except ValueError as exc:  # leading axes that do not broadcast
         raise InvalidArgumentError(mismatch.format(gamma.shape, S.shape)) from exc
-    return 0.5 * (out + out.swapaxes(-1, -2))
+    if not np.isfinite(out).all():
+        raise NumericOverflowError("evolved covariance S Gamma S^T overflows double precision")
+    return out
 
 
 def reduced_covariance(gamma: np.ndarray, mode: int) -> np.ndarray:
@@ -217,16 +227,20 @@ def check_pure(gamma: np.ndarray) -> tuple[bool, float]:
     return (bool(passes), float(residual)) if residual.ndim == 0 else (passes, residual)
 
 
-def require_pure(gamma: np.ndarray) -> np.ndarray:
+def require_pure(gamma: np.ndarray | PureState) -> np.ndarray:
     """Validate purity and return ``gamma`` as a float array.
 
-    Raises from the verdict of :func:`check_pure`.  A (..., 2N, 2N) stack is
-    accepted only if every slice passes on its own.
+    A :class:`PureState` carries its verdict already: its ``gamma`` comes
+    back unchanged and unjudged.  Any other input is judged here, from the
+    verdict of :func:`check_pure`; a (..., 2N, 2N) stack is accepted only if
+    every slice passes on its own.
 
     Raises:
         UnphysicalStateError: purity residual is NaN or exceeds the scaled
             tolerance; for a stack, the message names the first failing slice.
     """
+    if isinstance(gamma, PureState):
+        return gamma.gamma
     gamma = np.asarray(gamma, dtype=float)
     passes, residual, scale = _purity_verdict(gamma)
     if scale is None or passes.all():
@@ -243,3 +257,40 @@ def require_pure(gamma: np.ndarray) -> np.ndarray:
         f"state{where} is not pure: purity residual {residual.flat[k]:.3e} exceeds "
         f"{DEFAULT_PURITY_TOL:.1e} (conditioning scale {scale.flat[k]:.3e})"
     )
+
+
+@dataclass(frozen=True)
+class PureState:
+    """A covariance, or a (..., 2N, 2N) stack of them, that passed the purity gate.
+
+    Construction runs :func:`require_pure` once and keeps a read-only copy of
+    the gated matrix, so the verdict cannot go stale.  Every measure route
+    takes a state wherever it takes an array, and does not judge it again.
+
+    Raises:
+        UnphysicalStateError: as :func:`require_pure` raises on ``gamma``.
+    """
+
+    gamma: np.ndarray
+
+    def __post_init__(self):
+        gamma = np.array(require_pure(self.gamma))
+        gamma.setflags(write=False)
+        object.__setattr__(self, "gamma", gamma)
+
+
+def _pure_by_construction(gamma: np.ndarray) -> PureState:
+    """A :class:`PureState` for a covariance whose construction proves it pure.
+
+    Runs no purity residual: the caller vouches for purity, and only
+    finiteness is checked.  ``gamma`` must be a float array that no one else
+    holds, as the state keeps it without a copy.
+
+    Raises:
+        NumericOverflowError: ``gamma`` has non-finite entries.
+    """
+    if not np.isfinite(gamma).all():
+        raise NumericOverflowError("covariance of a built state has non-finite entries")
+    state = object.__new__(PureState)  # skips __post_init__, which would gate
+    object.__setattr__(state, "gamma", gamma)
+    return state

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    PureState,
     build_omega,
     evolve_covariance,
     require_pure,
@@ -308,16 +309,17 @@ def gem_ratio_small_r(spec_a: GraphSpec, spec_b: GraphSpec, r: float) -> float:
     return num / den
 
 
-def log_negativity_two_mode(gamma: np.ndarray) -> float | np.ndarray:
+def log_negativity_two_mode(gamma: np.ndarray | PureState) -> float | np.ndarray:
     """Logarithmic negativity max(0, -ln 2 nu-) of a pure two-mode state.
 
     nu- is the smallest symplectic eigenvalue of the partial transpose
     (momentum sign flip on mode 2); natural-log convention.  Returns a float
-    for a 4 x 4 covariance and an array of shape (...) for a (..., 4, 4) stack.
+    for a 4 x 4 covariance and an array of shape (...) for a (..., 4, 4) stack;
+    either may come as a ``PureState``.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape[-2:] != (4, 4):
-        raise InvalidArgumentError(f"log negativity needs a two-mode covariance, got shape {gamma.shape}")
+    shape = np.shape(gamma.gamma if isinstance(gamma, PureState) else gamma)
+    if shape[-2:] != (4, 4):
+        raise InvalidArgumentError(f"log negativity needs a two-mode covariance, got shape {shape}")
     gamma = require_pure(gamma)
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     partial = flip @ gamma @ flip

@@ -13,17 +13,54 @@ O(N^3)); they must agree.  The large-n behavior follows
 kappa1 + kappa2 ln n + kappa3 n + kappa4 n ln n with kappa2 = 1/(16 pi) and
 kappa4 = 1/(4 pi^2) independent of mass, radius and the sum-to-integral
 truncation order p.
+
+A mass or radius whose derived frequencies, variances or coefficients leave
+double range makes every entry point below raise ``NumericOverflowError``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidArgumentError
+from .core import _pure_by_construction
+from .errors import DivergenceError, InvalidArgumentError, NumericOverflowError
 from .measure import gem_from_purity
+
+
+def _all_finite(value) -> bool:
+    """Whether every number in a lattice result is finite: a float, an array, a dict or a record."""
+    if isinstance(value, dict):
+        return all(map(_all_finite, value.values()))
+    if is_dataclass(value):
+        return all(_all_finite(getattr(value, f.name)) for f in fields(value))
+    return bool(np.isfinite(value).all())
+
+
+def _in_double_range(fn):
+    """Make ``fn`` raise NumericOverflowError where its arithmetic leaves double range.
+
+    Python floats raise OverflowError or ZeroDivisionError there, numpy would
+    warn, and some products turn into inf without either; all three end in
+    the one typed error.
+    """
+    message = f"{fn.__name__} overflows double precision at this mass and radius"
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                value = fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+            raise NumericOverflowError(message) from exc
+        if not _all_finite(value):
+            raise NumericOverflowError(message)
+        return value
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -104,6 +141,7 @@ def _omega(cfg: LatticeFieldConfig, k) -> np.ndarray:
     return np.sqrt(cfg.mass**2 + 4.0 * s * s / cfg.spacing**2)
 
 
+@_in_double_range
 def dispersion(k: int, cfg: LatticeFieldConfig) -> float:
     """Normal-mode frequency omega_k, monotone in k with omega_0 = mass."""
     if not isinstance(k, (int, np.integer)) or not 0 <= k <= cfg.n:
@@ -127,6 +165,7 @@ def _fourier_basis(cfg: LatticeFieldConfig) -> tuple[np.ndarray, np.ndarray]:
     return basis, np.concatenate([[cfg.mass], omegas, omegas])
 
 
+@_in_double_range
 def bogoliubov_matrices(cfg: LatticeFieldConfig) -> BogoliubovMatrices:
     """X and Y of the site-operator -> normal-mode-operator transformation.
 
@@ -148,6 +187,7 @@ def bogoliubov_matrices(cfg: LatticeFieldConfig) -> BogoliubovMatrices:
     return BogoliubovMatrices(x=X, y=Y)
 
 
+@_in_double_range
 def bogoliubov_residuals(b: BogoliubovMatrices) -> dict:
     """Max-norm defects of the four symplectic identities of (X, Y)."""
     X, Y = b.x, b.y
@@ -160,6 +200,7 @@ def bogoliubov_residuals(b: BogoliubovMatrices) -> dict:
     }
 
 
+@_in_double_range
 def reduced_det_from_xy(b: BogoliubovMatrices, mode: int) -> float:
     """det of the reduced single-site covariance from the Bogoliubov data.
 
@@ -175,6 +216,7 @@ def reduced_det_from_xy(b: BogoliubovMatrices, mode: int) -> float:
     return 0.25 * xx_yy**2 - xy**2
 
 
+@_in_double_range
 def gem_field_exact(cfg: LatticeFieldConfig) -> float:
     """Closed-form measure of the lattice ground state.
 
@@ -191,6 +233,7 @@ def gem_field_exact(cfg: LatticeFieldConfig) -> float:
     return bracket / (32.0 * N) - N / 32.0
 
 
+@_in_double_range
 def field_covariance(cfg: LatticeFieldConfig) -> np.ndarray:
     """Position-basis 2N x 2N ground-state covariance matrix.
 
@@ -210,15 +253,20 @@ def field_covariance(cfg: LatticeFieldConfig) -> np.ndarray:
     return gamma
 
 
+@_in_double_range
 def gem_field_pipeline(cfg: LatticeFieldConfig) -> float:
     """Measure of the ground state through the generic covariance machinery.
 
     Builds the dense position-basis covariance and evaluates the purity
-    route; an independent check on :func:`gem_field_exact`.
+    route; an independent check on :func:`gem_field_exact`.  The state is an
+    orthogonal Fourier map of oscillator ground states, so it is pure by
+    construction: it skips the O(N^3) purity residual, which would also call
+    it impure once ||Gamma||_1^2 overflows.
     """
-    return gem_from_purity(field_covariance(cfg))
+    return gem_from_purity(_pure_by_construction(field_covariance(cfg)))
 
 
+@_in_double_range
 def asymptotic_coefficients(tau: float, p: int) -> AsymptoticCoefficients:
     """Running large-n coefficients at truncation order p in {0, 1}.
 
@@ -265,6 +313,7 @@ def asymptotic_coefficients(tau: float, p: int) -> AsymptoticCoefficients:
     return AsymptoticCoefficients(kappa1=kappa1, kappa2=kappa2, kappa3=kappa3, kappa4=kappa4, p=p, tau=tau)
 
 
+@_in_double_range
 def gem_field_asymptotic(n: int, tau: float, p: int) -> float:
     """kappa1 + kappa2 ln n + kappa3 n + kappa4 n ln n at the given order."""
     if not isinstance(n, (int, np.integer)) or n < 1:

@@ -493,3 +493,50 @@ class TestGoldenFiles:
         second = run_subprocess(argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+class TestExitContract:
+    """Every error path ends in exit 2 or 3, nothing on stdout and one ``error:`` line on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, code, needle",
+        [
+            pytest.param(["gem", "{spec}"], 3, "overflow", id="gem-400j"),
+            pytest.param(["gem", "{spec}", "--measure", "logneg"], 3, "overflow", id="gem-400j-logneg"),
+            pytest.param(["scan2", "--re-range", "0:0", "--im-range", "170:400", "--steps", "3", "--self-test"],
+                         3, "overflow", id="scan2-170-400"),
+            pytest.param(["scan2", "--re-range", "-3:3", "--im-range", "176:178", "--steps", "41"],
+                         3, "overflow", id="scan2-176-178"),
+            pytest.param(["scan3", "--family", "xy", "--re-range", "0:200", "--im-range", "0:200", "--steps", "5"],
+                         3, "overflow", id="scan3-xy-0-200"),
+            pytest.param(["field", "--n-list", "3", "--mass", "1e200", "--radius", "1"],
+                         3, "overflow", id="field-mass-1e200"),
+            pytest.param(["field", "--n-list", "3", "--mass", "1e-300", "--radius", "1e300"],
+                         3, "overflow", id="field-radius-1e300"),
+            pytest.param(["field", "--n-list", "3", "--mass", "1e-320", "--radius", "1"],
+                         3, "overflow", id="field-mass-1e-320"),
+            pytest.param(["field", "--modes-list", "4", "--mass", "1", "--radius", "1"], 2, "odd", id="field-even"),
+        ],
+    )
+    def test_one_error_line(self, argv, code, needle, tmp_path):
+        spec = write_spec(tmp_path, {"modes": 2, "edges": [{"i": 1, "j": 2, "re": 0, "im": 400}]})
+        proc = run_subprocess([spec if token == "{spec}" else token for token in argv])
+        assert proc.returncode == code and code in (2, 3)
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]
+        assert "Traceback" not in proc.stderr
+
+
+class TestFieldPureByConstruction:
+    def test_tiny_mass_self_test_exits_0(self, capsys):
+        # ||Gamma||_1^2 overflows here, which the purity gate read as impure and
+        # made the run exit 3; the lattice state is pure by construction and
+        # its pipeline matches the exact value to about 1e-14.
+        argv = ["field", "--n-list", "3", "--mass", "1e-160", "--radius", "1"]
+        code, out, _ = run_cli(argv + ["--self-test"], capsys)
+        assert code == 0
+        _, plain, _ = run_cli(argv, capsys)
+        assert out == plain
+        cfg = lattice.LatticeFieldConfig(n=3, mass=1e-160, radius=1.0)
+        assert lattice.gem_field_pipeline(cfg) == pytest.approx(lattice.gem_field_exact(cfg), rel=1e-13)

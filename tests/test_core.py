@@ -156,6 +156,14 @@ class TestEvolveCovariance:
         with pytest.raises(InvalidArgumentError):
             evolve_covariance(vacuum_state(2), np.eye(2))
 
+    def test_overflow_raises_without_warning(self):
+        # pytest turns a leaked RuntimeWarning into a failure.
+        with pytest.raises(NumericOverflowError, match="overflow"):
+            evolve_covariance(vacuum_state(2), 1e200 * np.eye(4))
+        stack = np.stack([np.eye(4), 1e200 * np.eye(4)])
+        with pytest.raises(NumericOverflowError):
+            evolve_covariance(vacuum_state(2), stack)
+
 
 class TestReducedCovariance:
     def test_vacuum_block(self):

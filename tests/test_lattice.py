@@ -10,6 +10,7 @@ from gaussgem import (
     DivergenceError,
     InvalidArgumentError,
     LatticeFieldConfig,
+    NumericOverflowError,
     asymptotic_coefficients,
     bogoliubov_matrices,
     bogoliubov_residuals,
@@ -314,6 +315,42 @@ class TestAsymptotics:
             remainders.append(gem_field_exact(cfg) / cfg.num_modes - math.log(n) / (8 * math.pi**2))
         assert all(abs(r) < 0.05 for r in remainders)
         assert abs(remainders[-1] - remainders[-2]) < 1e-4
+
+
+CONFIG_ENTRY_POINTS = {
+    "dispersion": lambda cfg: dispersion(1, cfg),
+    "bogoliubov_matrices": bogoliubov_matrices,
+    "reduced_det_from_xy": lambda cfg: reduced_det_from_xy(bogoliubov_matrices(cfg), 1),
+    "gem_field_exact": gem_field_exact,
+    "field_covariance": field_covariance,
+    "gem_field_pipeline": gem_field_pipeline,
+}
+
+
+class TestDoubleRange:
+    """Masses and radii whose derived quantities leave double range raise one typed error.
+
+    Before, Python floats raised OverflowError or ZeroDivisionError, numpy
+    warned (a failure under this suite's warning filter), or inf came back.
+    """
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_ENTRY_POINTS))
+    @pytest.mark.parametrize("mass, radius", [(1e200, 1.0), (1e-300, 1e300), (1.0, 1e-320)])
+    def test_config_entry_points(self, name, mass, radius):
+        with pytest.raises(NumericOverflowError, match="overflow"):
+            CONFIG_ENTRY_POINTS[name](LatticeFieldConfig(n=3, mass=mass, radius=radius))
+
+    @pytest.mark.parametrize("p", [0, 1])
+    @pytest.mark.parametrize("tau", [1e200, 1e-320])
+    def test_asymptotics(self, tau, p):
+        with pytest.raises(NumericOverflowError, match="overflow"):
+            asymptotic_coefficients(tau, p)
+        with pytest.raises(NumericOverflowError, match="overflow"):
+            gem_field_asymptotic(3, tau, p)
+
+    def test_tiny_mass_pipeline_is_finite_and_exact(self):
+        cfg = LatticeFieldConfig(n=3, mass=1e-300, radius=1.0)
+        assert gem_field_pipeline(cfg) == pytest.approx(gem_field_exact(cfg), rel=1e-13)
 
 
 class TestCompleteElliptic:
