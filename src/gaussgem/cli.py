@@ -224,8 +224,7 @@ def cmd_field(args) -> tuple[str, str]:
         configs = [
             lattice.LatticeFieldConfig.from_modes(N, mass=args.mass, radius=args.radius) for N in modes
         ]
-    tau = configs[0].tau if configs else args.mass * args.radius
-    coeffs = lattice.asymptotic_coefficients(tau, args.asymptotic_p)
+    coeffs = lattice.asymptotic_coefficients(configs[0].tau, args.asymptotic_p)
     rows = []
     for cfg in configs:
         exact = lattice.gem_field_exact(cfg)

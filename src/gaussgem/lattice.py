@@ -95,8 +95,18 @@ class LatticeFieldConfig:
 
     @property
     def tau(self) -> float:
-        """Dimensionless mass-radius combination; the measure depends on (n, tau) only."""
-        return self.mass * self.radius
+        """Dimensionless mass-radius combination; the measure depends on (n, tau) only.
+
+        Raises:
+            NumericOverflowError: the product of a valid mass and radius
+                underflows to 0 or overflows to inf.
+        """
+        tau = self.mass * self.radius
+        if not (math.isfinite(tau) and tau > 0.0):
+            raise NumericOverflowError(
+                f"tau = mass * radius leaves double precision at mass {self.mass!r}, radius {self.radius!r}"
+            )
+        return tau
 
     @classmethod
     def from_modes(cls, num_modes: int, mass: float, radius: float) -> "LatticeFieldConfig":
@@ -187,17 +197,35 @@ def bogoliubov_matrices(cfg: LatticeFieldConfig) -> BogoliubovMatrices:
     return BogoliubovMatrices(x=X, y=Y)
 
 
+def _sym_antisym_defects(r: np.ndarray, work: np.ndarray) -> tuple[float, float]:
+    """max |(R + R^T)/2 - I| and max |(R^T - R)/2|, with ``work`` as scratch space."""
+    np.add(r, r.T, out=work)
+    work.flat[:: work.shape[0] + 1] -= 2.0
+    sym = 0.5 * float(np.max(np.abs(work, out=work)))
+    np.subtract(r.T, r, out=work)
+    return sym, 0.5 * float(np.max(np.abs(work, out=work)))
+
+
 @_in_double_range
 def bogoliubov_residuals(b: BogoliubovMatrices) -> dict:
-    """Max-norm defects of the four symplectic identities of (X, Y)."""
-    X, Y = b.x, b.y
-    eye = np.eye(X.shape[0])
-    return {
-        "XXt_YYt": float(np.max(np.abs(X @ X.T - Y @ Y.T - eye))),
-        "XYt_YXt": float(np.max(np.abs(X @ Y.T - Y @ X.T))),
-        "XtX_YtY": float(np.max(np.abs(X.T @ X - Y.T @ Y - eye))),
-        "XtY_YtX": float(np.max(np.abs(X.T @ Y - Y.T @ X))),
-    }
+    """Max-norm defects of the four symplectic identities of (X, Y).
+
+    With alpha = X + Y, beta = X - Y, R = alpha beta^T and R' = alpha^T beta,
+    exactly for any real X and Y:
+
+        X X^T - Y Y^T = (R + R^T)/2,     X Y^T - Y X^T = (R^T - R)/2,
+        X^T X - Y^T Y = (R' + R'^T)/2,   X^T Y - Y^T X = (R'^T - R')/2,
+
+    so two N x N products check all four identities.  Each product is reduced
+    to its two maxima before the next one is formed, in the same buffer.
+    """
+    alpha, beta = b.x + b.y, b.x - b.y
+    r = alpha @ beta.T
+    work = np.empty_like(r)
+    xxt_yyt, xyt_yxt = _sym_antisym_defects(r, work)
+    np.matmul(alpha.T, beta, out=r)
+    xtx_yty, xty_ytx = _sym_antisym_defects(r, work)
+    return {"XXt_YYt": xxt_yyt, "XYt_YXt": xyt_yxt, "XtX_YtY": xtx_yty, "XtY_YtX": xty_ytx}
 
 
 @_in_double_range
@@ -332,6 +360,9 @@ def complete_elliptic(kind: str, parameter: float) -> float:
 
         K(-u) = K(u/(1+u)) / sqrt(1+u),   E(-u) = sqrt(1+u) E(u/(1+u)).
 
+    The AGM starts from the complementary parameter 1/(1+u) itself, so K
+    keeps full relative accuracy where u/(1+u) rounds to 1.
+
     Raises:
         DivergenceError: K requested at m >= 1.
         InvalidArgumentError: unknown kind or parameter > 1.
@@ -349,22 +380,22 @@ def complete_elliptic(kind: str, parameter: float) -> float:
     if name == "E" and m == 1.0:
         return 1.0
     if m < 0.0:
-        mu = -m
-        mapped = mu / (1.0 + mu)
-        if name == "K":
-            return complete_elliptic("K", mapped) / math.sqrt(1.0 + mu)
-        return complete_elliptic("E", mapped) * math.sqrt(1.0 + mu)
-    k_val, e_val = _agm_pair(m)
+        u = -m
+        k_val, e_val = _agm_pair(u / (1.0 + u), 1.0 / (1.0 + u))
+        return k_val / math.sqrt(1.0 + u) if name == "K" else e_val * math.sqrt(1.0 + u)
+    k_val, e_val = _agm_pair(m, 1.0 - m)
     return k_val if name == "K" else e_val
 
 
-def _agm_pair(m: float) -> tuple[float, float]:
+def _agm_pair(m: float, complement: float) -> tuple[float, float]:
     """K(m) and E(m) for 0 <= m < 1 by the arithmetic-geometric mean.
 
     K = pi / (2 agm(1, sqrt(1-m))); E = K (1 - sum 2^{j-1} c_j^2) with
-    c_0^2 = m and c_{j+1} = (a_j - b_j)/2.  Converges quadratically.
+    c_0^2 = m and c_{j+1} = (a_j - b_j)/2.  Converges quadratically.  The
+    caller passes 1 - m as ``complement``, computed without forming 1 - m
+    where m is close to 1.
     """
-    a, b = 1.0, math.sqrt(1.0 - m)
+    a, b = 1.0, math.sqrt(complement)
     terms = [0.5 * m]  # 2^{-1} c_0^2
     weight = 0.5
     for _ in range(64):

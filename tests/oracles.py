@@ -2,8 +2,9 @@
 
 Nothing here calls into the phase-space code paths it is used to check:
 the matrix exponential oracle is a plain rescaled Taylor series, the state
-oracles work in a truncated Fock basis, and the elliptic oracle is adaptive
-quadrature of the defining integral.
+oracles work in a truncated Fock basis, the Bogoliubov oracle forms each of
+the eight products of the symplectic identities on its own, and the
+elliptic oracle is adaptive quadrature of the defining integral.
 """
 
 import numpy as np
@@ -149,6 +150,17 @@ def fock_metric_two_mode(psi, cutoff):
             second = np.vdot(vecs[a], vecs[b])  # <psi| T_a T_b |psi>
             g[a, b] = -np.real(second) + firsts[a] * firsts[b]
     return 0.5 * (g + g.T)
+
+
+def bogoliubov_residuals_eight_products(x, y):
+    """Max-norm defects of the four symplectic identities of (X, Y), one product per term."""
+    eye = np.eye(x.shape[0])
+    return {
+        "XXt_YYt": float(np.max(np.abs(x @ x.T - y @ y.T - eye))),
+        "XYt_YXt": float(np.max(np.abs(x @ y.T - y @ x.T))),
+        "XtX_YtY": float(np.max(np.abs(x.T @ x - y.T @ y - eye))),
+        "XtY_YtX": float(np.max(np.abs(x.T @ y - y.T @ x))),
+    }
 
 
 def elliptic_by_quadrature(kind, m):

@@ -136,7 +136,7 @@ def test_criterion_06_compact_measure_bound():
 
 def test_criterion_07_field_symplectic_identities():
     with criterion(7, "field symplectic identities", max_seconds=10.0):
-        for num_modes in (3, 5, 21, 101):
+        for num_modes in (3, 5, 21, 101, 801):
             cfg = LatticeFieldConfig.from_modes(num_modes, mass=1.0, radius=1.0)
             residuals = bogoliubov_residuals(bogoliubov_matrices(cfg))
             assert all(v < 1e-10 for v in residuals.values()), residuals

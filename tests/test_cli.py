@@ -516,6 +516,10 @@ class TestExitContract:
             pytest.param(["field", "--n-list", "3", "--mass", "1e-320", "--radius", "1"],
                          3, "overflow", id="field-mass-1e-320"),
             pytest.param(["field", "--modes-list", "4", "--mass", "1", "--radius", "1"], 2, "odd", id="field-even"),
+            pytest.param(["field", "--n-list", "3", "--mass", "1e-200", "--radius", "1e-200"],
+                         3, "tau", id="field-tau-underflow"),
+            pytest.param(["field", "--n-list", "3", "--mass", "1e200", "--radius", "1e200"],
+                         3, "tau", id="field-tau-overflow"),
         ],
     )
     def test_one_error_line(self, argv, code, needle, tmp_path):

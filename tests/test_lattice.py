@@ -1,12 +1,14 @@
 """Tests for the lattice field ground state and its asymptotics."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from gaussgem import (
+    BogoliubovMatrices,
     DivergenceError,
     InvalidArgumentError,
     LatticeFieldConfig,
@@ -23,7 +25,7 @@ from gaussgem import (
     gem_field_pipeline,
     reduced_det_from_xy,
 )
-from oracles import elliptic_by_quadrature
+from oracles import bogoliubov_residuals_eight_products, elliptic_by_quadrature
 
 mpmath.mp.dps = 40
 
@@ -110,6 +112,48 @@ class TestBogoliubov:
         w1 = dispersion(1, cfg)
         want = (cfg.mass / w_eff + w_eff / cfg.mass + 2 * (w1 / w_eff + w_eff / w1)) / (2 * N)
         assert diag[0] == pytest.approx(want, abs=1e-13)
+
+
+def _residual_cases(N):
+    """(X, Y) pairs with defects from roundoff to O(N): random, Y scaled, one entry moved."""
+    b = bogoliubov_matrices(LatticeFieldConfig.from_modes(N, mass=1.3, radius=0.9))
+    rng = np.random.default_rng(N)
+    moved = b.x.copy()
+    moved[N // 3, N // 2] += 1e-9
+    return {
+        "random": (rng.normal(size=(N, N)), rng.normal(size=(N, N))),
+        "y-times-1.001": (b.x, 1.001 * b.y),
+        "x-entry-plus-1e-9": (moved, b.y),
+    }
+
+
+class TestBogoliubovResidualsTwoProducts:
+    """The two-product residuals against the eight-product oracle.
+
+    Both evaluate the same four defects; they differ by the roundoff of the
+    products, about 1e-13 on lattice-sized entries, so defects agree to
+    1e-12 relative above an absolute floor of 1e-12.  The moved entry makes
+    defects near 1e-10, which the floor still resolves to 1%.
+    """
+
+    @pytest.mark.parametrize("case", ["random", "y-times-1.001", "x-entry-plus-1e-9"])
+    @pytest.mark.parametrize("N", [5, 101, 401])
+    def test_matches_eight_products(self, N, case):
+        x, y = _residual_cases(N)[case]
+        got = bogoliubov_residuals(BogoliubovMatrices(x=x, y=y))
+        want = bogoliubov_residuals_eight_products(x, y)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name] == pytest.approx(want[name], rel=1e-12, abs=1e-12), name
+        assert max(want.values()) > 1e-11  # every case breaks at least one identity
+
+    def test_overflowing_products_raise(self):
+        rng = np.random.default_rng(7)
+        x, y = 1e160 * rng.normal(size=(6, 6)), 1e160 * rng.normal(size=(6, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match="overflow"):
+                bogoliubov_residuals(BogoliubovMatrices(x=x, y=y))
 
 
 def _omegas_vector(cfg):
@@ -348,6 +392,13 @@ class TestDoubleRange:
         with pytest.raises(NumericOverflowError, match="overflow"):
             gem_field_asymptotic(3, tau, p)
 
+    @pytest.mark.parametrize("mass, radius", [(1e-200, 1e-200), (1e200, 1e200)])
+    def test_tau_leaving_double_range(self, mass, radius):
+        # Both inputs are valid; only their product leaves double range.
+        cfg = LatticeFieldConfig(n=3, mass=mass, radius=radius)
+        with pytest.raises(NumericOverflowError, match="tau"):
+            cfg.tau
+
     def test_tiny_mass_pipeline_is_finite_and_exact(self):
         cfg = LatticeFieldConfig(n=3, mass=1e-300, radius=1.0)
         assert gem_field_pipeline(cfg) == pytest.approx(gem_field_exact(cfg), rel=1e-13)
@@ -367,6 +418,12 @@ class TestCompleteElliptic:
     def test_against_mpmath(self, m):
         assert complete_elliptic("K", m) == pytest.approx(float(mpmath.ellipk(m)), abs=1e-12)
         assert complete_elliptic("E", m) == pytest.approx(float(mpmath.ellipe(m)), abs=1e-12)
+
+    @pytest.mark.parametrize("m", [-1e4, -1e8, -1e12, -1e16, -1e17, -1e300])
+    def test_large_negative_parameter_against_mpmath(self, m):
+        # u/(1+u) rounds to 1 from u = 1e16 on; K(-u) stays finite and accurate there.
+        assert complete_elliptic("K", m) == pytest.approx(float(mpmath.ellipk(m)), rel=1e-13)
+        assert complete_elliptic("E", m) == pytest.approx(float(mpmath.ellipe(m)), rel=1e-13)
 
     def test_large_negative_parameter_growth(self):
         # E(pi/2 | -L) ~ sqrt(L): the integrand is dominated by sqrt(L)|sin|.
