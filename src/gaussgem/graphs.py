@@ -43,7 +43,7 @@ from .core import (
 from .errors import DivisionByZeroError, InvalidArgumentError, NumericOverflowError
 from .measure import MetricTensor, _assemble, gem_from_purity, mode_purities
 
-#: Switchover window around the removable rays cos(2 phi) = 0.
+#: Series window around the removable rays cos(2 phi) = 0, on |u| max(s^2, 1).
 _RAY_WINDOW = 1e-6
 
 
@@ -193,34 +193,41 @@ def graph_state_covariance(spec: GraphSpec) -> np.ndarray:
 
 # --- analytic continuation helpers (piecewise real) -------------------------
 
-def _hyperbolic(fn, x: float, power: int = 1) -> float:
-    """fn(x) ** power for fn = math.sinh or math.cosh; NumericOverflowError past double range."""
-    try:
-        return fn(x) ** power
-    except OverflowError as exc:
-        raise NumericOverflowError(f"closed form overflows double precision: {fn.__name__}({x:.6g})") from exc
-
-
 def _sin_sq_over(u: float, s: float) -> float:
     """sin^2(s sqrt(u)) / u, continued through u <= 0.
 
     Equals (1 - cos(2 s sqrt(u))) / (2u), an entire function of u; for u < 0
-    the value is sinh^2(s sqrt(-u)) / (-u).  Near u = 0 a short series avoids
-    the 0/0 evaluation.
+    the value is sinh^2(s sqrt(-u)) / (-u).  Where s^2 |u| is small a short
+    series avoids the 0/0 evaluation; its window shrinks as s grows, so the
+    truncated terms stay below rounding.  A value past double precision,
+    which a finite sinh^2 divided by a small -u can give, raises
+    ``NumericOverflowError``.
     """
-    if abs(u) < _RAY_WINDOW:
-        s2 = s * s
-        return s2 - s2 * s2 * u / 3.0 + 2.0 * s2**3 * u * u / 45.0
-    if u > 0:
-        return math.sin(s * math.sqrt(u)) ** 2 / u
-    return _hyperbolic(math.sinh, s * math.sqrt(-u), 2) / (-u)
+    s2 = s * s
+    try:
+        if abs(u) * max(s2, 1.0) < _RAY_WINDOW:
+            value = s2 - s2 * s2 * u / 3.0 + 2.0 * s2**3 * u * u / 45.0
+        elif u > 0:
+            value = math.sin(s * math.sqrt(u)) ** 2 / u
+        else:
+            value = math.sinh(s * math.sqrt(-u)) ** 2 / (-u)
+    except (OverflowError, ValueError):  # sinh past range; sin(inf) at s = inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericOverflowError(
+            f"closed form overflows double precision: sin^2(s sqrt(u)) / u at s = {s:.6g}, u = {u:.6g}"
+        )
+    return value
 
 
 def _cos_cont(u: float, s: float) -> float:
-    """cos(s sqrt(u)) continued: cosh(s sqrt(-u)) for u < 0."""
-    if u >= 0:
-        return math.cos(s * math.sqrt(u))
-    return _hyperbolic(math.cosh, s * math.sqrt(-u))
+    """cos(s sqrt(u)) continued: cosh(s sqrt(-u)) for u < 0; NumericOverflowError past double range."""
+    try:
+        return math.cos(s * math.sqrt(u)) if u >= 0 else math.cosh(s * math.sqrt(-u))
+    except (OverflowError, ValueError) as exc:  # cosh past range; cos(inf) at s = inf
+        raise NumericOverflowError(
+            f"closed form overflows double precision: cos(s sqrt(u)) at s = {s:.6g}, u = {u:.6g}"
+        ) from exc
 
 
 def _sin_phi_sq(phi: float) -> float:
@@ -345,9 +352,14 @@ def two_mode_metric_closed(r: float, phi: float) -> MetricTensor:
     bracket = 1.0 + 2.0 * s2 * ssr1
     a_val = -s2 * ssr2 / 16.0
     b_val = (2.0 - s2 * ssr2) / 16.0
-    c_val = s2 * ssr2 / 16.0 + bracket**2 / 8.0
+    try:
+        c_val = s2 * ssr2 / 16.0 + bracket**2 / 8.0
+    except OverflowError:
+        c_val = math.inf
     d_val = -0.25 * math.sin(phi) * math.cos(phi) * bracket * ssr1
     e_val = 0.25 * s2 * ssr1 * (ssr1 + 1.0)
+    if not all(map(math.isfinite, (c_val, d_val, e_val))):  # products of finite factors
+        raise NumericOverflowError(f"closed metric overflows double precision at r = {r:.6g}")
     off = np.array([[0.0, 1.0], [1.0, 0.0]])
     eye = np.eye(2)
     fams = {

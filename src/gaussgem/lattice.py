@@ -391,9 +391,11 @@ def _agm_pair(m: float, complement: float) -> tuple[float, float]:
     """K(m) and E(m) for 0 <= m < 1 by the arithmetic-geometric mean.
 
     K = pi / (2 agm(1, sqrt(1-m))); E = K (1 - sum 2^{j-1} c_j^2) with
-    c_0^2 = m and c_{j+1} = (a_j - b_j)/2.  Converges quadratically.  The
-    caller passes 1 - m as ``complement``, computed without forming 1 - m
-    where m is close to 1.
+    c_0^2 = m and c_{j+1} = (a_j - b_j)/2.  Converges quadratically and
+    stops once a and b agree to rounding: past that point c stays at an ulp
+    while its weight 2^j keeps doubling, so further terms would add only
+    rounding noise to E.  The caller passes 1 - m as ``complement``, computed
+    without forming 1 - m where m is close to 1.
     """
     a, b = 1.0, math.sqrt(complement)
     terms = [0.5 * m]  # 2^{-1} c_0^2
@@ -403,7 +405,7 @@ def _agm_pair(m: float, complement: float) -> tuple[float, float]:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         weight *= 2.0
         terms.append(weight * c * c)
-        if c <= 1e-17 * a:
+        if a - b <= 2.0**-52 * a:
             break
     k_val = math.pi / (2.0 * a)
     return k_val, k_val * (1.0 - math.fsum(terms))

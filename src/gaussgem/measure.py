@@ -4,12 +4,15 @@ Each mode carries the three Hermitian quadratic generators
 
     T1 = (q^2 - p^2)/4,   T2 = -(qp + pq)/4,   T3 = (q^2 + p^2)/4,
 
-which close the sp(2,R) algebra [T1,T2] = -i T3, [T2,T3] = i T1,
-[T3,T1] = i T2.  The restriction of the Fubini-Study metric to the orbit of
-local one-mode Gaussian unitaries has components g[(mode,i),(mode',j)]
-expressible entirely in covariance-matrix entries; contracting the
-mode-diagonal blocks with the inverse Killing form of sp(2,R) and subtracting
-the separable baseline N/8 yields the entanglement measure.  The same number
+defined once, as ``_GENERATORS``: T_i = xi^T A_i xi / 2 with xi = (q, p).
+Everything built on the generators is derived from those three 2x2 matrices:
+the sp(2,R) structure constants, [T1,T2] = -i T3, [T2,T3] = i T1,
+[T3,T1] = i T2, and the Wick sums of the moment tables.  The restriction of
+the Fubini-Study metric to the orbit of local one-mode Gaussian unitaries has
+components g[(mode,i),(mode',j)] expressible entirely in covariance-matrix
+entries; contracting the mode-diagonal blocks with the inverse Killing form
+of sp(2,R) and subtracting the separable baseline N/8 yields the
+entanglement measure.  The same number
 comes out of the reduced single-mode purities,
 
     measure = (1/8) sum_mode [det Gamma^(mode) - 1/4],
@@ -35,14 +38,20 @@ import numpy as np
 from .core import DEFAULT_PURITY_TOL, build_omega, require_pure
 from .errors import InvalidArgumentError, UnphysicalStateError
 
-# Structure constants of sp(2,R) in the T1,T2,T3 basis: [T_i, T_j] = c[i,j,k] T_k.
-_STRUCTURE = np.zeros((3, 3, 3), dtype=complex)
-_STRUCTURE[0, 1, 2] = -1j
-_STRUCTURE[1, 0, 2] = 1j
-_STRUCTURE[1, 2, 0] = 1j
-_STRUCTURE[2, 1, 0] = -1j
-_STRUCTURE[2, 0, 1] = 1j
-_STRUCTURE[0, 2, 1] = -1j
+# A_i with T_i = xi^T A_i xi / 2, xi = (q, p): A1 = diag(1, -1)/2, A2 = -sigma_x/2, A3 = I/2.
+_GENERATORS = 0.5 * np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, -1.0], [-1.0, 0.0]], np.eye(2)])
+
+
+def _structure_constants() -> np.ndarray:
+    """c[i, j, k] with [T_i, T_j] = c[i, j, k] T_k, projected with tr(A_k A_l) = delta_kl / 2.
+
+    [xi_a, xi_b] = i omega_ab gives [T_i, T_j] = (i/2) xi^T (A_i omega A_j - A_j omega A_i) xi.
+    """
+    product = _GENERATORS[:, None] @ build_omega(1) @ _GENERATORS[None, :]  # A_i omega A_j
+    return 2j * np.einsum("kab,ijab->ijk", _GENERATORS, product - product.swapaxes(0, 1))
+
+
+_STRUCTURE = _structure_constants()
 
 
 @dataclass(frozen=True)
@@ -57,12 +66,11 @@ def killing_form_sp2() -> Sp2KillingForm:
     """Killing form kappa_ij = Tr(ad_i o ad_j) = 2 diag(-1, -1, 1).
 
     Recomputed from the structure constants on every call and checked against
-    the closed form, so a sign-convention drift in the algebra constants
-    cannot pass silently.  :func:`killing_contraction` uses the copy computed
-    once at import.
+    the closed form, so a sign-convention drift in the generator matrices,
+    which the moment tables use as well, cannot pass silently.
+    :func:`killing_contraction` uses the copy computed once at import.
     """
-    ad = [np.array([[_STRUCTURE[i, j, k] for j in range(3)] for k in range(3)]) for i in range(3)]
-    kappa = np.array([[np.trace(ad[i] @ ad[j]) for j in range(3)] for i in range(3)])
+    kappa = np.einsum("ilk,jkl->ij", _STRUCTURE, _STRUCTURE)  # (ad_i)_kl = c[i, l, k]
     if np.max(np.abs(kappa.imag)) > 1e-14:
         raise AssertionError("Killing form acquired an imaginary part")
     kappa = kappa.real
@@ -147,12 +155,19 @@ def _assemble(num_modes: int, families: dict) -> np.ndarray:
     return M.reshape(lead + (3 * num_modes, 3 * num_modes))
 
 
-def moments_from_covariance(gamma: np.ndarray) -> MomentTable:
-    """Generator moments of a pure Gaussian state via Wick pairings.
+# Entry [i, j, a, b, c, d] = A_i[a, b] A_j[c, d] / 2, the Wick weight of C_ac C_bd.
+_WICK_WEIGHTS = 0.5 * np.einsum("iab,jcd->ijabcd", _GENERATORS, _GENERATORS)
 
-    Two-point data enters as C = Gamma + (i/2) Omega; four-point functions are
-    the three-pairing sums of C, and the second-moment table stores the
-    symmetrized real parts.
+
+def moments_from_covariance(gamma: np.ndarray) -> MomentTable:
+    """Generator moments of a pure Gaussian state via Wick's theorem.
+
+    With C = Gamma + (i/2) Omega and C^{mn} its (m, n) 2x2 block,
+    <T_(m,i)> = tr(A_i C^{mm}) / 2 and
+    <T_(m,i) T_(n,j)> - <T_(m,i)><T_(n,j)> = (1/2) sum A_i[a,b] A_j[c,d] C^{mn}_ac C^{mn}_bd,
+    one contraction of ``_WICK_WEIGHTS``, a 9 x 16 weight table, with the
+    16 products of C's quadrature planes.  Since C^T is the conjugate of C, the
+    real part of that sum is the symmetrized real part the table stores.
 
     Raises:
         UnphysicalStateError: ``gamma`` fails the purity check.
@@ -160,29 +175,13 @@ def moments_from_covariance(gamma: np.ndarray) -> MomentTable:
     gamma = require_pure(gamma)
     num_modes = gamma.shape[-1] // 2
     C = gamma + 0.5j * build_omega(num_modes)
-    Cqq, Cpp, Cpq, Cqp = C[..., 0::2, 0::2], C[..., 1::2, 1::2], C[..., 1::2, 0::2], C[..., 0::2, 1::2]
-    dq = np.diagonal(Cqq, 0, -2, -1)
-    dp = np.diagonal(Cpp, 0, -2, -1)
-    dcross = np.diagonal(Cpq, 0, -2, -1) + np.diagonal(Cqp, 0, -2, -1)  # = 2 Gamma_{pq} per mode
-
-    first = np.stack([(dq - dp).real / 4.0, -dcross.real / 4.0, (dq + dp).real / 4.0], axis=-1)
-
-    out = lambda u, v: u[..., :, None] * v[..., None, :]
-    second = np.empty((3, 3) + C.shape[:-2] + (num_modes, num_modes), dtype=complex)
-    second[0, 0] = (2 * Cpp**2 - 2 * Cpq**2 - 2 * Cqp**2 + out(dp - dq, dp - dq) + 2 * Cqq**2) / 16
-    second[0, 1] = (4 * Cpp * Cpq - 4 * Cqq * Cqp + out(dp - dq, dcross)) / 16
-    second[0, 2] = (-2 * Cpp**2 - 2 * Cpq**2 + 2 * (Cqp**2 + Cqq**2) - out(dp - dq, dp + dq)) / 16
-    second[1, 0] = (4 * Cpp * Cqp - 4 * Cqq * Cpq + out(dcross, dp - dq)) / 16
-    second[1, 1] = (4 * (Cpq * Cqp + Cpp * Cqq) + out(dcross, dcross)) / 16
-    second[1, 2] = (-4 * (Cpp * Cqp + Cqq * Cpq) - out(dcross, dp + dq)) / 16
-    second[2, 0] = (-2 * Cpp**2 + 2 * Cpq**2 - 2 * Cqp**2 - out(dp + dq, dp - dq) + 2 * Cqq**2) / 16
-    second[2, 1] = (-4 * Cpp * Cpq - 4 * Cqq * Cqp - out(dp + dq, dcross)) / 16
-    second[2, 2] = (2 * Cpp**2 + 2 * Cpq**2 + 2 * (Cqp**2 + Cqq**2) + out(dp + dq, dp + dq)) / 16
-
-    # Symmetrized real part; <T_(n,j) T_(m,i)> is the conjugate of
-    # <T_(m,i) T_(n,j)>, so the average is real by construction.
-    sym = 0.5 * (second + second.swapaxes(0, 1).swapaxes(-1, -2))
-    return MomentTable(first=first, second=np.moveaxis(sym.real, (0, 1), (-2, -1)))
+    # planes[a, c][..., m, n] = C^{mn}_ac, copied once so the products below read contiguous memory
+    planes = np.ascontiguousarray(np.moveaxis(C.reshape(C.shape[:-2] + (num_modes, 2) * 2), (-3, -1), (0, 1)))
+    first = np.moveaxis(0.5 * np.tensordot(_GENERATORS, np.diagonal(planes, 0, -2, -1).real, axes=2), 0, -1)
+    # The 16 products [a, b, c, d] = C_ac C_bd live only inside the contraction.
+    connected = np.tensordot(_WICK_WEIGHTS, planes[:, None, :, None] * planes[None, :, None, :], axes=4).real
+    outer = first[..., :, None, :, None] * first[..., None, :, None, :]  # <T_(m,i)><T_(n,j)>
+    return MomentTable(first=first, second=np.moveaxis(connected, (0, 1), (-2, -1)) + outer)
 
 
 def metric_from_moments(moments: MomentTable) -> MetricTensor:

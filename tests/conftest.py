@@ -1,12 +1,24 @@
 """Shared helpers and fixtures for the test suite."""
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from gaussgem import GraphSpec, build_omega, matrix_exponential
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env():
+    """Environment for a child Python process: this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
 
 settings.register_profile("repro", derandomize=True, deadline=None)
 settings.load_profile("repro")

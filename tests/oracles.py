@@ -2,7 +2,8 @@
 
 Nothing here calls into the phase-space code paths it is used to check:
 the matrix exponential oracle is a plain rescaled Taylor series, the state
-oracles work in a truncated Fock basis, the Bogoliubov oracle forms each of
+oracles work in a truncated Fock basis, the moment oracle spells out each of
+the nine generator-pair Wick sums by hand, the Bogoliubov oracle forms each of
 the eight products of the symplectic identities on its own, and the
 elliptic oracle is adaptive quadrature of the defining integral.
 """
@@ -150,6 +151,43 @@ def fock_metric_two_mode(psi, cutoff):
             second = np.vdot(vecs[a], vecs[b])  # <psi| T_a T_b |psi>
             g[a, b] = -np.real(second) + firsts[a] * firsts[b]
     return 0.5 * (g + g.T)
+
+
+def moments_hand_expanded(gamma):
+    """First and second generator moments of a pure (..., 2N, 2N) covariance, formula by formula.
+
+    Each of the nine second-moment families is the three-pairing Wick sum of
+    C = Gamma + (i/2) Omega for T1 = (q^2 - p^2)/4, T2 = -(qp + pq)/4 and
+    T3 = (q^2 + p^2)/4, expanded by hand.  Returns ``(first, second)`` laid
+    out as ``MomentTable``: first[..., m, i] and second[..., m, n, i, j].
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    num_modes = gamma.shape[-1] // 2
+    omega = np.kron(np.eye(num_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    C = gamma + 0.5j * omega
+    Cqq, Cpp, Cpq, Cqp = C[..., 0::2, 0::2], C[..., 1::2, 1::2], C[..., 1::2, 0::2], C[..., 0::2, 1::2]
+    dq = np.diagonal(Cqq, 0, -2, -1)
+    dp = np.diagonal(Cpp, 0, -2, -1)
+    dcross = np.diagonal(Cpq, 0, -2, -1) + np.diagonal(Cqp, 0, -2, -1)  # = 2 Gamma_{pq} per mode
+
+    first = np.stack([(dq - dp).real / 4.0, -dcross.real / 4.0, (dq + dp).real / 4.0], axis=-1)
+
+    out = lambda u, v: u[..., :, None] * v[..., None, :]
+    second = np.empty((3, 3) + C.shape[:-2] + (num_modes, num_modes), dtype=complex)
+    second[0, 0] = (2 * Cpp**2 - 2 * Cpq**2 - 2 * Cqp**2 + out(dp - dq, dp - dq) + 2 * Cqq**2) / 16
+    second[0, 1] = (4 * Cpp * Cpq - 4 * Cqq * Cqp + out(dp - dq, dcross)) / 16
+    second[0, 2] = (-2 * Cpp**2 - 2 * Cpq**2 + 2 * (Cqp**2 + Cqq**2) - out(dp - dq, dp + dq)) / 16
+    second[1, 0] = (4 * Cpp * Cqp - 4 * Cqq * Cpq + out(dcross, dp - dq)) / 16
+    second[1, 1] = (4 * (Cpq * Cqp + Cpp * Cqq) + out(dcross, dcross)) / 16
+    second[1, 2] = (-4 * (Cpp * Cqp + Cqq * Cpq) - out(dcross, dp + dq)) / 16
+    second[2, 0] = (-2 * Cpp**2 + 2 * Cpq**2 - 2 * Cqp**2 - out(dp + dq, dp - dq) + 2 * Cqq**2) / 16
+    second[2, 1] = (-4 * Cpp * Cpq - 4 * Cqq * Cqp - out(dp + dq, dcross)) / 16
+    second[2, 2] = (2 * Cpp**2 + 2 * Cpq**2 + 2 * (Cqp**2 + Cqq**2) + out(dp + dq, dp + dq)) / 16
+
+    # Symmetrized real part; <T_(n,j) T_(m,i)> is the conjugate of
+    # <T_(m,i) T_(n,j)>, so the average is real by construction.
+    sym = 0.5 * (second + second.swapaxes(0, 1).swapaxes(-1, -2))
+    return first, np.moveaxis(sym.real, (0, 1), (-2, -1))
 
 
 def bogoliubov_residuals_eight_products(x, y):

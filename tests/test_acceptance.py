@@ -32,7 +32,7 @@ from gaussgem import (
     moments_from_covariance,
     vacuum_state,
 )
-from conftest import random_graph_spec, random_local_symplectic
+from conftest import child_env, random_graph_spec, random_local_symplectic
 from oracles import fock_reduced_purity, two_mode_squeezed_state
 
 SQUARE = ((1, 2), (2, 3), (3, 4), (1, 4))
@@ -177,14 +177,16 @@ def test_criterion_10_cli_contract(tmp_path):
     with criterion(10, "command-line contract"):
         scan_argv = ["scan2", "--re-range", "-1.5:1.5", "--im-range", "-1.5:1.5", "--steps", "21"]
         field_argv = ["field", "--n-list", "1,5,25,125", "--mass", "1", "--radius", "1"]
+
+        def run(argv):
+            return subprocess.run([sys.executable, "-m", "gaussgem.cli", *argv], capture_output=True, env=child_env())
+
         for argv in (scan_argv, field_argv):
-            first = subprocess.run([sys.executable, "-m", "gaussgem.cli", *argv], capture_output=True)
-            second = subprocess.run([sys.executable, "-m", "gaussgem.cli", *argv], capture_output=True)
+            first = run(argv)
+            second = run(argv)
             assert first.returncode == 0 and second.returncode == 0
             assert first.stdout == second.stdout
         broken = tmp_path / "broken.json"
         broken.write_text('{"modes": 2,', encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "gaussgem.cli", "gem", str(broken)], capture_output=True
-        )
+        proc = run(["gem", str(broken)])
         assert proc.returncode == 2

@@ -12,6 +12,7 @@ import pytest
 from gaussgem import GraphSpec, PolarCoupling, gem_from_purity, graph_state_covariance, graph_state_covariances
 from gaussgem import cli, lattice
 from gaussgem.cli import main
+from conftest import child_env
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -27,6 +28,7 @@ def run_subprocess(argv):
         [sys.executable, "-m", "gaussgem.cli", *argv],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
 
 
@@ -520,6 +522,9 @@ class TestExitContract:
                          3, "tau", id="field-tau-underflow"),
             pytest.param(["field", "--n-list", "3", "--mass", "1e200", "--radius", "1e200"],
                          3, "tau", id="field-tau-overflow"),
+            pytest.param(["scan3", "--family", "equal", "--re-range", "8357.58424:8357.58424",
+                          "--im-range", "8358.42004:8358.42004", "--steps", "2"],
+                         3, "overflow", id="scan3-equal-near-ray"),
         ],
     )
     def test_one_error_line(self, argv, code, needle, tmp_path):

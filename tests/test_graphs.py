@@ -1,5 +1,6 @@
 """Tests for graph-state construction, closed forms, and baselines."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,46 @@ class TestThreeModeClosedForms:
             gem_three_mode_g2(PolarCoupling(130.0, np.pi / 2))
         with pytest.raises(NumericOverflowError):
             two_mode_metric_closed(180.0, np.pi / 2)
+        # Near the ray cos(2 phi) = 0 a finite sinh^2 divided by a small -cos(2 phi)
+        # leaves double precision, and a float division returns inf without raising.
+        near_ray = np.pi / 4 + 5e-5
+        with pytest.raises(NumericOverflowError):
+            gem_two_mode_closed(PolarCoupling(17700.0, near_ray))
+        with pytest.raises(NumericOverflowError):
+            gem_three_mode_g1(PolarCoupling(11800.0, near_ray))
+        with pytest.raises(NumericOverflowError):
+            gem_three_mode_g2(PolarCoupling(17700.0, near_ray))
+        for r in (17450.0, 17700.0):  # the squared bracket alone, then sinh^2 / u, overflows
+            with pytest.raises(NumericOverflowError):
+                two_mode_metric_closed(r, near_ray)
+        # 2r itself overflows to inf, which must not come out as NaN or a math domain error.
+        for phi in (np.pi / 4, 0.3, 2.0):
+            for closed in (gem_two_mode_closed, gem_three_mode_g1, gem_three_mode_g2):
+                with pytest.raises(NumericOverflowError):
+                    closed(PolarCoupling(1.7e308, phi))
+            with pytest.raises(NumericOverflowError):
+                two_mode_metric_closed(1.7e308, phi)
+
+    @pytest.mark.parametrize(
+        "r, offset", [(1.0, 4e-7), (10.0, 1e-7), (100.0, 3e-7), (1000.0, -3e-7), (1e4, 0.0)]
+    )
+    def test_near_ray_against_mpmath(self, r, offset):
+        # Inside |cos 2 phi| < 1e-6 the series in s^2 cos(2 phi) must not be
+        # used where that product is large: at r = 1000 it would be 2% off.
+        phi = np.pi / 4 + offset
+        with mpmath.workdps(40):
+            u, sin_sq = mpmath.cos(2 * mpmath.mpf(phi)), mpmath.sin(mpmath.mpf(phi)) ** 2
+
+            def sin_sq_over(s):
+                x = s * mpmath.sqrt(abs(u))
+                return (mpmath.sin(x) ** 2 if u > 0 else mpmath.sinh(x) ** 2) / abs(u)
+
+            want = {
+                gem_two_mode_closed: sin_sq * sin_sq_over(2 * r) / 16,
+                gem_three_mode_g1: sin_sq * sin_sq_over(3 * r) / 12,
+            }
+            for closed, value in want.items():
+                assert closed(PolarCoupling(r, phi)) == pytest.approx(float(value), rel=2e-15)
 
     def test_closed_forms_match_pipeline_grid(self, rng):
         # 200 draws across the analytic-continuation boundary.

@@ -425,6 +425,15 @@ class TestCompleteElliptic:
         assert complete_elliptic("K", m) == pytest.approx(float(mpmath.ellipk(m)), rel=1e-13)
         assert complete_elliptic("E", m) == pytest.approx(float(mpmath.ellipe(m)), rel=1e-13)
 
+    @pytest.mark.parametrize("m", [round(0.05 * k, 2) for k in range(20)] + [-0.5, -1e4, 0.999])
+    def test_full_precision_against_mpmath(self, m):
+        # The AGM must stop once a and b agree to rounding: run on to 64 steps,
+        # it adds 2^j c^2 terms of an ulp-sized c and puts E(0.5) 7.8e-14 off.
+        for kind, reference in (("K", mpmath.ellipk), ("E", mpmath.ellipe)):
+            with mpmath.workdps(40):
+                want = reference(m)
+            assert abs(complete_elliptic(kind, m) - want) <= 1e-15 * abs(want)
+
     def test_large_negative_parameter_growth(self):
         # E(pi/2 | -L) ~ sqrt(L): the integrand is dominated by sqrt(L)|sin|.
         for L in (1e4, 1e8):

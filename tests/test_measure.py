@@ -27,6 +27,7 @@ from oracles import (
     destroy,
     fock_expectation,
     fock_metric_two_mode,
+    moments_hand_expanded,
     prepared_graph_state,
     single_mode_squeezed_state,
 )
@@ -93,6 +94,44 @@ class TestMoments:
     def test_nonpure_rejected(self):
         with pytest.raises(UnphysicalStateError):
             moments_from_covariance(np.eye(4))
+
+
+class TestStructureConstantsFromGenerators:
+    def test_derived_table_equals_docstring_commutators(self):
+        # [T1,T2] = -i T3, [T2,T3] = i T1, [T3,T1] = i T2, as the module docstring states.
+        expected = np.zeros((3, 3, 3), dtype=complex)
+        for (i, j, k), c in {(0, 1, 2): -1j, (1, 2, 0): 1j, (2, 0, 1): 1j}.items():
+            expected[i, j, k], expected[j, i, k] = c, -c
+        assert np.array_equal(gaussgem.measure._STRUCTURE, expected)
+
+
+def _generic_state(rng, num_modes):
+    """Random graph state (vacuum for one mode) under a random local symplectic."""
+    gamma = vacuum_state(num_modes)
+    if num_modes > 1:
+        spec = random_graph_spec(rng, num_modes, max_weight=0.6, edge_prob=min(0.7, 4.0 / num_modes))
+        gamma = graph_state_covariance(spec)
+    return evolve_covariance(gamma, random_local_symplectic(rng, num_modes))
+
+
+class TestMomentsAgainstHandExpanded:
+    """The Wick contraction of the generator matrices against the nine hand-expanded formulas."""
+
+    @staticmethod
+    def _check(table, gamma):
+        first, second = moments_hand_expanded(gamma)
+        assert np.max(np.abs(table.first - first)) <= 1e-15
+        assert np.max(np.abs(table.second - second)) <= 1e-14 * np.max(np.abs(second))
+
+    @pytest.mark.parametrize("num_modes", [1, 2, 3, 8, 40, 96])
+    def test_random_states(self, num_modes, rng):
+        gamma = _generic_state(rng, num_modes)
+        self._check(moments_from_covariance(gamma), gamma)
+
+    def test_stack(self, rng):
+        weights = rng.normal(0.0, 0.5, (4, 5, 3)) + 1j * rng.normal(0.0, 0.5, (4, 5, 3))
+        stack = graph_state_covariances(3, [(1, 2), (2, 3), (1, 3)], weights)
+        self._check(moments_from_covariance(stack), stack)
 
 
 class TestAssemblyMatchesModePairLoops:

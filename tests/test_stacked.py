@@ -37,6 +37,7 @@ from gaussgem import (
     symplectic_from_hamiltonian,
     vacuum_state,
 )
+from conftest import child_env
 
 TRIANGLE = ((1, 2), (2, 3), (1, 3))
 PATH3 = ((1, 2), (2, 3))
@@ -240,4 +241,4 @@ def test_import_leaves_scipy_unloaded():
         "main(['scan3', '--family', 'equal', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3']); "
         "sys.exit(10 if 'scipy' in sys.modules else 0)"
     )
-    assert subprocess.run([sys.executable, "-c", code], capture_output=True).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env()).returncode == 0
