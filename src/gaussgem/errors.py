@@ -14,7 +14,8 @@ class UnphysicalStateError(GaussGemError, ValueError):
 
 
 class NumericOverflowError(GaussGemError, ArithmeticError):
-    """A computation produced non-finite values (overflow/underflow)."""
+    """A computation produced non-finite values (overflow/underflow), or a
+    result that double precision cannot resolve (no significant digit left)."""
 
 
 class DivisionByZeroError(GaussGemError, ZeroDivisionError):

@@ -13,11 +13,14 @@ the imaginary part squeezes.
 
 For two modes and for the two connected three-mode topologies (triangle and
 two-edge path) the measure has closed forms in the polar weight
-w = r e^{i phi}.  They involve sqrt(cos 2 phi); for cos 2 phi < 0 the
-continuation sin(ix) = i sinh(x) keeps every displayed quantity real, and the
-rays cos 2 phi = 0 are removable limits.  Both are handled by the piecewise
-real helpers below rather than complex arithmetic.  A closed form whose value
-exceeds double precision raises ``NumericOverflowError``.
+w = r e^{i phi}.  Each is a polynomial in sin^2 phi, u = cos 2 phi (or 2u)
+and one continued function, sin^2(s sqrt(u)) / u.  For u < 0 the
+continuation sin(ix) = i sinh(x) keeps it real, and the rays u = 0 are
+removable limits; ``_sin_sq_over`` is the one place that handles both, with
+real arithmetic rather than complex.  A closed form whose value exceeds
+double precision raises ``NumericOverflowError``, and so does one whose
+phase s sqrt(u) reaches 2^53 on the u > 0 side: there neighbouring doubles
+lie 2 rad apart, so sin carries no significant digit.
 
 ``graph_state_covariances`` prepares one topology under a whole array of
 weights as a single (..., 2N, 2N) stack; each slice equals the one-state
@@ -41,10 +44,13 @@ from .core import (
     vacuum_state,
 )
 from .errors import DivisionByZeroError, InvalidArgumentError, NumericOverflowError
-from .measure import MetricTensor, _assemble, gem_from_purity, mode_purities
+from .measure import MetricTensor, _assemble, gem_from_purity
 
 #: Series window around the removable rays cos(2 phi) = 0, on |u| max(s^2, 1).
 _RAY_WINDOW = 1e-6
+
+#: Phase s sqrt(u) from which neighbouring doubles lie 2 rad apart.
+_PHASE_LIMIT = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -201,33 +207,30 @@ def _sin_sq_over(u: float, s: float) -> float:
     series avoids the 0/0 evaluation; its window shrinks as s grows, so the
     truncated terms stay below rounding.  A value past double precision,
     which a finite sinh^2 divided by a small -u can give, raises
-    ``NumericOverflowError``.
+    ``NumericOverflowError``; so does a phase s sqrt(u) >= 2^53 for u > 0,
+    where sin of the rounded phase has no significant digit.
     """
     s2 = s * s
     try:
         if abs(u) * max(s2, 1.0) < _RAY_WINDOW:
             value = s2 - s2 * s2 * u / 3.0 + 2.0 * s2**3 * u * u / 45.0
         elif u > 0:
-            value = math.sin(s * math.sqrt(u)) ** 2 / u
+            phase = s * math.sqrt(u)
+            if phase >= _PHASE_LIMIT:
+                raise NumericOverflowError(
+                    f"closed form has no significant digit: phase s sqrt(u) = {phase:.6g} "
+                    f"is past 2^53 at s = {s:.6g}, u = {u:.6g}"
+                )
+            value = math.sin(phase) ** 2 / u
         else:
             value = math.sinh(s * math.sqrt(-u)) ** 2 / (-u)
-    except (OverflowError, ValueError):  # sinh past range; sin(inf) at s = inf
+    except OverflowError:  # sinh or a series power past range
         value = math.inf
     if not math.isfinite(value):
         raise NumericOverflowError(
             f"closed form overflows double precision: sin^2(s sqrt(u)) / u at s = {s:.6g}, u = {u:.6g}"
         )
     return value
-
-
-def _cos_cont(u: float, s: float) -> float:
-    """cos(s sqrt(u)) continued: cosh(s sqrt(-u)) for u < 0; NumericOverflowError past double range."""
-    try:
-        return math.cos(s * math.sqrt(u)) if u >= 0 else math.cosh(s * math.sqrt(-u))
-    except (OverflowError, ValueError) as exc:  # cosh past range; cos(inf) at s = inf
-        raise NumericOverflowError(
-            f"closed form overflows double precision: cos(s sqrt(u)) at s = {s:.6g}, u = {u:.6g}"
-        ) from exc
 
 
 def _sin_phi_sq(phi: float) -> float:
@@ -258,15 +261,13 @@ def compact_gem_two_mode(nu: float, phi: float) -> float:
     The edge modulus is constrained to tanh(nu) < 1 and the measure is
     renormalized by its supremum on that family,
 
-        [P1^-2 + P2^-2 - 2] / (2 sinh^2 2),
+        [P1^-2 + P2^-2 - 2] / (2 sinh^2 2) = 16 gem / sinh^2 2,
 
     so the value approaches 1 only in the limit nu -> inf at phi = +-pi/2.
     """
     if nu < 0:
         raise InvalidArgumentError(f"compactified modulus parameter must be >= 0, got {nu}")
-    spec = GraphSpec(2, ((1, 2, math.tanh(nu) * cmath.exp(1j * phi)),))
-    p1, p2 = mode_purities(graph_state_covariance(spec))
-    return (p1**-2 + p2**-2 - 2.0) / (2.0 * math.sinh(2.0) ** 2)
+    return 16.0 * gem_two_mode_closed(PolarCoupling(math.tanh(nu), phi)) / math.sinh(2.0) ** 2
 
 
 def gem_three_mode_g1(coupling: PolarCoupling) -> float:
@@ -279,15 +280,13 @@ def gem_three_mode_g2(coupling: PolarCoupling) -> float:
     """Two-edge path with equal weights.
 
     (1/32) sin^2(phi) sec(2phi) sin^2(r v) (3 cos(2 r v) + 5) with
-    v = sqrt(sin 4phi csc 2phi) = sqrt(2 cos 2phi), continued as above.
+    v = sqrt(sin 4phi csc 2phi) = sqrt(2 cos 2phi).  Since
+    3 cos(2x) + 5 = 8 - 6 sin^2 x, this is sin^2(phi) S (4 - 3 v^2 S) / 8
+    with S = sin^2(r v) / v^2, continued as above.
     """
     u2 = 2.0 * math.cos(2.0 * coupling.phi)  # sin(4 phi) csc(2 phi)
-    value = (
-        _sin_phi_sq(coupling.phi)
-        * _sin_sq_over(u2, coupling.r)
-        * (3.0 * _cos_cont(u2, 2.0 * coupling.r) + 5.0)
-        / 16.0
-    )
+    S = _sin_sq_over(u2, coupling.r)
+    value = _sin_phi_sq(coupling.phi) * S * (4.0 - 3.0 * u2 * S) / 8.0
     if math.isinf(value):  # two finite factors can overflow
         raise NumericOverflowError(f"closed form overflows double precision at r = {coupling.r:.6g}")
     return value
@@ -345,17 +344,14 @@ def two_mode_metric_closed(r: float, phi: float) -> MetricTensor:
     collapses to -A, which is exactly the two-mode closed-form measure.
     """
     u = math.cos(2.0 * phi)
-    s2 = math.sin(phi) ** 2
+    s2 = _sin_phi_sq(phi)
     ssr2 = _sin_sq_over(u, 2.0 * r)
     ssr1 = _sin_sq_over(u, r)
     # (cos^2 phi - sin^2 phi cos(2r sqrt u)) / u, with 1 - cos(2r sqrt u) = 2 sin^2(r sqrt u)
     bracket = 1.0 + 2.0 * s2 * ssr1
     a_val = -s2 * ssr2 / 16.0
     b_val = (2.0 - s2 * ssr2) / 16.0
-    try:
-        c_val = s2 * ssr2 / 16.0 + bracket**2 / 8.0
-    except OverflowError:
-        c_val = math.inf
+    c_val = s2 * ssr2 / 16.0 + bracket * bracket / 8.0
     d_val = -0.25 * math.sin(phi) * math.cos(phi) * bracket * ssr1
     e_val = 0.25 * s2 * ssr1 * (ssr1 + 1.0)
     if not all(map(math.isfinite, (c_val, d_val, e_val))):  # products of finite factors

@@ -2,15 +2,19 @@
 
 Nothing here calls into the phase-space code paths it is used to check:
 the matrix exponential oracle is a plain rescaled Taylor series, the state
-oracles work in a truncated Fock basis, the moment oracle spells out each of
-the nine generator-pair Wick sums by hand, the Bogoliubov oracle forms each of
-the eight products of the symplectic identities on its own, and the
-elliptic oracle is adaptive quadrature of the defining integral.
+oracles work in a truncated Fock basis (the prepared graph state applies
+exp(-iH) to the vacuum through scipy's sparse ``expm_multiply`` on the
+Fock-space Hamiltonian, never forming a dense propagator), the moment oracle
+spells out each of the nine generator-pair Wick sums by hand, the Bogoliubov
+oracle forms each of the eight products of the symplectic identities on its
+own, and the elliptic oracle is adaptive quadrature of the defining integral.
 """
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad
 from scipy.linalg import expm as _scipy_expm
+from scipy.sparse.linalg import expm_multiply
 
 
 def taylor_expm(M, terms=30):
@@ -35,13 +39,19 @@ def destroy(cutoff):
     return np.diag(np.sqrt(np.arange(1, cutoff)), 1)
 
 
-def quadrature_ops_two_mode(cutoff):
-    """Dense (q1, p1, q2, p2) operators on the two-mode truncated Fock space."""
+def _sparse_quadrature_ops_two_mode(cutoff):
+    """Sparse CSR (q1, p1, q2, p2) operators on the two-mode truncated Fock space."""
     a = destroy(cutoff)
     q = (a + a.T) / np.sqrt(2.0)
     p = (a - a.T) / (1j * np.sqrt(2.0))
-    eye = np.eye(cutoff)
-    return [np.kron(q, eye), np.kron(p, eye), np.kron(eye, q), np.kron(eye, p)]
+    eye = sparse.identity(cutoff, format="csr")
+    return [sparse.kron(q, eye, format="csr"), sparse.kron(p, eye, format="csr"),
+            sparse.kron(eye, q, format="csr"), sparse.kron(eye, p, format="csr")]
+
+
+def quadrature_ops_two_mode(cutoff):
+    """Dense (q1, p1, q2, p2) operators on the two-mode truncated Fock space."""
+    return [op.toarray() for op in _sparse_quadrature_ops_two_mode(cutoff)]
 
 
 def two_mode_squeezed_state(r, cutoff):
@@ -72,15 +82,15 @@ def prepared_graph_state(h, cutoff):
     """
     if h.shape != (4, 4):
         raise ValueError("oracle handles two-mode generators only")
-    ops = quadrature_ops_two_mode(cutoff)
-    H = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
+    ops = _sparse_quadrature_ops_two_mode(cutoff)
+    H = sparse.csr_matrix((cutoff * cutoff, cutoff * cutoff), dtype=complex)
     for A in range(4):
         for B in range(4):
             if h[A, B] != 0.0:
-                H = H + 0.5 * h[A, B] * ops[A] @ ops[B]
+                H = H + 0.5 * h[A, B] * (ops[A] @ ops[B])
     vac = np.zeros(cutoff * cutoff)
     vac[0] = 1.0
-    return _scipy_expm(-1j * H) @ vac
+    return expm_multiply(-1j * H, vac)
 
 
 def fock_covariance(psi, ops):

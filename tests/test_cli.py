@@ -525,6 +525,9 @@ class TestExitContract:
             pytest.param(["scan3", "--family", "equal", "--re-range", "8357.58424:8357.58424",
                           "--im-range", "8358.42004:8358.42004", "--steps", "2"],
                          3, "overflow", id="scan3-equal-near-ray"),
+            pytest.param(["scan3", "--family", "equal", "--re-range", "4e15:4e15",
+                          "--im-range", "1e15:1e15", "--steps", "2"],
+                         3, "significant digit", id="scan3-equal-phase-past-2-53"),
         ],
     )
     def test_one_error_line(self, argv, code, needle, tmp_path):

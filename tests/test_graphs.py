@@ -1,5 +1,7 @@
 """Tests for graph-state construction, closed forms, and baselines."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -20,10 +22,12 @@ from gaussgem import (
     gem_three_mode_g2,
     gem_two_mode_closed,
     graph_state_covariance,
+    graph_state_covariances,
     hamiltonian_from_graph,
     killing_contraction,
     log_negativity_two_mode,
     metric_h,
+    mode_purities,
     two_mode_metric_closed,
     vacuum_state,
 )
@@ -163,6 +167,17 @@ class TestCompactMeasure:
         value = compact_gem_two_mode(nu, phi)
         assert -1e-12 <= value < 1.0
 
+    def test_matches_purity_formula(self):
+        # The purity formula [P1^-2 + P2^-2 - 2] / (2 sinh^2 2) on the prepared
+        # states, which compact_gem_two_mode rescales from the closed form.
+        nu, phi = np.meshgrid(np.linspace(0.0, 6.0, 25), np.linspace(-np.pi, np.pi, 25))
+        weights = (np.tanh(nu) * np.exp(1j * phi))[..., None]
+        purities = mode_purities(graph_state_covariances(2, ((1, 2),), weights))
+        p1, p2 = purities[..., 0], purities[..., 1]
+        want = (p1**-2 + p2**-2 - 2.0) / (2.0 * np.sinh(2.0) ** 2)
+        got = np.vectorize(compact_gem_two_mode)(nu, phi)
+        assert np.max(np.abs(got - want)) < 1e-14
+
 
 class TestThreeModeClosedForms:
     def test_g1_real_coupling_zero(self):
@@ -223,9 +238,18 @@ class TestThreeModeClosedForms:
                     closed(PolarCoupling(1.7e308, phi))
             with pytest.raises(NumericOverflowError):
                 two_mode_metric_closed(1.7e308, phi)
+        # From a phase s sqrt(cos 2 phi) of 2^53 on, neighbouring doubles lie 2 rad
+        # apart and sin keeps no significant digit; just below it a value comes back.
+        r_below = 0.999 * 2.0**53 / (3.0 * math.sqrt(math.cos(0.6)))  # g1's phase, the largest of the three
+        for closed in (gem_two_mode_closed, gem_three_mode_g1, gem_three_mode_g2):
+            with pytest.raises(NumericOverflowError, match="significant digit"):
+                closed(PolarCoupling(1e17, 0.3))
+            assert math.isfinite(closed(PolarCoupling(r_below, 0.3)))
 
     @pytest.mark.parametrize(
-        "r, offset", [(1.0, 4e-7), (10.0, 1e-7), (100.0, 3e-7), (1000.0, -3e-7), (1e4, 0.0)]
+        "r, offset",
+        [(1.0, 4e-7), (10.0, 1e-7), (100.0, 3e-7), (1000.0, -3e-7), (1e4, 0.0),
+         (0.3, -0.6), (0.5, 0.5), (0.2, 1.2)],  # the last three away from the ray, on both sides
     )
     def test_near_ray_against_mpmath(self, r, offset):
         # Inside |cos 2 phi| < 1e-6 the series in s^2 cos(2 phi) must not be
@@ -238,9 +262,12 @@ class TestThreeModeClosedForms:
                 x = s * mpmath.sqrt(abs(u))
                 return (mpmath.sin(x) ** 2 if u > 0 else mpmath.sinh(x) ** 2) / abs(u)
 
+            v = mpmath.sqrt(2 * u)  # imaginary for u < 0; the paper's form of g2
+            g2 = sin_sq * mpmath.sin(r * v) ** 2 / (2 * u) * (3 * mpmath.cos(2 * r * v) + 5) / 16
             want = {
                 gem_two_mode_closed: sin_sq * sin_sq_over(2 * r) / 16,
                 gem_three_mode_g1: sin_sq * sin_sq_over(3 * r) / 12,
+                gem_three_mode_g2: mpmath.re(g2),
             }
             for closed, value in want.items():
                 assert closed(PolarCoupling(r, phi)) == pytest.approx(float(value), rel=2e-15)
@@ -334,9 +361,13 @@ class TestTwoModeMetricClosed:
         direct = metric_h(graph_state_covariance(GraphSpec(2, ((1, 2, r * np.exp(1j * phi)),))))
         assert np.max(np.abs(closed.matrix - direct.matrix)) < 1e-9
 
-    @pytest.mark.parametrize("r,phi", [(0.4, 0.7), (1.0, np.pi / 2), (0.9, np.pi / 4)])
+    @pytest.mark.parametrize(
+        "r,phi",
+        [(0.4, 0.7), (1.0, np.pi / 2), (0.9, np.pi / 4),
+         (0.9, 0.0), (0.9, np.pi), (0.9, -np.pi), (0.9, 1e-13)],
+    )
     def test_contraction_equals_closed_measure(self, r, phi):
+        # Both take sin^2 phi from the same helper, so they agree exactly,
+        # including the zero on real couplings.
         closed = two_mode_metric_closed(r, phi)
-        assert killing_contraction(closed) == pytest.approx(
-            gem_two_mode_closed(PolarCoupling(r, phi)), abs=1e-9
-        )
+        assert killing_contraction(closed) == gem_two_mode_closed(PolarCoupling(r, phi))

@@ -255,6 +255,18 @@ class TestFieldMeasure:
         assert gem_field_exact(cfg) == pytest.approx(want, abs=1e-15)
         assert gem_field_exact(cfg) == pytest.approx(1.42244e-3, abs=1e-8)
 
+    @pytest.mark.parametrize("mass", [1e4, 1e6])
+    @pytest.mark.parametrize("n", [1, 5, 25, 400])
+    def test_large_mass_against_mpmath(self, n, mass):
+        # The measure lies far below N eps here, so a form that subtracts N/32
+        # loses all of it (0.0 for 1.7e-25 at n = 3, mass 1e6); the reference
+        # subtracts it too, so it runs at 60 digits.
+        with mpmath.workdps(60):
+            want = float(_mp_gem_exact(n, mass, 1.0))
+        got = gem_field_exact(LatticeFieldConfig(n=n, mass=mass, radius=1.0))
+        assert got > 0.0
+        assert got == pytest.approx(want, rel=1e-15)
+
     def test_large_mass_decay(self):
         values = [gem_field_exact(LatticeFieldConfig(n=1, mass=m, radius=1.0)) for m in (10.0, 100.0)]
         assert values[1] < 1e-6
