@@ -232,8 +232,9 @@ def cmd_field(args) -> tuple[str, str]:
         rel = abs(asym - exact) / abs(exact) if exact != 0.0 and not math.isnan(asym) else float("nan")
         rows.append((float(cfg.n), exact, asym, rel))
     if args.self_test:
-        # The dense pipeline route is only sensible up to a few hundred
-        # sites; larger rows have no independent check and are skipped.
+        # The pipeline holds a dense 2N x 2N covariance, 32 N^2 bytes (0.5 GB
+        # at N = 4001), and the documented contract checks rows up to
+        # N = 401 only; larger rows have no independent check and are skipped.
         pipeline = [lattice.gem_field_pipeline(cfg) if cfg.num_modes <= 401 else None for cfg in configs]
         _self_test([row[1] for row in rows], pipeline, "field gem_exact")
     summary = (

@@ -46,9 +46,9 @@ def build_omega(num_modes: int) -> np.ndarray:
     if not isinstance(num_modes, (int, np.integer)) or num_modes < 1:
         raise InvalidArgumentError(f"mode count must be a positive integer, got {num_modes!r}")
     omega = np.zeros((2 * num_modes, 2 * num_modes))
-    for m in range(num_modes):
-        omega[2 * m, 2 * m + 1] = 1.0
-        omega[2 * m + 1, 2 * m] = -1.0
+    # Entries (2m, 2m+1) and (2m+1, 2m) sit 4N + 2 apart in the flat array.
+    omega.flat[1 :: 4 * num_modes + 2] = 1.0
+    omega.flat[2 * num_modes :: 4 * num_modes + 2] = -1.0
     return omega
 
 
@@ -103,7 +103,14 @@ def symplectic_from_hamiltonian(h: np.ndarray) -> np.ndarray:
     if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] % 2:
         raise InvalidArgumentError(f"quadratic generator must be 2N x 2N, got shape {h.shape}")
     _require_symmetric(h, "quadratic generator")
-    return matrix_exponential(build_omega(h.shape[-1] // 2) @ h)
+    # Omega h only moves rows: row 2m is h's row 2m+1 and row 2m+1 is minus
+    # row 2m.  Adding 0.0 turns each -0.0 into the +0.0 that the dense
+    # product build_omega(N) @ h yields there, so the two agree bit for bit.
+    generator = np.empty_like(h)
+    generator[..., 0::2, :] = h[..., 1::2, :]
+    np.negative(h[..., 0::2, :], out=generator[..., 1::2, :])
+    generator += 0.0
+    return matrix_exponential(generator)
 
 
 def vacuum_state(num_modes: int) -> np.ndarray:
@@ -149,6 +156,14 @@ def reduced_covariance(gamma: np.ndarray, mode: int) -> np.ndarray:
     return gamma[a : a + 2, a : a + 2].copy()
 
 
+def _mode_dets(gamma: np.ndarray) -> np.ndarray:
+    """det Gamma^(mode) of every mode-diagonal 2x2 block, shape (..., N)."""
+    rows = np.arange(gamma.shape[-1]).reshape(-1, 2, 1)  # rows 2m, 2m + 1 of mode m
+    # One stacked det over the (..., N, 2, 2) mode blocks; it runs the same
+    # LAPACK call per block as a det of each block on its own.
+    return np.linalg.det(gamma[..., rows, rows.reshape(-1, 1, 2)])
+
+
 def purity(gamma: np.ndarray) -> float:
     """Purity tr(rho^2) of the Gaussian state with covariance ``gamma``.
 
@@ -157,13 +172,15 @@ def purity(gamma: np.ndarray) -> float:
     off the Cholesky factor of 2 Gamma, which does not underflow at large N and
     exists only for a positive-definite covariance.  det must not fall below
     the uncertainty bound by a relative 4 ``DEFAULT_PURITY_TOL`` (one mode:
-    det >= 1/4 - tol).  The result is clamped to 1 to absorb rounding on pure
-    states.
+    det >= 1/4 - tol), and no mode's 2x2 block may have det below
+    1/4 - tol: det(2 Gamma) alone passes diag(0.3, 0.3, 2, 2), whose first
+    mode has det 0.09.  The result is clamped to 1 to absorb rounding on
+    pure states.
 
     Raises:
         InvalidArgumentError: ``gamma`` is not a symmetric 2N x 2N matrix.
         UnphysicalStateError: ``gamma`` is not positive definite, or its det
-            lies below the uncertainty bound.
+            or a mode's det lies below the uncertainty bound.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] % 2:
@@ -176,6 +193,12 @@ def purity(gamma: np.ndarray) -> float:
     excess = 2.0 * np.log(np.diagonal(chol)).sum()  # ln det(2 Gamma) = ln(det Gamma / (1/4)^N)
     if not excess >= np.log1p(-4.0 * DEFAULT_PURITY_TOL):
         raise UnphysicalStateError(f"det(Gamma) below the uncertainty bound: det(2 Gamma) = e^{excess:.6g}")
+    dets = _mode_dets(gamma)
+    if (dets < 0.25 - DEFAULT_PURITY_TOL).any():
+        mode = int(np.argmin(dets))
+        raise UnphysicalStateError(
+            f"mode {mode + 1} violates the uncertainty bound: det Gamma_m = {dets[mode]:.6g} < 1/4"
+        )
     return min(1.0, float(np.exp(-0.5 * excess)))
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_PURITY_TOL, build_omega, require_pure
+from .core import DEFAULT_PURITY_TOL, _mode_dets, build_omega, require_pure
 from .errors import InvalidArgumentError, UnphysicalStateError
 
 # A_i with T_i = xi^T A_i xi / 2, xi = (q, p): A1 = diag(1, -1)/2, A2 = -sigma_x/2, A3 = I/2.
@@ -279,14 +279,6 @@ def gem_from_metric(gamma: np.ndarray) -> float | np.ndarray:
     """
     metric = metric_g(gamma)
     return killing_contraction(metric) - metric.num_modes / 8.0
-
-
-def _mode_dets(gamma: np.ndarray) -> np.ndarray:
-    """det Gamma^(mode) of every mode-diagonal 2x2 block, shape (..., N)."""
-    rows = np.arange(gamma.shape[-1]).reshape(-1, 2, 1)  # rows 2m, 2m + 1 of mode m
-    # One stacked det over the (..., N, 2, 2) mode blocks; it runs the same
-    # LAPACK call per block as a det of each block on its own.
-    return np.linalg.det(gamma[..., rows, rows.reshape(-1, 1, 2)])
 
 
 def gem_from_purity(gamma: np.ndarray) -> float | np.ndarray:

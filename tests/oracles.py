@@ -7,7 +7,9 @@ exp(-iH) to the vacuum through scipy's sparse ``expm_multiply`` on the
 Fock-space Hamiltonian, never forming a dense propagator), the moment oracle
 spells out each of the nine generator-pair Wick sums by hand, the Bogoliubov
 oracle forms each of the eight products of the symplectic identities on its
-own, and the elliptic oracle is adaptive quadrature of the defining integral.
+own, the lattice oracles build the Fourier rows one mode number at a time
+and transport the mode variances with two dense products, and the elliptic
+oracle is adaptive quadrature of the defining integral.
 """
 
 import numpy as np
@@ -209,6 +211,49 @@ def bogoliubov_residuals_eight_products(x, y):
         "XtX_YtY": float(np.max(np.abs(x.T @ x - y.T @ y - eye))),
         "XtY_YtX": float(np.max(np.abs(x.T @ y - y.T @ x))),
     }
+
+
+def _lattice_frequencies(cfg):
+    """m, omega_1..n, omega_1..n: the frequency of each Fourier row."""
+    s = np.sin(np.pi * np.arange(1, cfg.n + 1) / cfg.num_modes)
+    omegas = np.sqrt(cfg.mass**2 + 4.0 * s * s / cfg.spacing**2)
+    return np.concatenate([[cfg.mass], omegas, omegas])
+
+
+def _fourier_rows_by_loops(cfg):
+    """Real Fourier rows 1, cos(2 pi k a / N), sin(2 pi k a / N), one k at a time."""
+    N, n = cfg.num_modes, cfg.n
+    sites = np.arange(1, N + 1)
+    rows = np.ones((N, N))
+    for k in range(1, n + 1):
+        angle = 2.0 * np.pi * k * sites / N
+        rows[k] = np.cos(angle)
+        rows[n + k] = np.sin(angle)
+    return rows
+
+
+def field_covariance_by_loops(cfg):
+    """Lattice ground-state covariance as F^T diag(variances) F, F the orthonormal Fourier map."""
+    N = cfg.num_modes
+    fourier = np.sqrt(2.0 / N) * _fourier_rows_by_loops(cfg)
+    fourier[0] = 1.0 / np.sqrt(N)
+    freqs = _lattice_frequencies(cfg)
+    gamma = np.zeros((2 * N, 2 * N))
+    gamma[0::2, 0::2] = (fourier.T * (cfg.spacing / (2.0 * freqs))) @ fourier
+    gamma[1::2, 1::2] = (fourier.T * (freqs / (2.0 * cfg.spacing))) @ fourier
+    return gamma
+
+
+def bogoliubov_by_loops(cfg):
+    """(X, Y) of the lattice Bogoliubov map, one Fourier row at a time."""
+    N = cfg.num_modes
+    w_eff = np.sqrt(cfg.mass**2 + 2.0 / cfg.spacing**2)
+    x, y = np.empty((N, N)), np.empty((N, N))
+    for row, (f, w) in enumerate(zip(_fourier_rows_by_loops(cfg), _lattice_frequencies(cfg))):
+        norm = (0.5 if row == 0 else 1.0 / np.sqrt(2.0)) / np.sqrt(N)
+        x[row] = norm * (np.sqrt(w / w_eff) + np.sqrt(w_eff / w)) * f
+        y[row] = -norm * (np.sqrt(w / w_eff) - np.sqrt(w_eff / w)) * f
+    return x, y
 
 
 def elliptic_by_quadrature(kind, m):

@@ -18,6 +18,7 @@ from gaussgem import (
     evolve_covariance,
     gem_from_purity,
     graph_state_covariance,
+    hamiltonian_from_graph,
     matrix_exponential,
     purity,
     reduced_covariance,
@@ -25,7 +26,7 @@ from gaussgem import (
     symplectic_from_hamiltonian,
     vacuum_state,
 )
-from conftest import random_local_symplectic
+from conftest import random_graph_spec, random_local_symplectic
 from oracles import (
     fock_covariance,
     fock_four_point,
@@ -56,6 +57,13 @@ class TestOmega:
     def test_zero_modes_rejected(self):
         with pytest.raises(InvalidArgumentError):
             build_omega(0)
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 48])
+    def test_matches_block_by_block_fill(self, n):
+        want = np.zeros((2 * n, 2 * n))
+        for m in range(n):
+            want[2 * m, 2 * m + 1], want[2 * m + 1, 2 * m] = 1.0, -1.0
+        assert np.array_equal(build_omega(n), want)
 
 
 class TestMatrixExponential:
@@ -114,6 +122,26 @@ class TestSymplecticFromHamiltonian:
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidArgumentError):
             symplectic_from_hamiltonian([[0.0, 1.0], [0.0, 0.0]])
+
+    def test_generator_equals_dense_product(self, rng, monkeypatch):
+        # Omega h is formed by moving rows; it must equal build_omega(N) @ h
+        # bit for bit, sign bits of zeros included, so that expm sees the
+        # same input.  Zero imaginary parts make -0.0 entries in h.
+        generators = []
+        real_expm = gaussgem.core.matrix_exponential
+        monkeypatch.setattr(gaussgem.core, "matrix_exponential", lambda M: generators.append(M) or real_expm(M))
+        hs = [hamiltonian_from_graph(random_graph_spec(rng, n)) for n in (2, 3, 5, 8, 13, 40)]
+        hs.append(hamiltonian_from_graph(GraphSpec(3, ((1, 2, 0.7), (2, 3, -0.4), (1, 3, 0.3 + 0.0j)))))
+        grid = np.linspace(-2.0, 2.0, 9)
+        weights = (grid[:, None] + 1j * grid[None, :])[..., None]
+        hs.append(gaussgem.graphs._generators(2, ((1, 2),), weights))  # a scan2-like (9, 9, 4, 4) stack
+        xy = np.stack([1j * grid[:, None] + 0.0 * grid, 0.0 * grid[:, None] + 1j * grid, np.ones((9, 9))], -1)
+        hs.append(gaussgem.graphs._generators(3, ((1, 2), (2, 3), (1, 3)), xy))
+        for h in hs:
+            symplectic_from_hamiltonian(h)
+            got, want = generators.pop(), build_omega(h.shape[-1] // 2) @ h
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestVacuum:
@@ -217,6 +245,11 @@ class TestPurity:
     def test_unphysical_rejected(self):
         with pytest.raises(UnphysicalStateError):
             purity(0.1 * np.eye(2))
+
+    def test_single_mode_uncertainty_rejected(self):
+        # det(2 Gamma) = 5.76 clears the global bound, but mode 1 has det 0.09 < 1/4.
+        with pytest.raises(UnphysicalStateError, match="mode 1"):
+            purity(np.diag([0.3, 0.3, 2.0, 2.0]))
 
     @pytest.mark.parametrize("diagonal", [[-1.0, -1.0], [-1.0, -1.0, 2.0, 2.0]])
     def test_not_positive_definite_rejected(self, diagonal):

@@ -25,9 +25,16 @@ from gaussgem import (
     gem_field_pipeline,
     reduced_det_from_xy,
 )
-from oracles import bogoliubov_residuals_eight_products, elliptic_by_quadrature
+from gaussgem.lattice import _fourier_basis
+from oracles import (
+    bogoliubov_by_loops,
+    bogoliubov_residuals_eight_products,
+    elliptic_by_quadrature,
+    field_covariance_by_loops,
+)
 
 mpmath.mp.dps = 40
+EPS = np.finfo(float).eps
 
 
 def _mp_dispersion(k, n, mass, radius):
@@ -156,17 +163,15 @@ class TestBogoliubovResidualsTwoProducts:
                 bogoliubov_residuals(BogoliubovMatrices(x=x, y=y))
 
 
-def _omegas_vector(cfg):
-    """omega_1..n as the lattice module computed them before the shared formula."""
-    s = np.sin(np.pi * np.arange(1, cfg.n + 1) / cfg.num_modes)
-    return np.sqrt(cfg.mass**2 + 4.0 * s * s / cfg.spacing**2)
-
-
 class TestFourierRowsMatchLoops:
-    """The array-built Fourier rows against the per-k loops they replaced.
+    """The FFT-built covariance and gathered Fourier rows against the per-k loops they replaced.
 
-    The arithmetic per entry is unchanged, so the matrices must be equal,
-    not close.
+    The loops evaluate cos and sin at the unreduced angles 2 pi k a / N, up
+    to 2 pi n < pi N, whose rounding reaches eps pi N.  Relative to the
+    largest entry, the Bogoliubov rows agree within eps pi N (measured: at
+    most 1.8 eps N) and the covariance, where the row errors average out,
+    within eps N (measured: at most 0.52 eps N).  Which side holds the error
+    is settled against mpmath in :class:`TestLatticeAgainstMpmath`.
     """
 
     CONFIGS = [(0, 1.0, 1.0), (1, 1.0, 1.0), (7, 0.3, 2.7), (40, 10.0, 0.5), (150, 1.0, 1.0)]
@@ -174,48 +179,99 @@ class TestFourierRowsMatchLoops:
     @pytest.mark.parametrize("n,mass,radius", CONFIGS)
     def test_field_covariance(self, n, mass, radius):
         cfg = LatticeFieldConfig(n=n, mass=mass, radius=radius)
-        N = cfg.num_modes
-        sites = np.arange(1, N + 1)
-        fourier = np.zeros((N, N))
-        fourier[0, :] = 1.0 / math.sqrt(N)
-        for k in range(1, n + 1):
-            angle = 2.0 * np.pi * k * sites / N
-            fourier[k, :] = math.sqrt(2.0 / N) * np.cos(angle)
-            fourier[n + k, :] = math.sqrt(2.0 / N) * np.sin(angle)
-        omegas = _omegas_vector(cfg)
-        freqs = np.concatenate([[mass], omegas, omegas])
-        gamma = np.zeros((2 * N, 2 * N))
-        gamma[0::2, 0::2] = (fourier.T * (cfg.spacing / (2.0 * freqs))) @ fourier
-        gamma[1::2, 1::2] = (fourier.T * (freqs / (2.0 * cfg.spacing))) @ fourier
-        assert np.array_equal(field_covariance(cfg), gamma)
+        gamma, want = field_covariance(cfg), field_covariance_by_loops(cfg)
+        bound = EPS * cfg.num_modes * np.max(np.abs(want))
+        assert np.max(np.abs(gamma - want)) <= bound
 
     @pytest.mark.parametrize("n,mass,radius", CONFIGS)
     def test_bogoliubov_matrices(self, n, mass, radius):
         cfg = LatticeFieldConfig(n=n, mass=mass, radius=radius)
-        N = cfg.num_modes
-        w_eff = math.sqrt(mass**2 + 2.0 / cfg.spacing**2)
-        sites = np.arange(1, N + 1)
-        X = np.zeros((N, N))
-        Y = np.zeros((N, N))
-        X[0, :] = 0.5 * (math.sqrt(mass / w_eff) + math.sqrt(w_eff / mass))
-        Y[0, :] = 0.5 * (math.sqrt(mass / w_eff) - math.sqrt(w_eff / mass))
-        for k, wk in enumerate(_omegas_vector(cfg), start=1):
-            plus = math.sqrt(wk / w_eff) + math.sqrt(w_eff / wk)
-            minus = math.sqrt(wk / w_eff) - math.sqrt(w_eff / wk)
-            angle = 2.0 * np.pi * k * sites / N
-            X[k, :] = np.cos(angle) * plus / math.sqrt(2.0)
-            X[n + k, :] = np.sin(angle) * plus / math.sqrt(2.0)
-            Y[k, :] = np.cos(angle) * minus / math.sqrt(2.0)
-            Y[n + k, :] = np.sin(angle) * minus / math.sqrt(2.0)
         b = bogoliubov_matrices(cfg)
-        assert np.array_equal(b.x, X / math.sqrt(N))
-        assert np.array_equal(b.y, -Y / math.sqrt(N))
+        for got, want in zip((b.x, b.y), bogoliubov_by_loops(cfg)):
+            assert np.max(np.abs(got - want)) <= EPS * math.pi * cfg.num_modes * np.max(np.abs(want))
 
     def test_dispersion_matches_vector_formula(self):
         cfg = LatticeFieldConfig(n=25, mass=0.7, radius=1.9)
         for k in range(cfg.n + 1):
             s = math.sin(math.pi * k / cfg.num_modes)
             assert dispersion(k, cfg) == math.sqrt(cfg.mass**2 + 4.0 * s * s / cfg.spacing**2)
+
+
+def _mp_correlation_rows(cfg):
+    """c_q(d), c_p(d) for d = 0..N-1: (1/N) sum over all N modes of the variance times cos(2 pi k d / N)."""
+    N, n = cfg.num_modes, cfg.n
+    mass, radius = mpmath.mpf(cfg.mass), mpmath.mpf(cfg.radius)
+    delta = 2 * mpmath.pi * radius / N
+    freqs = [mass] + [_mp_dispersion(k, n, mass, radius) for k in range(1, n + 1)]
+    rows = []
+    for var in ([delta / (2 * w) for w in freqs], [w / (2 * delta) for w in freqs]):
+        rows.append([
+            (var[0] + 2 * mpmath.fsum(var[k] * mpmath.cos(2 * mpmath.pi * k * d / N) for k in range(1, n + 1))) / N
+            for d in range(N)
+        ])
+    return rows
+
+
+def _hi_lo(values):
+    """Each mpmath value as an unevaluated sum of two doubles, hi + lo."""
+    hi = np.array([float(v) for v in values])
+    return hi, np.array([float(v - mpmath.mpf(h)) for v, h in zip(values, hi)])
+
+
+class TestLatticeAgainstMpmath:
+    """The lattice constructions against 40-digit mpmath.
+
+    The matmul construction's error grew with N (3.3e-16, 1.2e-15, 6.2e-15
+    and 1.4e-14 of max |Gamma| at n = 1, 7, 40, 100), and so did that of
+    Fourier rows evaluated at unreduced angles (4.5e-15, 3.9e-14 and 1.9e-13
+    at n = 7, 40, 150).
+    """
+
+    @pytest.mark.parametrize("n,mass,radius", [(1, 1.0, 1.0), (7, 0.3, 2.7), (40, 10.0, 0.5), (100, 1.0, 1.0)])
+    def test_field_covariance(self, n, mass, radius):
+        cfg = LatticeFieldConfig(n=n, mass=mass, radius=radius)
+        N = cfg.num_modes
+        gamma = field_covariance(cfg)
+        sites = np.arange(N)
+        lag = (sites[None, :] - sites[:, None]) % N
+        worst = 0.0
+        for block, row in zip((gamma[0::2, 0::2], gamma[1::2, 1::2]), _mp_correlation_rows(cfg)):
+            hi, lo = _hi_lo(row)
+            worst = max(worst, np.max(np.abs((block - hi[lag]) - lo[lag])))
+        assert worst <= 2e-16 * np.max(np.abs(gamma))
+        assert not gamma[0::2, 1::2].any() and not gamma[1::2, 0::2].any()
+
+    @pytest.mark.parametrize("n", [7, 40, 150])
+    def test_fourier_rows(self, n):
+        cfg = LatticeFieldConfig(n=n, mass=1.0, radius=1.0)
+        N = cfg.num_modes
+        basis, _ = _fourier_basis(cfg)
+        cos_sin = [mpmath.cos_sin(2 * mpmath.pi * k * a / N) for k in range(1, n + 1) for a in range(1, N + 1)]
+        want = np.array(cos_sin, dtype=float).reshape(n, N, 2)
+        # Rounding the reference to double adds at most 5.6e-17.
+        assert np.max(np.abs(basis[1 : n + 1] - want[..., 0])) <= 1.5e-15
+        assert np.max(np.abs(basis[n + 1 :] - want[..., 1])) <= 1.5e-15
+        assert np.all(basis[0] == 1.0)
+
+    @pytest.mark.parametrize("tau", [1e-6, 0.01, 1.0, 30.0])
+    @pytest.mark.parametrize("n", [1, 25, 100, 400])
+    def test_pipeline_envelope(self, n, tau):
+        # The docstring's envelope: below 9 eps (N/4 + 8 gem), 8.7 at worst
+        # (n = 400, tau = 0.01); the bound leaves room for another FFT's rounding.
+        with mpmath.workdps(50):
+            want = _mp_gem_exact(n, tau, 1.0)
+            got = gem_field_pipeline(LatticeFieldConfig(n=n, mass=tau, radius=1.0))
+            error = float(abs(mpmath.mpf(got) - want))
+        assert error <= 10.0 * EPS * ((2 * n + 1) / 4.0 + 8.0 * float(want))
+
+    @pytest.mark.parametrize("n,mass,radius", [(0, 1.0, 1.0), (1, 0.7, 1.3), (20, 0.3, 2.7), (200, 1e-160, 1.0)])
+    def test_translation_invariance_is_exact(self, n, mass, radius):
+        cfg = LatticeFieldConfig(n=n, mass=mass, radius=radius)
+        gamma, N = field_covariance(cfg), cfg.num_modes
+        i, j = np.meshgrid(np.arange(2 * N), np.arange(2 * N), indexing="ij")
+        shifted = gamma[(i + 2) % (2 * N), (j + 2) % (2 * N)]  # every site moved by one
+        assert np.array_equal(shifted, gamma)
+        assert np.array_equal(gamma, gamma.T)
 
 
 class TestReducedDeterminant:

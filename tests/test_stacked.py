@@ -242,3 +242,19 @@ def test_import_leaves_scipy_unloaded():
         "sys.exit(10 if 'scipy' in sys.modules else 0)"
     )
     assert subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env()).returncode == 0
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # Only field_covariance needs numpy.fft, and only field --self-test calls
+    # it; importing the package, a plain field run and the equal-family scan
+    # must not load it.  gem and scan2 are not checked: scipy.linalg, which
+    # their matrix exponential needs, imports numpy.fft itself.
+    code = (
+        "import sys; import gaussgem; "
+        "assert 'numpy.fft' not in sys.modules; "
+        "from gaussgem.cli import main; "
+        "main(['field', '--n-list', '1,10', '--mass', '1', '--radius', '1']); "
+        "main(['scan3', '--family', 'equal', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3']); "
+        "sys.exit(10 if 'numpy.fft' in sys.modules else 0)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env()).returncode == 0
