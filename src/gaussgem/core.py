@@ -20,6 +20,8 @@ what it always did.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,30 +54,78 @@ def build_omega(num_modes: int) -> np.ndarray:
     return omega
 
 
+@functools.lru_cache(maxsize=4)
+def _triangle_masks(n: int) -> np.ndarray:
+    """(n*n, 2) float 0/1 columns selecting the strictly lower and strictly upper entries.
+
+    Cached because building them costs more than the test itself on a 4 x 4;
+    each entry holds 16 n^2 bytes (0.6 MB at n = 192).
+    """
+    below = np.subtract.outer(np.arange(n), np.arange(n)).ravel()
+    masks = np.stack([below > 0, below < 0], axis=-1).astype(float)
+    masks.setflags(write=False)
+    return masks
+
+
 def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     """exp(M) for a square real matrix, or for each slice of a (..., n, n) stack.
 
-    Backed by scipy's scaling-and-squaring Pade implementation, which handles
-    the non-normal generators Omega @ h arising here without relying on an
-    eigendecomposition.  scipy is imported on first use, so commands that
-    never exponentiate do not pay for loading it.
+    Each slice equals ``scipy.linalg.expm`` of that slice bit for bit: the
+    scaling-and-squaring Pade algorithm of Al-Mohy and Higham (SIAM J.
+    Matrix Anal. Appl. 31, 970 (2009)), which handles the non-normal
+    generators Omega @ h arising here without an eigendecomposition.  A 2-D
+    matrix is a stack of one.  One vectorized test over the stack finds the
+    triangular slices (all zero below, or all zero above, the diagonal),
+    which scipy treats apart (its ``bandwidth`` branch), and sends them
+    through public ``scipy.linalg.expm``.  Every other slice is copied into
+    one reused (5, n, n) scratch array and goes through scipy's own kernels,
+    ``scipy.linalg._matfuncs_expm.pick_pade_structure`` (order m and
+    scaling s) and ``pade_UV_calc`` (the Pade quotient), then s squarings
+    ``e = e @ e``, as ``expm``'s loop does, but without its per-slice Python
+    wrapper.  The kernels are private; they are called with the interface
+    of scipy 1.17, the floor in ``pyproject.toml``.  scipy is imported on
+    first use, so commands that never exponentiate do not pay for loading it.
 
     Raises:
         InvalidArgumentError: non-square input or non-finite entries.
         NumericOverflowError: the exponential overflows to non-finite values.
+        MemoryError, RuntimeError: a Pade kernel failed, as in ``scipy.linalg.expm``.
     """
-    import scipy.linalg
-
     M = np.asarray(matrix, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise InvalidArgumentError(f"matrix_exponential needs a square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise InvalidArgumentError("matrix_exponential needs finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = scipy.linalg.expm(M)
+
+    import scipy.linalg
+
+    kernels = scipy.linalg._matfuncs_expm  # loaded by scipy.linalg itself
+    n = M.shape[-1]
+    stack = M.reshape(math.prod(M.shape[:-2]), n, n)
+    out = np.empty_like(stack)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        # Sums of |entries| below and above the diagonal: both nonzero makes a generic slice.
+        generic = (np.abs(stack).reshape(len(stack), n * n) @ _triangle_masks(n)).all(axis=-1)
+        indices = generic.nonzero()[0].tolist()
+        if len(indices) < len(stack):
+            out[~generic] = scipy.linalg.expm(stack[~generic])
+        scratch = np.empty((5, n, n))
+        for k in indices:
+            scratch[0] = stack[k]
+            m, s = kernels.pick_pade_structure(scratch)  # scales scratch[0] by 2^-s in place
+            if m < 0:
+                raise MemoryError(f"scipy's Pade kernel could not allocate its work space (error code {m})")
+            info = kernels.pade_UV_calc(scratch, m)
+            if info != 0:
+                error = MemoryError if info <= -11 else RuntimeError
+                raise error(f"scipy's Pade kernel failed with LAPACK error code {info}")
+            e = scratch[0]
+            for _ in range(s):
+                e = e @ e
+            out[k] = e
     if not np.isfinite(out).all():
         raise NumericOverflowError("matrix exponential overflowed for the given norm")
-    return out
+    return out.reshape(M.shape)
 
 
 def _require_symmetric(matrix: np.ndarray, name: str) -> None:
@@ -136,11 +186,24 @@ def evolve_covariance(gamma: np.ndarray, symplectic: np.ndarray) -> np.ndarray:
     if min(gamma.ndim, S.ndim) < 2 or len({*gamma.shape[-2:], *S.shape[-2:]}) != 1:
         raise InvalidArgumentError(mismatch.format(gamma.shape, S.shape))
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            out = S @ gamma @ S.swapaxes(-1, -2)
-            out = 0.5 * (out + out.swapaxes(-1, -2))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked by _symmetrized
+            product = S @ gamma @ S.swapaxes(-1, -2)
     except ValueError as exc:  # leading axes that do not broadcast
         raise InvalidArgumentError(mismatch.format(gamma.shape, S.shape)) from exc
+    return _symmetrized(product)
+
+
+def _symmetrized(product: np.ndarray) -> np.ndarray:
+    """(P + P^T) / 2 of an evolved covariance P = S Gamma S^T, checked finite.
+
+    The caller forms P under ``np.errstate(over="ignore", invalid="ignore")``;
+    an entry that overflowed there is caught here.
+
+    Raises:
+        NumericOverflowError: the result has non-finite entries.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 0.5 * (product + product.swapaxes(-1, -2))
     if not np.isfinite(out).all():
         raise NumericOverflowError("evolved covariance S Gamma S^T overflows double precision")
     return out

@@ -37,11 +37,10 @@ import numpy as np
 
 from .core import (
     PureState,
+    _symmetrized,
     build_omega,
-    evolve_covariance,
     require_pure,
     symplectic_from_hamiltonian,
-    vacuum_state,
 )
 from .errors import DivisionByZeroError, InvalidArgumentError, NumericOverflowError
 from .measure import MetricTensor, _assemble, gem_from_purity
@@ -150,9 +149,11 @@ def _generators(num_modes: int, pairs: tuple, weights: np.ndarray) -> np.ndarray
 
 
 def _covariances(num_modes: int, pairs: tuple, weights: np.ndarray) -> np.ndarray:
-    h = _generators(num_modes, pairs, weights)
-    S = symplectic_from_hamiltonian(h)
-    return evolve_covariance(vacuum_state(num_modes), S)
+    """S S^T / 2 for S = exp(Omega h): the vacuum I/2 evolved, in one product."""
+    S = symplectic_from_hamiltonian(_generators(num_modes, pairs, weights))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _symmetrized
+        product = (0.5 * S) @ S.swapaxes(-1, -2)
+    return _symmetrized(product)
 
 
 def graph_state_covariances(num_modes: int, pairs, weights) -> np.ndarray:

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gaussgem
 from gaussgem import (
@@ -92,6 +93,100 @@ class TestMatrixExponential:
     def test_overflow_reported(self):
         with pytest.raises(NumericOverflowError):
             matrix_exponential([[1e6, 0.0], [0.0, 1e6]])
+
+
+class TestExponentialDriver:
+    """matrix_exponential against scipy.linalg.expm, bit for bit, slice by slice."""
+
+    @staticmethod
+    def _squarings(M):
+        from scipy.linalg import _matfuncs_expm
+
+        scratch = np.empty((5,) + M.shape)
+        scratch[0] = M
+        return _matfuncs_expm.pick_pade_structure(scratch)[1]
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 12])
+    def test_random_stacks_over_scalings(self, rng, n):
+        scales = np.geomspace(1e-3, 60.0, 40)
+        stack = scales[:, None, None] * rng.standard_normal((40, n, n)) / np.sqrt(n)
+        assert {0, 1, 2, 3, 4} <= {self._squarings(M) for M in stack}
+        assert np.array_equal(matrix_exponential(stack), scipy.linalg.expm(stack))
+        for M in stack[::7]:
+            assert np.array_equal(matrix_exponential(M), scipy.linalg.expm(M))
+
+    def test_four_dimensional_stack(self, rng):
+        stack = rng.standard_normal((2, 3, 6, 6))
+        out = matrix_exponential(stack)
+        assert out.shape == (2, 3, 6, 6)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(out[index], scipy.linalg.expm(stack[index]))
+
+    def test_mixed_structure_stack(self, rng):
+        # Zero, diagonal and triangular slices take scipy's bandwidth branch;
+        # interleaved with generic ones, each must still come out as expm's.
+        generic = 3.0 * rng.standard_normal((8, 5, 5))
+        stack = generic.copy()
+        stack[0] = 0.0
+        stack[2] = np.diag(rng.standard_normal(5))
+        stack[3] = np.triu(generic[3])
+        stack[5] = np.tril(generic[5])
+        stack[6] = np.triu(generic[6], 1)
+        stack[7] = np.triu(generic[7])
+        stack[7, 4, 0] = -0.0  # a negative zero counts as zero, as in scipy's bandwidth
+        out = matrix_exponential(stack)
+        for k in range(len(stack)):
+            assert np.array_equal(out[k], scipy.linalg.expm(stack[k]))
+            assert np.array_equal(np.signbit(out[k]), np.signbit(scipy.linalg.expm(stack[k])))
+
+    def test_dense_graph_generator(self, rng):
+        h = hamiltonian_from_graph(random_graph_spec(rng, 96, edge_prob=0.04))
+        M = build_omega(96) @ h
+        assert np.array_equal(matrix_exponential(M), scipy.linalg.expm(M))
+
+    def test_generic_slices_skip_public_expm(self, rng, monkeypatch):
+        def refuse(_):
+            raise AssertionError("generic slices must not go through scipy.linalg.expm")
+
+        stack = rng.standard_normal((6, 4, 4))
+        want = scipy.linalg.expm(stack)
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        assert np.array_equal(matrix_exponential(stack), want)
+        assert np.array_equal(matrix_exponential(stack[0]), want[0])
+
+    def test_generic_overflow_reported_without_warning(self):
+        # pytest turns a leaked RuntimeWarning into a failure.
+        with pytest.raises(NumericOverflowError):
+            matrix_exponential([[800.0, 1.0], [1.0, 800.0]])
+
+    def test_bad_input_checked_before_scipy_kernels(self, monkeypatch):
+        # Input errors stay InvalidArgumentError even without the private module.
+        monkeypatch.delattr(scipy.linalg, "_matfuncs_expm")
+        with pytest.raises(InvalidArgumentError):
+            matrix_exponential(np.zeros((2, 3)))
+        with pytest.raises(InvalidArgumentError):
+            matrix_exponential([[np.nan, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "kernel,result,error",
+        [
+            ("pick_pade_structure", (-1, 0), MemoryError),
+            ("pade_UV_calc", 3, RuntimeError),
+            ("pade_UV_calc", -11, MemoryError),
+        ],
+    )
+    def test_kernel_failure_raises_as_scipy(self, monkeypatch, kernel, result, error):
+        from scipy.linalg import _matfuncs_expm
+
+        real = getattr(_matfuncs_expm, kernel)
+
+        def failing(*args):
+            real(*args)
+            return result
+
+        monkeypatch.setattr(_matfuncs_expm, kernel, failing)
+        with pytest.raises(error, match="error code"):
+            matrix_exponential([[0.1, 0.2], [0.3, 0.4]])
 
 
 class TestSymplecticFromHamiltonian:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussgem
 from gaussgem import (
     DivisionByZeroError,
     GraphSpec,
@@ -16,6 +17,7 @@ from gaussgem import (
     PolarCoupling,
     check_pure,
     compact_gem_two_mode,
+    evolve_covariance,
     gem_from_purity,
     gem_ratio_small_r,
     gem_three_mode_g1,
@@ -28,6 +30,7 @@ from gaussgem import (
     log_negativity_two_mode,
     metric_h,
     mode_purities,
+    symplectic_from_hamiltonian,
     two_mode_metric_closed,
     vacuum_state,
 )
@@ -101,6 +104,29 @@ class TestGraphStateCovariance:
             gamma = graph_state_covariance(random_graph_spec(rng, 4))
             ok, residual = check_pure(gamma)
             assert ok and residual < 1e-9
+
+    def test_vacuum_evolved_in_one_product(self, rng):
+        # S S^T / 2 equals evolve_covariance(vacuum_state(N), S) bit for bit,
+        # sign bits of zeros included, on single graphs and on a scan2 stack.
+        specs = [GraphSpec(3), GraphSpec(2, ((1, 2, 0.4 - 0.0j),))]
+        specs += [random_graph_spec(rng, n) for n in (2, 3, 8)]
+        specs += [random_graph_spec(rng, 96, edge_prob=0.04) for _ in range(2)]
+        for spec in specs:
+            S = symplectic_from_hamiltonian(hamiltonian_from_graph(spec))
+            got, want = graph_state_covariance(spec), evolve_covariance(vacuum_state(spec.num_modes), S)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        axis = np.linspace(-3.0, 3.0, 61)
+        weights = (axis[:, None] + 1j * axis)[..., None]
+        S = symplectic_from_hamiltonian(gaussgem.graphs._generators(2, ((1, 2),), weights))
+        got, want = graph_state_covariances(2, ((1, 2),), weights), evolve_covariance(vacuum_state(2), S)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_overflowing_weight_raises_without_warning(self):
+        # pytest turns a leaked RuntimeWarning into a failure.
+        with pytest.raises(NumericOverflowError, match="S Gamma S"):
+            graph_state_covariance(GraphSpec(2, ((1, 2, 400j),)))
 
     def test_matches_fock_preparation(self, rng):
         # Full covariance agreement with the truncated-Fock preparation
