@@ -94,8 +94,11 @@ def _load_graph_spec(path: str) -> GraphSpec:
     for entry in edges:
         if not isinstance(entry, dict) or not {"i", "j"} <= set(entry):
             raise InvalidArgumentError(f"{path}: each edge needs 'i' and 'j' fields, got {entry!r}")
+        parts = entry.get("re", 0.0), entry.get("im", 0.0)
         try:
-            weight = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+            if any(isinstance(part, bool) for part in parts):  # float(true) would read 1.0
+                raise TypeError("a boolean is not a weight")
+            weight = complex(*map(float, parts))
         except (TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"{path}: edge weights must be numeric, got {entry!r}") from exc
         triples.append((entry["i"], entry["j"], weight))

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +69,40 @@ def _triangle_masks(n: int) -> np.ndarray:
     return masks
 
 
+_PADE_KERNELS = "scipy.linalg._matfuncs_expm"
+
+
+def _pade_kernels():
+    """scipy's compiled Pade kernels, loaded without importing ``scipy.linalg``.
+
+    Returns the module in ``sys.modules`` if there is one (``import
+    scipy.linalg`` puts it there, and a later such import reuses the one
+    loaded here).  Otherwise it locates the extension file in scipy's
+    ``linalg`` directory, without importing scipy, and executes it under
+    its own name.  The extension needs only numpy's C API and the BLAS that
+    scipy links; the Python package start-up of ``scipy.linalg`` costs more
+    than the rest of a short CLI run.
+
+    Raises:
+        ImportError: scipy or its kernel extension is not installed.
+    """
+    kernels = sys.modules.get(_PADE_KERNELS)
+    if kernels is not None:
+        return kernels
+    import importlib.machinery
+    import importlib.util
+
+    scipy_spec = importlib.util.find_spec("scipy")  # locates the package without importing it
+    dirs = [os.path.join(p, "linalg") for p in scipy_spec.submodule_search_locations] if scipy_spec else []
+    spec = importlib.machinery.PathFinder.find_spec(_PADE_KERNELS, dirs)
+    if spec is None:
+        raise ImportError(f"matrix_exponential needs the extension {_PADE_KERNELS}, not found in {dirs or sys.path}")
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+    sys.modules[_PADE_KERNELS] = kernels
+    return kernels
+
+
 def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     """exp(M) for a square real matrix, or for each slice of a (..., n, n) stack.
 
@@ -75,21 +111,25 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     Matrix Anal. Appl. 31, 970 (2009)), which handles the non-normal
     generators Omega @ h arising here without an eigendecomposition.  A 2-D
     matrix is a stack of one.  One vectorized test over the stack finds the
-    triangular slices (all zero below, or all zero above, the diagonal),
-    which scipy treats apart (its ``bandwidth`` branch), and sends them
-    through public ``scipy.linalg.expm``.  Every other slice is copied into
-    one reused (5, n, n) scratch array and goes through scipy's own kernels,
-    ``scipy.linalg._matfuncs_expm.pick_pade_structure`` (order m and
-    scaling s) and ``pade_UV_calc`` (the Pade quotient), then s squarings
-    ``e = e @ e``, as ``expm``'s loop does, but without its per-slice Python
-    wrapper.  The kernels are private; they are called with the interface
-    of scipy 1.17, the floor in ``pyproject.toml``.  scipy is imported on
-    first use, so commands that never exponentiate do not pay for loading it.
+    slices with nothing below, or nothing above, the diagonal, which scipy
+    treats apart (its ``bandwidth`` branch): diagonal ones, zero included,
+    take scipy's formula ``np.diag(np.exp(np.diag(slice)))`` here, and the
+    other triangular ones go through public ``scipy.linalg.expm``.  Every
+    generic slice is copied into one reused (5, n, n) scratch array and goes
+    through scipy's own kernels, ``pick_pade_structure`` (order m and
+    scaling s) and ``pade_UV_calc`` (the Pade quotient) of
+    ``scipy.linalg._matfuncs_expm``, then s squarings ``e = e @ e``, as
+    ``expm``'s loop does, but without its per-slice Python wrapper.  The
+    kernels are private; they are called with the interface of scipy 1.17,
+    the floor in ``pyproject.toml``, and loaded on first use from their own
+    extension file (:func:`_pade_kernels`), so only a non-diagonal
+    triangular slice imports ``scipy.linalg``.
 
     Raises:
         InvalidArgumentError: non-square input or non-finite entries.
         NumericOverflowError: the exponential overflows to non-finite values.
         MemoryError, RuntimeError: a Pade kernel failed, as in ``scipy.linalg.expm``.
+        ImportError: scipy's kernel extension is not installed.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
@@ -97,18 +137,24 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     if not np.isfinite(M).all():
         raise InvalidArgumentError("matrix_exponential needs finite entries")
 
-    import scipy.linalg
-
-    kernels = scipy.linalg._matfuncs_expm  # loaded by scipy.linalg itself
     n = M.shape[-1]
     stack = M.reshape(math.prod(M.shape[:-2]), n, n)
     out = np.empty_like(stack)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         # Sums of |entries| below and above the diagonal: both nonzero makes a generic slice.
-        generic = (np.abs(stack).reshape(len(stack), n * n) @ _triangle_masks(n)).all(axis=-1)
+        sums = np.abs(stack).reshape(len(stack), n * n) @ _triangle_masks(n)
+        generic = sums.all(axis=-1)
         indices = generic.nonzero()[0].tolist()
         if len(indices) < len(stack):
-            out[~generic] = scipy.linalg.expm(stack[~generic])
+            diagonal = ~sums.any(axis=-1)
+            for k in diagonal.nonzero()[0]:
+                out[k] = np.diag(np.exp(np.diag(stack[k])))
+            triangular = ~(generic | diagonal)
+            if triangular.any():
+                import scipy.linalg
+
+                out[triangular] = scipy.linalg.expm(stack[triangular])
+        kernels = _pade_kernels() if indices else None
         scratch = np.empty((5, n, n))
         for k in indices:
             scratch[0] = stack[k]

@@ -74,9 +74,14 @@ class PolarCoupling:
         return cls(abs(w), cmath.phase(w))
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool, which JSON true/false become."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _validated_pairs(num_modes, pairs) -> tuple:
     """Edge pairs (i, j) checked as 1 <= i < j <= num_modes, integer, no repeats."""
-    if not isinstance(num_modes, (int, np.integer)) or num_modes < 1:
+    if not _is_integer(num_modes) or num_modes < 1:
         raise InvalidArgumentError(f"mode count must be a positive integer, got {num_modes!r}")
     seen = {}  # insertion-ordered set
     for pair in pairs:
@@ -84,7 +89,7 @@ def _validated_pairs(num_modes, pairs) -> tuple:
             i, j = pair
         except (TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"edge {pair!r} is not an (i, j) pair") from exc
-        if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+        if not (_is_integer(i) and _is_integer(j)):
             raise InvalidArgumentError(f"edge endpoints must be integers, got ({i!r}, {j!r})")
         if i == j:
             raise InvalidArgumentError(f"self-loop on mode {i} is not allowed")

@@ -95,6 +95,21 @@ class TestGemCommand:
         code, *_ = run_cli(["gem", write_spec(tmp_path, doc)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"modes": True, "edges": []},
+            {"modes": 2, "edges": [{"i": True, "j": 2, "im": 1}]},
+            {"modes": 2, "edges": [{"i": 1, "j": 2, "re": False, "im": True}]},
+            {"modes": 2, "edges": [{"i": 1, "j": 2, "re": True}]},
+        ],
+    )
+    def test_boolean_field_exit_2(self, tmp_path, capsys, doc):
+        # Python reads JSON true as 1, but it is no mode count, endpoint or weight.
+        code, out, err = run_cli(["gem", write_spec(tmp_path, doc)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_overflowing_weight_exit_3(self, tmp_path, capsys):
         doc = {"modes": 2, "edges": [{"i": 1, "j": 2, "re": 0, "im": 1e4}]}
         code, _, err = run_cli(["gem", write_spec(tmp_path, doc)], capsys)

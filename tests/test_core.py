@@ -1,6 +1,7 @@
 """Tests for the covariance / symplectic machinery."""
 
 import inspect
+import sys
 import warnings
 
 import numpy as np
@@ -161,7 +162,11 @@ class TestExponentialDriver:
 
     def test_bad_input_checked_before_scipy_kernels(self, monkeypatch):
         # Input errors stay InvalidArgumentError even without the private module.
-        monkeypatch.delattr(scipy.linalg, "_matfuncs_expm")
+        # A name that is neither in sys.modules nor a file in scipy's linalg
+        # directory hides the kernels from both places the driver looks.
+        monkeypatch.setattr(gaussgem.core, "_PADE_KERNELS", "scipy.linalg._no_such_kernels")
+        with pytest.raises(ImportError, match=r"scipy.linalg._no_such_kernels, not found in \[.*linalg"):
+            matrix_exponential([[0.1, 0.2], [0.3, 0.4]])
         with pytest.raises(InvalidArgumentError):
             matrix_exponential(np.zeros((2, 3)))
         with pytest.raises(InvalidArgumentError):
@@ -176,15 +181,15 @@ class TestExponentialDriver:
         ],
     )
     def test_kernel_failure_raises_as_scipy(self, monkeypatch, kernel, result, error):
-        from scipy.linalg import _matfuncs_expm
-
-        real = getattr(_matfuncs_expm, kernel)
+        kernels = gaussgem.core._pade_kernels()  # the module object the driver calls
+        assert kernels is sys.modules["scipy.linalg._matfuncs_expm"]
+        real = getattr(kernels, kernel)
 
         def failing(*args):
             real(*args)
             return result
 
-        monkeypatch.setattr(_matfuncs_expm, kernel, failing)
+        monkeypatch.setattr(kernels, kernel, failing)
         with pytest.raises(error, match="error code"):
             matrix_exponential([[0.1, 0.2], [0.3, 0.4]])
 

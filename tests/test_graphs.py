@@ -71,6 +71,11 @@ class TestGraphSpec:
         with pytest.raises(InvalidArgumentError):
             GraphSpec(2, ((1, 2, complex("inf")),))
 
+    @pytest.mark.parametrize("num_modes,edges", [(True, ()), (2, ((True, 2, 1.0),))])
+    def test_boolean_is_not_an_integer(self, num_modes, edges):
+        with pytest.raises(InvalidArgumentError):
+            GraphSpec(num_modes, edges)
+
 
 class TestHamiltonianFromGraph:
     def test_empty_graph(self):

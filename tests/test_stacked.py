@@ -210,7 +210,7 @@ class TestStackValidation:
         with pytest.raises(InvalidArgumentError):
             graph_state_covariances(2, ((1, 2),), weights)
 
-    @pytest.mark.parametrize("pairs", [((1, 1),), ((2, 1),), ((1, 2), (1, 2)), ((1, 4),), ((1, 2, 3),)])
+    @pytest.mark.parametrize("pairs", [((1, 1),), ((2, 1),), ((1, 2), (1, 2)), ((1, 4),), ((1, 2, 3),), ((True, 2),)])
     def test_topology_checked_like_graph_spec(self, pairs):
         with pytest.raises(InvalidArgumentError):
             graph_state_covariances(3, pairs, np.zeros((2, len(pairs)), dtype=complex))
@@ -232,29 +232,66 @@ class TestStackValidation:
             evolve_covariance(np.zeros((3, 4, 4)), np.zeros((2, 4, 4)))
 
 
-def test_import_leaves_scipy_unloaded():
-    # Only matrix_exponential needs scipy; importing the package, a field run
-    # and the equal-family scan (closed forms only) must not load it.
+# Commands that exponentiate: a graph state, an edgeless one (zero generator),
+# a scan2 grid through w = 0 and an xy scan with its self-test.
+EXPONENTIATING_RUNS = (
+    "main(['gem', spec]); main(['gem', edgeless]); "
+    "main(['scan2', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3']); "
+    "main(['scan3', '--family', 'xy', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3', '--self-test']); "
+)
+
+
+def _assert_child_exits_0(tmp_path, code):
+    """Run ``code`` in a fresh interpreter, with ``spec`` and ``edgeless`` graph files bound."""
+    spec, edgeless = tmp_path / "spec.json", tmp_path / "edgeless.json"
+    spec.write_text('{"modes": 2, "edges": [{"i": 1, "j": 2, "re": 0.3, "im": 0.5}]}', encoding="utf-8")
+    edgeless.write_text('{"modes": 3, "edges": []}', encoding="utf-8")
+    prelude = f"import sys; from gaussgem.cli import main; spec, edgeless = {str(spec)!r}, {str(edgeless)!r}; "
+    result = subprocess.run([sys.executable, "-c", prelude + code], capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # A field run and the equal-family scan (closed forms only) load no scipy
+    # module at all; the exponentiating commands load only scipy's Pade
+    # kernel extension, not the scipy package.
     code = (
-        "import sys; from gaussgem.cli import main; "
         "main(['field', '--n-list', '1,10', '--mass', '1', '--radius', '1', '--self-test']); "
         "main(['scan3', '--family', 'equal', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3']); "
-        "sys.exit(10 if 'scipy' in sys.modules else 0)"
+        "assert not [m for m in sys.modules if m.startswith('scipy')], 'field or scan3 equal loaded scipy'; "
+        + EXPONENTIATING_RUNS
+        + "loaded = [m for m in sys.modules if m.startswith('scipy')]; "
+        "assert loaded == ['scipy.linalg._matfuncs_expm'], loaded"
     )
-    assert subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env()).returncode == 0
+    _assert_child_exits_0(tmp_path, code)
 
 
-def test_import_leaves_numpy_fft_unloaded():
+def test_import_leaves_numpy_fft_unloaded(tmp_path):
     # Only field_covariance needs numpy.fft, and only field --self-test calls
-    # it; importing the package, a plain field run and the equal-family scan
-    # must not load it.  gem and scan2 are not checked: scipy.linalg, which
-    # their matrix exponential needs, imports numpy.fft itself.
+    # it; importing the package, a plain field run, the equal-family scan and
+    # the exponentiating commands must not load it.
     code = (
-        "import sys; import gaussgem; "
         "assert 'numpy.fft' not in sys.modules; "
-        "from gaussgem.cli import main; "
         "main(['field', '--n-list', '1,10', '--mass', '1', '--radius', '1']); "
         "main(['scan3', '--family', 'equal', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3']); "
-        "sys.exit(10 if 'numpy.fft' in sys.modules else 0)"
+        + EXPONENTIATING_RUNS
+        + "assert 'numpy.fft' not in sys.modules"
     )
-    assert subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env()).returncode == 0
+    _assert_child_exits_0(tmp_path, code)
+
+
+def test_kernels_loaded_first_are_shared_with_scipy_linalg(tmp_path):
+    # The driver loads the kernel extension on its own; a later import of
+    # scipy.linalg must reuse that module, and the driver must still equal
+    # scipy.linalg.expm bit for bit.
+    code = (
+        "main(['scan2', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3']); "
+        "kernels = sys.modules['scipy.linalg._matfuncs_expm']; "
+        "import numpy as np, scipy.linalg, scipy.linalg._matfuncs as matfuncs; "
+        "from gaussgem import matrix_exponential; "
+        "assert sys.modules['scipy.linalg._matfuncs_expm'] is kernels, 'kernel module replaced'; "
+        "assert matfuncs.pick_pade_structure is kernels.pick_pade_structure, 'scipy.linalg uses other kernels'; "
+        "stack = np.random.default_rng(7).standard_normal((20, 6, 6)) * np.geomspace(1e-2, 20, 20)[:, None, None]; "
+        "assert np.array_equal(matrix_exponential(stack), scipy.linalg.expm(stack)), 'not bit-identical'"
+    )
+    _assert_child_exits_0(tmp_path, code)
