@@ -95,12 +95,15 @@ def _load_graph_spec(path: str) -> GraphSpec:
         if not isinstance(entry, dict) or not {"i", "j"} <= set(entry):
             raise InvalidArgumentError(f"{path}: each edge needs 'i' and 'j' fields, got {entry!r}")
         parts = entry.get("re", 0.0), entry.get("im", 0.0)
+        # JSON numbers only: float() would also parse the string "0.5" and read true as 1.0.
+        if not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in parts):
+            raise InvalidArgumentError(f"{path}: edge weights must be JSON numbers, got {entry!r}")
         try:
-            if any(isinstance(part, bool) for part in parts):  # float(true) would read 1.0
-                raise TypeError("a boolean is not a weight")
             weight = complex(*map(float, parts))
-        except (TypeError, ValueError) as exc:
-            raise InvalidArgumentError(f"{path}: edge weights must be numeric, got {entry!r}") from exc
+        except OverflowError as exc:  # an integer beyond double range
+            raise InvalidArgumentError(
+                f"{path}: edge ({entry['i']}, {entry['j']}) weight is out of double range"
+            ) from exc
         triples.append((entry["i"], entry["j"], weight))
     return GraphSpec(doc["modes"], tuple(triples))
 

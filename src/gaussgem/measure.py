@@ -7,7 +7,12 @@ Each mode carries the three Hermitian quadratic generators
 defined once, as ``_GENERATORS``: T_i = xi^T A_i xi / 2 with xi = (q, p).
 Everything built on the generators is derived from those three 2x2 matrices:
 the sp(2,R) structure constants, [T1,T2] = -i T3, [T2,T3] = i T1,
-[T3,T1] = i T2, and the Wick sums of the moment tables.  The restriction of
+[T3,T1] = i T2, and the Wick sums of the moment tables.  Those sums run in
+real arithmetic: with the two-point function C = Gamma + (i/2) Omega,
+Re(C_ac C_bd) = Gamma_ac Gamma_bd - omega_ac omega_bd / 4, so the moments are
+weighted sums of products of Gamma's quadrature planes plus one constant 3x3
+table on each mode-diagonal block, derived from the generators and the
+one-mode symplectic form.  The restriction of
 the Fubini-Study metric to the orbit of local one-mode Gaussian unitaries has
 components g[(mode,i),(mode',j)] expressible entirely in covariance-matrix
 entries; contracting the mode-diagonal blocks with the inverse Killing form
@@ -158,28 +163,65 @@ def _assemble(num_modes: int, families: dict) -> np.ndarray:
 # Entry [i, j, a, b, c, d] = A_i[a, b] A_j[c, d] / 2, the Wick weight of C_ac C_bd.
 _WICK_WEIGHTS = 0.5 * np.einsum("iab,jcd->ijabcd", _GENERATORS, _GENERATORS)
 
+# Re(C_ac C_bd) = Gamma_ac Gamma_bd - omega_ac omega_bd / 4, and Omega is block diagonal, so
+# the omega part of the Wick sum is one 3x3 table [i, j], added to every mode-diagonal block.
+_WICK_OMEGA = -0.25 * np.einsum("ijabcd,ac,bd->ij", _WICK_WEIGHTS, build_omega(1), build_omega(1))
+
+# (u, v), u <= v: the 10 distinct products of Gamma's 4 quadrature planes, plane u = 2a + c.
+_PLANE_PAIRS = [(u, v) for u in range(4) for v in range(u, 4)]
+
+
+def _wick_terms() -> tuple:
+    """The Gamma part of the Wick sum as ((i, j), ((weight, (u, v)), ...)) over nonzero weights.
+
+    Plane u = 2a + c is Gamma's (a, c) quadrature block.  C_ac C_bd and
+    C_bd C_ac are the same product of planes, so the weights of the two
+    orders are added and only the pairs u <= v remain.
+    """
+    by_planes = _WICK_WEIGHTS.transpose(0, 1, 2, 4, 3, 5).reshape(3, 3, 4, 4)  # [i, j, 2a + c, 2b + d]
+    folded = np.triu(by_planes + np.triu(by_planes.swapaxes(-1, -2), 1))
+    terms = {}
+    for (i, j, u, v), weight in zip(np.argwhere(folded).tolist(), folded[folded != 0].tolist()):
+        terms.setdefault((i, j), []).append((weight, (u, v)))
+    return tuple((ij, tuple(pair_terms)) for ij, pair_terms in terms.items())
+
+
+_WICK_TERMS = _wick_terms()
+
 
 def moments_from_covariance(gamma: np.ndarray) -> MomentTable:
-    """Generator moments of a pure Gaussian state via Wick's theorem.
+    """Generator moments of a pure Gaussian state via Wick's theorem, in real arithmetic.
 
     With C = Gamma + (i/2) Omega and C^{mn} its (m, n) 2x2 block,
-    <T_(m,i)> = tr(A_i C^{mm}) / 2 and
+    <T_(m,i)> = tr(A_i Gamma^{mm}) / 2 and
     <T_(m,i) T_(n,j)> - <T_(m,i)><T_(n,j)> = (1/2) sum A_i[a,b] A_j[c,d] C^{mn}_ac C^{mn}_bd,
-    one contraction of ``_WICK_WEIGHTS``, a 9 x 16 weight table, with the
-    16 products of C's quadrature planes.  Since C^T is the conjugate of C, the
-    real part of that sum is the symmetrized real part the table stores.
+    one contraction of ``_WICK_WEIGHTS``, a 9 x 16 weight table.  Since C^T is
+    the conjugate of C, the real part of that sum is the symmetrized real part
+    the table stores, and Re(C_ac C_bd) = Gamma_ac Gamma_bd - omega_ac omega_bd / 4.
+    The Gamma part is a weighted sum of the 10 distinct products of Gamma's
+    quadrature planes; the omega part lives on the m = n blocks only, as the
+    constant 3x3 table ``_WICK_OMEGA`` derived from the generators and
+    ``build_omega(1)``.  Both are elementwise, so each stack slice is
+    bit-identical to the one-state call.
 
     Raises:
         UnphysicalStateError: ``gamma`` fails the purity check.
     """
     gamma = require_pure(gamma)
     num_modes = gamma.shape[-1] // 2
-    C = gamma + 0.5j * build_omega(num_modes)
-    # planes[a, c][..., m, n] = C^{mn}_ac, copied once so the products below read contiguous memory
-    planes = np.ascontiguousarray(np.moveaxis(C.reshape(C.shape[:-2] + (num_modes, 2) * 2), (-3, -1), (0, 1)))
-    first = np.moveaxis(0.5 * np.tensordot(_GENERATORS, np.diagonal(planes, 0, -2, -1).real, axes=2), 0, -1)
-    # The 16 products [a, b, c, d] = C_ac C_bd live only inside the contraction.
-    connected = np.tensordot(_WICK_WEIGHTS, planes[:, None, :, None] * planes[None, :, None, :], axes=4).real
+    lead = gamma.shape[:-2]
+    # planes[a, c][..., m, n] = Gamma^{mn}_ac, copied once so the products below read contiguous memory
+    planes = np.ascontiguousarray(np.moveaxis(gamma.reshape(lead + (num_modes, 2) * 2), (-3, -1), (0, 1)))
+    first = np.moveaxis(0.5 * np.tensordot(_GENERATORS, np.diagonal(planes, 0, -2, -1), axes=2), 0, -1)
+    flat = planes.reshape((4,) + planes.shape[2:])
+    products = {(u, v): flat[u] * flat[v] for u, v in _PLANE_PAIRS}
+    connected = np.empty((3, 3) + planes.shape[2:])
+    for (i, j), ((weight, pair), *rest) in _WICK_TERMS:
+        entry = np.multiply(weight, products[pair], out=connected[i, j])
+        for weight, pair in rest:
+            entry += weight * products[pair]
+    # Every (m, m) entry of the contiguous (3, 3, ..., N, N) table, one row per (i, j).
+    connected.reshape(3, 3, -1, num_modes * num_modes)[..., :: num_modes + 1] += _WICK_OMEGA[:, :, None, None]
     outer = first[..., :, None, :, None] * first[..., None, :, None, :]  # <T_(m,i)><T_(n,j)>
     return MomentTable(first=first, second=np.moveaxis(connected, (0, 1), (-2, -1)) + outer)
 

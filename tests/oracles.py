@@ -4,8 +4,9 @@ Nothing here calls into the phase-space code paths it is used to check:
 the matrix exponential oracle is a plain rescaled Taylor series, the state
 oracles work in a truncated Fock basis (the prepared graph state applies
 exp(-iH) to the vacuum through scipy's sparse ``expm_multiply`` on the
-Fock-space Hamiltonian, never forming a dense propagator), the moment oracle
-spells out each of the nine generator-pair Wick sums by hand, the Bogoliubov
+Fock-space Hamiltonian, never forming a dense propagator), the moment oracles
+spell out each of the nine generator-pair Wick sums by hand or contract all
+16 complex products of the two-point function, the Bogoliubov
 oracle forms each of the eight products of the symplectic identities on its
 own, the lattice oracles build the Fourier rows one mode number at a time
 and transport the mode variances with two dense products, and the elliptic
@@ -200,6 +201,26 @@ def moments_hand_expanded(gamma):
     # <T_(m,i) T_(n,j)>, so the average is real by construction.
     sym = 0.5 * (second + second.swapaxes(0, 1).swapaxes(-1, -2))
     return first, np.moveaxis(sym.real, (0, 1), (-2, -1))
+
+
+def moments_complex_wick(gamma):
+    """First and second generator moments of a pure (..., 2N, 2N) covariance, in complex arithmetic.
+
+    One contraction of the weights A_i[a,b] A_j[c,d] / 2 with all 16 products
+    C^{mn}_ac C^{mn}_bd of the two-point function C = Gamma + (i/2) Omega,
+    real part taken at the end.  Returns ``(first, second)`` laid out as
+    ``MomentTable``: first[..., m, i] and second[..., m, n, i, j].
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    num_modes = gamma.shape[-1] // 2
+    gens = 0.5 * np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, -1.0], [-1.0, 0.0]], np.eye(2)])
+    weights = 0.5 * np.einsum("iab,jcd->ijabcd", gens, gens)
+    C = gamma + 0.5j * np.kron(np.eye(num_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    planes = np.moveaxis(C.reshape(C.shape[:-2] + (num_modes, 2) * 2), (-3, -1), (0, 1))  # [a, c][..., m, n]
+    first = np.moveaxis(0.5 * np.tensordot(gens, np.diagonal(planes, 0, -2, -1).real, axes=2), 0, -1)
+    products = planes[:, None, :, None] * planes[None, :, None, :]  # [a, b, c, d] = C_ac C_bd
+    connected = np.moveaxis(np.tensordot(weights, products, axes=4).real, (0, 1), (-2, -1))
+    return first, connected + first[..., :, None, :, None] * first[..., None, :, None, :]
 
 
 def bogoliubov_residuals_eight_products(x, y):

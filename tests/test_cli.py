@@ -110,6 +110,20 @@ class TestGemCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"modes": 2, "edges": [{"i": 1, "j": 2, "im": "0.5"}]},
+            {"modes": 2, "edges": [{"i": 1, "j": 2, "re": 10**400}]},
+        ],
+        ids=["string", "huge-integer"],
+    )
+    def test_non_number_weight_exit_2(self, tmp_path, capsys, doc):
+        # float() parses a string and overflows on a 400-digit integer; neither is a weight.
+        code, out, err = run_cli(["gem", write_spec(tmp_path, doc)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_overflowing_weight_exit_3(self, tmp_path, capsys):
         doc = {"modes": 2, "edges": [{"i": 1, "j": 2, "re": 0, "im": 1e4}]}
         code, _, err = run_cli(["gem", write_spec(tmp_path, doc)], capsys)

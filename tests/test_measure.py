@@ -27,6 +27,7 @@ from oracles import (
     destroy,
     fock_expectation,
     fock_metric_two_mode,
+    moments_complex_wick,
     moments_hand_expanded,
     prepared_graph_state,
     single_mode_squeezed_state,
@@ -132,6 +133,20 @@ class TestMomentsAgainstHandExpanded:
         weights = rng.normal(0.0, 0.5, (4, 5, 3)) + 1j * rng.normal(0.0, 0.5, (4, 5, 3))
         stack = graph_state_covariances(3, [(1, 2), (2, 3), (1, 3)], weights)
         self._check(moments_from_covariance(stack), stack)
+
+
+class TestMomentsAgainstComplexWick(TestMomentsAgainstHandExpanded):
+    """The real-arithmetic Wick sums against the complex contraction of C = Gamma + (i/2) Omega.
+
+    Same states as the hand-expanded check; the two sums differ only in rounding order.
+    """
+
+    @staticmethod
+    def _check(table, gamma):
+        assert table.first.dtype == np.float64 and table.second.dtype == np.float64
+        first, second = moments_complex_wick(gamma)
+        assert np.max(np.abs(table.first - first)) <= 1e-15
+        assert np.max(np.abs(table.second - second)) <= 1e-15 * np.max(np.abs(second))
 
 
 class TestAssemblyMatchesModePairLoops:
