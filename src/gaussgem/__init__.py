@@ -26,8 +26,6 @@ from .core import (
     evolve_covariance,
     matrix_exponential,
     purity,
-    q_index,
-    reduced_covariance,
     require_pure,
     symplectic_from_hamiltonian,
     vacuum_state,
@@ -72,7 +70,6 @@ from .lattice import (
 from .measure import (
     MetricTensor,
     MomentTable,
-    Sp2KillingForm,
     gem_from_metric,
     gem_from_purity,
     killing_contraction,
@@ -101,7 +98,6 @@ __all__ = [
     "NumericOverflowError",
     "PolarCoupling",
     "PureState",
-    "Sp2KillingForm",
     "UnphysicalStateError",
     "asymptotic_coefficients",
     "bogoliubov_matrices",
@@ -135,8 +131,6 @@ __all__ = [
     "mode_purities",
     "moments_from_covariance",
     "purity",
-    "q_index",
-    "reduced_covariance",
     "reduced_det_from_xy",
     "require_pure",
     "symplectic_from_hamiltonian",

@@ -34,9 +34,9 @@ from .errors import InvalidArgumentError, NumericOverflowError, UnphysicalStateE
 DEFAULT_PURITY_TOL = 1e-9
 
 
-def q_index(mode: int) -> int:
-    """0-based row/column of the position quadrature of ``mode`` (1-based)."""
-    return 2 * (mode - 1)
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool, which JSON true/false become."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def build_omega(num_modes: int) -> np.ndarray:
@@ -47,7 +47,7 @@ def build_omega(num_modes: int) -> np.ndarray:
     Raises:
         InvalidArgumentError: if ``num_modes`` < 1.
     """
-    if not isinstance(num_modes, (int, np.integer)) or num_modes < 1:
+    if not _is_integer(num_modes) or num_modes < 1:
         raise InvalidArgumentError(f"mode count must be a positive integer, got {num_modes!r}")
     omega = np.zeros((2 * num_modes, 2 * num_modes))
     # Entries (2m, 2m+1) and (2m+1, 2m) sit 4N + 2 apart in the flat array.
@@ -211,7 +211,7 @@ def symplectic_from_hamiltonian(h: np.ndarray) -> np.ndarray:
 
 def vacuum_state(num_modes: int) -> np.ndarray:
     """Covariance matrix I/2 of the ``num_modes``-mode vacuum."""
-    if not isinstance(num_modes, (int, np.integer)) or num_modes < 1:
+    if not _is_integer(num_modes) or num_modes < 1:
         raise InvalidArgumentError(f"mode count must be a positive integer, got {num_modes!r}")
     return 0.5 * np.eye(2 * num_modes)
 
@@ -255,16 +255,6 @@ def _symmetrized(product: np.ndarray) -> np.ndarray:
     return out
 
 
-def reduced_covariance(gamma: np.ndarray, mode: int) -> np.ndarray:
-    """2x2 covariance block [[qq, qp], [pq, pp]] of a single mode (1-based)."""
-    gamma = np.asarray(gamma, dtype=float)
-    num_modes = gamma.shape[0] // 2
-    if not 1 <= mode <= num_modes:
-        raise InvalidArgumentError(f"mode index {mode} outside 1..{num_modes}")
-    a = q_index(mode)
-    return gamma[a : a + 2, a : a + 2].copy()
-
-
 def _mode_dets(gamma: np.ndarray) -> np.ndarray:
     """det Gamma^(mode) of every mode-diagonal 2x2 block, shape (..., N)."""
     rows = np.arange(gamma.shape[-1]).reshape(-1, 2, 1)  # rows 2m, 2m + 1 of mode m
@@ -287,13 +277,13 @@ def purity(gamma: np.ndarray) -> float:
     pure states.
 
     Raises:
-        InvalidArgumentError: ``gamma`` is not a symmetric 2N x 2N matrix.
+        InvalidArgumentError: ``gamma`` is not a symmetric 2N x 2N matrix with N >= 1.
         UnphysicalStateError: ``gamma`` is not positive definite, or its det
             or a mode's det lies below the uncertainty bound.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] % 2:
-        raise InvalidArgumentError(f"covariance must be 2N x 2N, got shape {gamma.shape}")
+    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] % 2 or not gamma.shape[0]:
+        raise InvalidArgumentError(f"covariance must be 2N x 2N with N >= 1, got shape {gamma.shape}")
     _require_symmetric(gamma, "covariance")
     try:
         chol = np.linalg.cholesky(2.0 * gamma)
@@ -313,8 +303,8 @@ def purity(gamma: np.ndarray) -> float:
 
 def _purity_residual(gamma: np.ndarray) -> np.ndarray:
     """||(Gamma Omega^-1)^2 + I/4||_max of each slice, as an array of shape (...)."""
-    if gamma.ndim < 2 or gamma.shape[-1] != gamma.shape[-2] or gamma.shape[-1] % 2:
-        raise InvalidArgumentError(f"covariance must be 2N x 2N, got shape {gamma.shape}")
+    if gamma.ndim < 2 or gamma.shape[-1] != gamma.shape[-2] or gamma.shape[-1] % 2 or not gamma.shape[-1]:
+        raise InvalidArgumentError(f"covariance must be 2N x 2N with N >= 1, got shape {gamma.shape}")
     # Gamma Omega^{-1} = -Gamma Omega only moves columns: column 2m is Gamma's
     # column 2m+1 and column 2m+1 is minus column 2m.  Every entry is one
     # entry of Gamma times +-1, so this equals the dense product exactly.

@@ -37,6 +37,7 @@ import numpy as np
 
 from .core import (
     PureState,
+    _is_integer,
     _symmetrized,
     build_omega,
     require_pure,
@@ -72,11 +73,6 @@ class PolarCoupling:
     @classmethod
     def from_complex(cls, w: complex) -> "PolarCoupling":
         return cls(abs(w), cmath.phase(w))
-
-
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer; False for a bool, which JSON true/false become."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _validated_pairs(num_modes, pairs) -> tuple:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .core import _pure_by_construction
+from .core import _is_integer, _pure_by_construction
 from .errors import DivergenceError, InvalidArgumentError, NumericOverflowError
 from .measure import gem_from_purity
 
@@ -79,7 +79,7 @@ class LatticeFieldConfig:
     radius: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+        if not _is_integer(self.n) or self.n < 0:
             raise InvalidArgumentError(f"n must be a non-negative integer, got {self.n!r}")
         if not (math.isfinite(self.mass) and self.mass > 0):
             raise InvalidArgumentError(f"mass must be positive, got {self.mass!r}")
@@ -112,7 +112,7 @@ class LatticeFieldConfig:
     @classmethod
     def from_modes(cls, num_modes: int, mass: float, radius: float) -> "LatticeFieldConfig":
         """Build from the site count N, which must be odd."""
-        if not isinstance(num_modes, (int, np.integer)) or num_modes < 1:
+        if not _is_integer(num_modes) or num_modes < 1:
             raise InvalidArgumentError(f"mode count must be a positive integer, got {num_modes!r}")
         if num_modes % 2 == 0:
             raise InvalidArgumentError(
@@ -155,7 +155,7 @@ def _omega(cfg: LatticeFieldConfig, k) -> np.ndarray:
 @_in_double_range
 def dispersion(k: int, cfg: LatticeFieldConfig) -> float:
     """Normal-mode frequency omega_k, monotone in k with omega_0 = mass."""
-    if not isinstance(k, (int, np.integer)) or not 0 <= k <= cfg.n:
+    if not _is_integer(k) or not 0 <= k <= cfg.n:
         raise InvalidArgumentError(f"mode number {k!r} outside 0..{cfg.n}")
     return float(_omega(cfg, k))
 
@@ -243,7 +243,7 @@ def reduced_det_from_xy(b: BogoliubovMatrices, mode: int) -> float:
     ``mode`` (1-based); identical for every site by translation invariance.
     """
     N = b.x.shape[0]
-    if not 1 <= mode <= N:
+    if not _is_integer(mode) or not 1 <= mode <= N:
         raise InvalidArgumentError(f"site index {mode} outside 1..{N}")
     x, y = b.x[:, mode - 1], b.y[:, mode - 1]
     xx_yy = float(x @ x + y @ y)
@@ -371,7 +371,7 @@ def gem_field_asymptotic(n: int, tau: float, p: int) -> float:
     6.9% at n = 1e6 (tau = 1, p = 0): the relative error falls only like
     1/ln n, because kappa2 and kappa3 differ from the exact sums' values.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
     c = asymptotic_coefficients(tau, p)
     ln = math.log(n)
@@ -379,7 +379,7 @@ def gem_field_asymptotic(n: int, tau: float, p: int) -> float:
 
 
 def complete_elliptic(kind: str, parameter: float) -> float:
-    """Complete elliptic integral E(pi/2 | m) or K(m), any parameter m <= 1.
+    """Complete elliptic integral K(m) (``kind="K"``) or E(m) (``kind="E"``), any parameter m <= 1.
 
     Evaluated by the arithmetic-geometric mean; negative parameters (the
     regime m = -(2n / m pi R)^2 of the continuum limit) go through the
@@ -392,26 +392,23 @@ def complete_elliptic(kind: str, parameter: float) -> float:
 
     Raises:
         DivergenceError: K requested at m >= 1.
-        InvalidArgumentError: unknown kind or parameter > 1.
+        InvalidArgumentError: ``kind`` other than "K" or "E", or parameter > 1.
     """
-    name = str(kind).strip().upper()
-    if name in ("F", "F/K"):
-        name = "K"
-    if name not in ("K", "E"):
-        raise InvalidArgumentError(f"kind must be 'E' or 'K'/'F', got {kind!r}")
+    if kind not in ("K", "E"):
+        raise InvalidArgumentError(f"kind must be 'K' or 'E', got {kind!r}")
     m = float(parameter)
     if not math.isfinite(m) or m > 1.0:
         raise InvalidArgumentError(f"parameter must be <= 1, got {parameter!r}")
-    if name == "K" and m == 1.0:
+    if kind == "K" and m == 1.0:
         raise DivergenceError("K(m) diverges at m = 1")
-    if name == "E" and m == 1.0:
+    if kind == "E" and m == 1.0:
         return 1.0
     if m < 0.0:
         u = -m
         k_val, e_val = _agm_pair(u / (1.0 + u), 1.0 / (1.0 + u))
-        return k_val / math.sqrt(1.0 + u) if name == "K" else e_val * math.sqrt(1.0 + u)
+        return k_val / math.sqrt(1.0 + u) if kind == "K" else e_val * math.sqrt(1.0 + u)
     k_val, e_val = _agm_pair(m, 1.0 - m)
-    return k_val if name == "K" else e_val
+    return k_val if kind == "K" else e_val
 
 
 def _agm_pair(m: float, complement: float) -> tuple[float, float]:

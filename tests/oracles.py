@@ -166,6 +166,11 @@ def fock_metric_two_mode(psi, cutoff):
     return 0.5 * (g + g.T)
 
 
+def reduced_covariance(gamma, mode):
+    """The 2x2 covariance block [[qq, qp], [pq, pp]] of ``mode`` (1-based), a slice of Gamma."""
+    return np.asarray(gamma)[2 * mode - 2 : 2 * mode, 2 * mode - 2 : 2 * mode]
+
+
 def moments_hand_expanded(gamma):
     """First and second generator moments of a pure (..., 2N, 2N) covariance, formula by formula.
 

@@ -14,6 +14,7 @@ from gaussgem import (
     GraphSpec,
     InvalidArgumentError,
     NumericOverflowError,
+    PureState,
     UnphysicalStateError,
     build_omega,
     check_pure,
@@ -22,8 +23,10 @@ from gaussgem import (
     graph_state_covariance,
     hamiltonian_from_graph,
     matrix_exponential,
+    metric_g,
+    mode_purities,
+    moments_from_covariance,
     purity,
-    reduced_covariance,
     require_pure,
     symplectic_from_hamiltonian,
     vacuum_state,
@@ -34,6 +37,7 @@ from oracles import (
     fock_four_point,
     fock_reduced_purity,
     quadrature_ops_two_mode,
+    reduced_covariance,
     taylor_expm,
     two_mode_squeezed_state,
 )
@@ -59,6 +63,11 @@ class TestOmega:
     def test_zero_modes_rejected(self):
         with pytest.raises(InvalidArgumentError):
             build_omega(0)
+
+    @pytest.mark.parametrize("build", [build_omega, vacuum_state])
+    def test_boolean_mode_count_rejected(self, build):
+        with pytest.raises(InvalidArgumentError):
+            build(True)
 
     @pytest.mark.parametrize("n", [1, 3, 7, 48])
     def test_matches_block_by_block_fill(self, n):
@@ -317,12 +326,6 @@ class TestReducedCovariance:
                 block = reduced_covariance(gamma, mode)
                 assert block[0, 1] == pytest.approx(block[1, 0], abs=1e-14)
 
-    def test_out_of_range(self):
-        with pytest.raises(InvalidArgumentError):
-            reduced_covariance(vacuum_state(2), 3)
-        with pytest.raises(InvalidArgumentError):
-            reduced_covariance(vacuum_state(2), 0)
-
 
 class TestPurity:
     def test_vacuum(self):
@@ -436,6 +439,16 @@ class TestRequirePure:
             require_pure(gamma)
         with pytest.raises(UnphysicalStateError):
             gem_from_purity(gamma)
+
+    @pytest.mark.parametrize(
+        "route",
+        [gem_from_purity, metric_g, moments_from_covariance, mode_purities, check_pure, require_pure, PureState, purity],
+    )
+    def test_zero_mode_covariance_rejected(self, route):
+        with pytest.raises(InvalidArgumentError, match="N >= 1"):
+            route(np.zeros((0, 0)))
+        if route is not purity:  # an empty stack of 4 x 4 covariances is still a stack
+            route(np.zeros((0, 4, 4)))
 
     def test_no_public_callable_takes_tol(self):
         for name in gaussgem.__all__:

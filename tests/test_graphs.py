@@ -380,11 +380,11 @@ class TestLogNegativity:
 class TestTwoModeMetricClosed:
     def test_zero_coupling_values(self):
         h = two_mode_metric_closed(0.0, 0.9)
-        assert h.component(1, 1, 1, 1) == pytest.approx(0.0, abs=1e-15)  # A
-        assert h.component(1, 1, 2, 1) == pytest.approx(0.125, abs=1e-15)  # B
-        assert h.component(1, 2, 2, 2) == pytest.approx(0.125, abs=1e-15)  # C
-        assert h.component(1, 2, 2, 3) == pytest.approx(0.0, abs=1e-15)  # D
-        assert h.component(1, 3, 2, 3) == pytest.approx(0.0, abs=1e-15)  # E
+        assert h.matrix[0, 0] == pytest.approx(0.0, abs=1e-15)  # A
+        assert h.matrix[0, 3] == pytest.approx(0.125, abs=1e-15)  # B
+        assert h.matrix[1, 4] == pytest.approx(0.125, abs=1e-15)  # C
+        assert h.matrix[1, 5] == pytest.approx(0.0, abs=1e-15)  # D
+        assert h.matrix[2, 5] == pytest.approx(0.0, abs=1e-15)  # E
 
     def test_matches_pipeline_entrywise(self):
         r, phi = 0.6, 1.1

@@ -65,6 +65,22 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError):
             LatticeFieldConfig.from_modes(4, mass=1.0, radius=1.0)
 
+    def test_only_integers_count(self):
+        # bool is an int subclass, but True is no mode number; a float site index is none either.
+        cfg = LatticeFieldConfig(n=2, mass=1.0, radius=1.0)
+        b = bogoliubov_matrices(cfg)
+        calls = [
+            lambda: LatticeFieldConfig(n=True, mass=1.0, radius=1.0),
+            lambda: LatticeFieldConfig.from_modes(True, mass=1.0, radius=1.0),
+            lambda: dispersion(True, cfg),
+            lambda: gem_field_asymptotic(True, 1.0, 0),
+            lambda: reduced_det_from_xy(b, True),
+            lambda: reduced_det_from_xy(b, 1.5),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidArgumentError):
+                call()
+
     def test_from_modes_roundtrip(self):
         cfg = LatticeFieldConfig.from_modes(7, mass=0.5, radius=2.0)
         assert cfg.n == 3 and cfg.num_modes == 7
@@ -514,11 +530,8 @@ class TestCompleteElliptic:
         assert complete_elliptic("E", 1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_invalid_inputs(self):
-        with pytest.raises(InvalidArgumentError):
-            complete_elliptic("Q", 0.5)
+        for kind in ("Q", "k", "F"):
+            with pytest.raises(InvalidArgumentError):
+                complete_elliptic(kind, 0.5)
         with pytest.raises(InvalidArgumentError):
             complete_elliptic("K", 2.0)
-
-    def test_kind_aliases(self):
-        assert complete_elliptic("F", -0.5) == complete_elliptic("K", -0.5)
-        assert complete_elliptic("F/K", -0.5) == complete_elliptic("K", -0.5)

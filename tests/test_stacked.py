@@ -133,12 +133,13 @@ class TestMetricRouteStacks:
             one = moments_from_covariance(stack[index])
             assert isinstance(one, MomentTable) and one.first.shape == (num_modes, 3)
             assert np.array_equal(moments.first[index], one.first)
+            assert np.array_equal(moments.connected[index], one.connected)
             assert np.array_equal(moments.second[index], one.second)
             singles = [metric_g(stack[index]), metric_h(stack[index]), metric_from_moments(one)]
             for metric, single in zip(tensors, singles):
                 assert isinstance(single, MetricTensor) and single.matrix.ndim == 2
                 assert np.array_equal(metric.matrix[index], single.matrix)
-                assert metric.component(1, 3, num_modes, 2)[index] == single.component(1, 3, num_modes, 2)
+                assert metric.matrix[..., 2, 3 * num_modes - 2][index] == single.matrix[2, 3 * num_modes - 2]
 
     @pytest.mark.parametrize("num_modes,pairs,weights", list(_cases()))
     def test_contractions(self, num_modes, pairs, weights):
