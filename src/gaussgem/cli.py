@@ -181,11 +181,13 @@ def _scan_grid(args) -> np.ndarray:
 
 def cmd_scan2(args) -> tuple[str, str]:
     points = _scan_grid(args)
-    covs = graph_state_covariances(2, ((1, 2),), points[:, None])
-    lognegs = log_negativity_two_mode(covs).tolist()
+    state = PureState(graph_state_covariances(2, ((1, 2),), points[:, None]))  # the one purity gate
+    lognegs = log_negativity_two_mode(state).tolist()
     gems = [gem_two_mode_closed(PolarCoupling.from_complex(w)) for w in points.tolist()]
     if args.self_test:
-        _self_test(gems, gem_from_purity(covs), "scan2 gem")
+        _self_test(gems, gem_from_purity(state), "scan2 gem")
+        # For a pure two-mode state, logneg = arcsinh(2 sqrt(-det Gamma_12)) = arcsinh(4 sqrt(gem)).
+        _self_test(lognegs, np.arcsinh(4.0 * np.sqrt(gems)), "scan2 logneg")
     rows = [(w.real, w.imag, gem, _log_or_neginf(gem), logneg)
             for w, gem, logneg in zip(points.tolist(), gems, lognegs)]
     return _csv(["re_w", "im_w", "gem", "log_gem", "logneg"], rows), ""

@@ -10,7 +10,9 @@ spell out each of the nine generator-pair Wick sums by hand or contract all
 oracle forms each of the eight products of the symplectic identities on its
 own, the lattice oracles build the Fourier rows one mode number at a time
 and transport the mode variances with two dense products, and the elliptic
-oracle is adaptive quadrature of the defining integral.
+oracle is adaptive quadrature of the defining integral; the log negativity
+oracle takes the partial transpose's symplectic spectrum from a general
+eigensolve.
 """
 
 import numpy as np
@@ -169,6 +171,19 @@ def fock_metric_two_mode(psi, cutoff):
 def reduced_covariance(gamma, mode):
     """The 2x2 covariance block [[qq, qp], [pq, pp]] of ``mode`` (1-based), a slice of Gamma."""
     return np.asarray(gamma)[2 * mode - 2 : 2 * mode, 2 * mode - 2 : 2 * mode]
+
+
+def log_negativity_eigvals(gamma):
+    """max(0, -ln 2 nu~) from the spectrum of i Omega Gamma~, by definition.
+
+    Gamma~ is the partial transpose of a two-mode covariance (momentum sign
+    flip on mode 2) and nu~ its smallest symplectic eigenvalue, the smallest
+    |eigenvalue| of i Omega Gamma~; one general eigensolve per 4 x 4 matrix.
+    """
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    eigs = np.linalg.eigvals(1j * omega @ flip @ np.asarray(gamma) @ flip)
+    return max(0.0, -np.log(2.0 * np.min(np.abs(eigs))))
 
 
 def moments_hand_expanded(gamma):

@@ -1,0 +1,79 @@
+"""Tests for the benchmark trajectory recorder's aggregation, on synthetic reports."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+_SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
+
+DECLARED = [
+    {"name": "throughput", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+]
+
+
+def _report(seed, throughput, latency, digests, failed=0, load=0.5):
+    return {
+        "provenance": {"seed": seed, "python": "3.11.7", "loadavg_1min_at_start": load},
+        "metrics": {"throughput": [throughput, "1/s"], "latency_ms_p50": [latency, "ms"]},
+        "attempted": len(digests),
+        "failed": failed,
+        "errors": ["boom"] * failed,
+        "digests": digests,
+    }
+
+
+def _pairs():
+    # Ten seeds: the change is faster on nine, slower on one, and its
+    # latency ties the parent's on seed 1 and is lower elsewhere.
+    pairs = []
+    for seed in range(1, 11):
+        parent = _report(seed, 100.0 + seed, 10.0, ["a", "b", "c"], load=0.1 * seed)
+        change = _report(seed, 90.0 if seed == 10 else 150.0 + seed, 10.0 if seed == 1 else 8.0,
+                         ["a", "x", "c", "d"])
+        pairs.append((parent, change))
+    return pairs
+
+
+def test_medians_quartiles_and_runs():
+    out = bench_record.aggregate(DECLARED, _pairs())
+    parent = out["parent"]["metrics"]["throughput"]
+    assert parent["runs"] == [101.0 + k for k in range(10)]
+    assert (parent["q1"], parent["median"], parent["q3"]) == pytest.approx((103.25, 105.5, 107.75))
+    assert parent["unit"] == "1/s"
+    assert out["change"]["metrics"]["latency_ms_p50"]["median"] == 8.0
+    assert out["parent"]["seeds"] == list(range(1, 11))
+
+
+def test_pairs_follow_the_declared_direction():
+    verdicts = bench_record.aggregate(DECLARED, _pairs())["pairs"]
+    assert verdicts["throughput"] == {"won": 9, "lost": 1, "tied": 0, "gain": True}
+    assert verdicts["latency_ms_p50"] == {"won": 9, "lost": 0, "tied": 1, "gain": True}
+
+
+def test_gain_needs_nine_tenths_and_a_median_beyond_the_parent_iqr():
+    pairs = _pairs()
+    pairs[0][1]["metrics"]["throughput"][0] = 50.0  # a second lost pair: 8 of 10
+    assert bench_record.aggregate(DECLARED, pairs)["pairs"]["throughput"]["gain"] is False
+    # Every pair won, by less than the parent's interquartile range of 4.5.
+    close = [(_report(s, 100.0 + s, 10.0, []), _report(s, 101.0 + s, 10.0, [])) for s in range(1, 11)]
+    verdict = bench_record.aggregate(DECLARED, close)["pairs"]["throughput"]
+    assert verdict["won"] == 10 and verdict["gain"] is False
+
+
+def test_failures_digests_and_provenance():
+    pairs = _pairs()
+    pairs[3] = (pairs[3][0], _report(4, 154.0, 8.0, ["a", "x", "c", "d"], failed=2))
+    out = bench_record.aggregate(DECLARED, pairs)
+    assert (out["change"]["attempted"], out["change"]["failed"]) == (40, 2)
+    assert out["change"]["errors"] == ["boom", "boom"]
+    assert (out["parent"]["attempted"], out["parent"]["failed"]) == (30, 0)
+    # Ops are compared where both runs reached them: 3 per pair, 1 differing.
+    assert (out["digests_compared"], out["digests_differing"]) == (30, 10)
+    # Only what every run of a side shares is its provenance.
+    assert out["parent"]["provenance"] == {"python": "3.11.7"}
+    assert out["change"]["provenance"] == {"python": "3.11.7", "loadavg_1min_at_start": 0.5}

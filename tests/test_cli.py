@@ -77,6 +77,13 @@ class TestGemCommand:
         assert code == 0
         assert json.loads(out)["logneg"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_logneg_strong_squeezing(self, tmp_path, capsys):
+        # The eigvals route printed 16.0013 here, with exit 0.
+        path = write_spec(tmp_path, {"modes": 2, "edges": [{"i": 1, "j": 2, "re": 0, "im": 20}]})
+        code, out, _ = run_cli(["gem", path, "--measure", "logneg"], capsys)
+        assert code == 0
+        assert json.loads(out)["logneg"] == pytest.approx(40.0, rel=1e-12)
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"modes": 2, "edges": [', encoding="utf-8")
@@ -307,6 +314,7 @@ class TestSelfTestFaults:
             # Each measure column: the route that produced it, then its reference route.
             pytest.param(SCAN2, cli, "gem_two_mode_closed", "scan2 gem", id="scan2-closed"),
             pytest.param(SCAN2, cli, "gem_from_purity", "scan2 gem", id="scan2-purity"),
+            pytest.param(SCAN2, cli, "log_negativity_two_mode", "scan2 logneg", id="scan2-logneg"),
             pytest.param(EQUAL, cli, "gem_three_mode_g1", "scan3 gem_g1", id="equal-g1-closed"),
             pytest.param(EQUAL, cli, "gem_three_mode_g2", "scan3 gem_g2", id="equal-g2-closed"),
             pytest.param(EQUAL, cli, "gem_from_purity", "scan3 gem_g1", id="equal-purity"),
@@ -344,13 +352,16 @@ class TestSelfTestFaults:
             weights = np.repeat(points[:, None], len(pairs), axis=1)
         num_modes = max(j for _, j in pairs)
         target = graph_state_covariances(num_modes, pairs, weights[:, : len(pairs)])[cls.ROW]
-        return lambda gamma: np.all(gamma == target, axis=(-2, -1))  # one entry per slice
+        # One entry per slice; a route may get the stack bare or as a PureState.
+        return lambda state: np.all(getattr(state, "gamma", state) == target, axis=(-2, -1))
 
     @pytest.mark.parametrize(
         "command, module, route, kind, pairs, label",
         [
             pytest.param("scan2", cli, "gem_two_mode_closed", "coupling", None, "scan2 gem", id="scan2-closed"),
             pytest.param("scan2", cli, "gem_from_purity", "state", ((1, 2),), "scan2 gem", id="scan2-purity"),
+            pytest.param("scan2", cli, "log_negativity_two_mode", "state", ((1, 2),), "scan2 logneg",
+                         id="scan2-logneg"),
             pytest.param("equal", cli, "gem_three_mode_g1", "coupling", None, "scan3 gem_g1", id="equal-g1-closed"),
             pytest.param("equal", cli, "gem_three_mode_g2", "coupling", None, "scan3 gem_g2", id="equal-g2-closed"),
             pytest.param("equal", cli, "gem_from_purity", "state", cli.THREE_MODE_TRIANGLE, "scan3 gem_g1",

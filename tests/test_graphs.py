@@ -34,8 +34,9 @@ from gaussgem import (
     two_mode_metric_closed,
     vacuum_state,
 )
+from gaussgem.core import _pure_by_construction
 from conftest import random_graph_spec
-from oracles import fock_covariance, prepared_graph_state, quadrature_ops_two_mode
+from oracles import fock_covariance, log_negativity_eigvals, prepared_graph_state, quadrature_ops_two_mode
 
 TRIANGLE = ((1, 2), (2, 3), (1, 3))
 PATH3 = ((1, 2), (2, 3))
@@ -375,6 +376,36 @@ class TestLogNegativity:
     def test_wrong_size_rejected(self):
         with pytest.raises(InvalidArgumentError):
             log_negativity_two_mode(vacuum_state(3))
+
+    @pytest.mark.parametrize("r", [6, 8, 9, 12, 16, 20, 25, 50, 100])
+    def test_strong_squeezing_reads_2r(self, r):
+        # The eigvals route read 15.9976 at r = 8, 32.25 at r = 12 and 0.0 from r = 25.
+        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 1j * r),)))
+        assert log_negativity_two_mode(gamma) == pytest.approx(2.0 * r, rel=1e-12)
+
+    @pytest.mark.parametrize("w", [1.0, -1.0, 0.5, -0.5, 0.7])
+    def test_exactly_zero_on_real_axis(self, w):
+        # A passive state's Gamma_12 is antisymmetric up to rounding, so det Gamma_12 >= 0.
+        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, w),)))
+        assert log_negativity_two_mode(gamma) == 0.0
+
+    def test_overflowing_det_raises_typed_error(self):
+        gamma = vacuum_state(2)
+        gamma[0, 2] = gamma[2, 0] = gamma[1, 3] = gamma[3, 1] = 1e200
+        state = _pure_by_construction(gamma)  # finite entries, vouched pure, unjudged
+        with pytest.raises(NumericOverflowError, match="det Gamma_12"):
+            log_negativity_two_mode(state)
+        stack = _pure_by_construction(np.stack([vacuum_state(2), gamma]))
+        with pytest.raises(NumericOverflowError, match=r"stack index \(1,\)"):
+            log_negativity_two_mode(stack)
+
+    def test_matches_partial_transpose_spectrum(self):
+        rng = np.random.default_rng(16)
+        r, phi = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, 64)), rng.uniform(-math.pi, math.pi, 64)
+        stack = graph_state_covariances(2, ((1, 2),), (r * np.exp(1j * phi))[:, None])
+        got = log_negativity_two_mode(stack)
+        for k, gamma in enumerate(stack):
+            assert got[k] == pytest.approx(log_negativity_eigvals(gamma), abs=1e-9)
 
 
 class TestTwoModeMetricClosed:

@@ -1,0 +1,165 @@
+"""Benchmark trajectory: the declared benchmark on a parent and a change, side by side.
+
+    python3 tools/bench_record.py --parent REV --change REV --seeds K --out BENCH_<n>.json
+
+Run from the root of a git checkout.  Each revision is extracted with
+``git archive`` into a directory of its own, and the command that
+BENCHMARK.json declares (``python3 bench/run.py``) runs unchanged in each.
+For every workload, seeds 1..K run as pairs: one ``--trace 0`` run per side,
+with the parent first on odd seeds and the change first on even ones, so a
+drift of the host's speed favours neither side.  One ``--trace 1`` run per
+side and workload follows, for the per-layer metrics.  Each run's report is
+read from ``.bench-out/`` of its tree.
+
+The output holds, per workload and side, the median and quartiles of every
+end-to-end metric with the values of each run, ``failed`` and ``attempted``,
+the provenance common to the side's runs and the traced per-layer metrics;
+per workload, the pairs each metric won, lost and tied, and how many ops
+gave different output digests on the two sides.  The file is rewritten after
+every pair, so an interrupted recording keeps what it finished.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+
+def extract(rev: str, dest: Path) -> str:
+    """Write the tree of ``rev`` into ``dest``; return the full commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                            capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return commit
+
+
+def run_bench(command: list[str], tree: Path, workload: str, seed: int, seconds: float,
+              trace: int) -> dict:
+    """One benchmark run in ``tree``; its full report from ``.bench-out/``."""
+    argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}",
+                      "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} failed in {tree} (exit {proc.returncode}):\n"
+                         f"{proc.stderr.strip()[-2000:]}")
+    path = tree / ".bench-out" / f"{workload}-seed{seed}-trace{trace}.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _common(dicts: list[dict]) -> dict:
+    """The items every dict shares, with equal values."""
+    first, rest = dicts[0], dicts[1:]
+    return {k: v for k, v in first.items() if all(k in d and d[k] == v for d in rest)}
+
+
+def _side(declared: list[dict], reports: list[dict]) -> dict:
+    metrics = {}
+    for metric in declared:
+        values = [r["metrics"][metric["name"]][0] for r in reports]
+        q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
+        metrics[metric["name"]] = {"unit": metric["unit"], "median": median, "q1": q1, "q3": q3,
+                                   "runs": values}
+    return {
+        "runs": len(reports),
+        "seeds": [r["provenance"]["seed"] for r in reports],
+        "metrics": metrics,
+        "attempted": sum(r["attempted"] for r in reports),
+        "failed": sum(r["failed"] for r in reports),
+        "errors": [e for r in reports for e in r["errors"]][:5],
+        "provenance": _common([r["provenance"] for r in reports]),
+    }
+
+
+def aggregate(declared: list[dict], pairs: list[tuple[dict, dict]]) -> dict:
+    """Summary of one workload's (parent report, change report) pairs, one pair per seed.
+
+    ``declared`` is BENCHMARK.json's ``end_to_end`` list.  A pair is won when
+    the change reads better in the metric's declared direction, lost when it
+    reads worse, tied when equal.  ``gain`` holds when the change won at
+    least nine tenths of the pairs and its median is better than the
+    parent's by more than the parent's interquartile range.  Op digests are
+    compared position by position over the ops both runs of a pair reached,
+    since op i's input depends on (seed, i) only.
+    """
+    out = {side: _side(declared, [pair[k] for pair in pairs]) for k, side in enumerate(SIDES)}
+    verdicts = {}
+    for metric in declared:
+        name, sign = metric["name"], (1.0 if metric["better"] == "higher" else -1.0)
+        deltas = [sign * (c["metrics"][name][0] - p["metrics"][name][0]) for p, c in pairs]
+        parent, change = out["parent"]["metrics"][name], out["change"]["metrics"][name]
+        won = sum(d > 0 for d in deltas)
+        verdicts[name] = {
+            "won": won,
+            "lost": sum(d < 0 for d in deltas),
+            "tied": sum(d == 0 for d in deltas),
+            "gain": 10 * won >= 9 * len(pairs)
+            and sign * (change["median"] - parent["median"]) > parent["q3"] - parent["q1"],
+        }
+    out["pairs"] = verdicts
+    compared = [(a, b) for p, c in pairs for a, b in zip(p["digests"], c["digests"])]
+    out["digests_compared"] = len(compared)
+    out["digests_differing"] = sum(a != b for a, b in compared)
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--change", required=True, help="git revision of the change")
+    parser.add_argument("--seeds", type=int, default=10, help="paired runs per workload (seeds 1..K)")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--work", default=None, help="directory for the two extracted trees")
+    args = parser.parse_args()
+
+    with tempfile.TemporaryDirectory(dir=args.work) as work:
+        trees = {side: Path(work) / side for side in SIDES}
+        commits = {side: extract(getattr(args, side), trees[side]) for side in SIDES}
+        bench = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        declared = bench["end_to_end"]
+        doc = {
+            "parent": commits["parent"],
+            "change": commits["change"],
+            "command": bench["command"],
+            "seconds": bench["run_seconds"],
+            "order": "parent first on odd seeds, change first on even seeds",
+            "workloads": {},
+        }
+
+        def save():
+            Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+        def run(side, workload, seed, trace):
+            return run_bench(bench["command"], trees[side], workload, seed, bench["run_seconds"], trace)
+
+        for workload in (w["name"] for w in bench["workloads"]):
+            pairs = []
+            for seed in range(1, args.seeds + 1):
+                order = SIDES if seed % 2 else SIDES[::-1]
+                reports = {side: run(side, workload, seed, 0) for side in order}
+                pairs.append((reports["parent"], reports["change"]))
+                doc["workloads"][workload] = aggregate(declared, pairs)
+                save()
+            for side in SIDES:
+                traced = run(side, workload, 1, 1)
+                doc["workloads"][workload][side]["per_layer"] = {
+                    name: value for name, (value, _unit) in traced["metrics"].items()
+                }
+            save()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
