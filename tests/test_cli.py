@@ -78,7 +78,7 @@ class TestGemCommand:
         assert json.loads(out)["logneg"] == pytest.approx(1.0, abs=1e-9)
 
     def test_logneg_strong_squeezing(self, tmp_path, capsys):
-        # The eigvals route printed 16.0013 here, with exit 0.
+        # A partial-transpose eigensolve (oracles.log_negativity_eigvals) gives 16.0013 here.
         path = write_spec(tmp_path, {"modes": 2, "edges": [{"i": 1, "j": 2, "re": 0, "im": 20}]})
         code, out, _ = run_cli(["gem", path, "--measure", "logneg"], capsys)
         assert code == 0

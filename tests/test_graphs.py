@@ -379,13 +379,13 @@ class TestLogNegativity:
 
     @pytest.mark.parametrize("r", [6, 8, 9, 12, 16, 20, 25, 50, 100])
     def test_strong_squeezing_reads_2r(self, r):
-        # The eigvals route read 15.9976 at r = 8, 32.25 at r = 12 and 0.0 from r = 25.
+        # log_negativity_eigvals reads 15.9976 at r = 8, 32.25 at r = 12 and 0.0 from r = 25.
         gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 1j * r),)))
         assert log_negativity_two_mode(gamma) == pytest.approx(2.0 * r, rel=1e-12)
 
     @pytest.mark.parametrize("w", [1.0, -1.0, 0.5, -0.5, 0.7])
     def test_exactly_zero_on_real_axis(self, w):
-        # A passive state's Gamma_12 is antisymmetric up to rounding, so det Gamma_12 >= 0.
+        # A passive state's Gamma_12 comes out antisymmetric, so det Gamma_12 >= 0.
         gamma = graph_state_covariance(GraphSpec(2, ((1, 2, w),)))
         assert log_negativity_two_mode(gamma) == 0.0
 
