@@ -34,7 +34,6 @@ from .core import PureState
 from .errors import GaussGemError, InvalidArgumentError
 from .graphs import (
     GraphSpec,
-    PolarCoupling,
     gem_three_mode_g1,
     gem_three_mode_g2,
     gem_two_mode_closed,
@@ -72,7 +71,10 @@ def _parse_range(text: str) -> tuple[float, float]:
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
     if steps < 2:
         raise InvalidArgumentError(f"steps must be >= 2, got {steps}")
-    return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
+    grid = [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
+    if not all(map(math.isfinite, grid)):  # finite bounds whose span overflows
+        raise InvalidArgumentError(f"range {lo:g}:{hi:g} in {steps} steps has points past double precision")
+    return grid
 
 
 def _load_graph_spec(path: str) -> GraphSpec:
@@ -182,14 +184,14 @@ def _scan_grid(args) -> np.ndarray:
 def cmd_scan2(args) -> tuple[str, str]:
     points = _scan_grid(args)
     state = PureState(graph_state_covariances(2, ((1, 2),), points[:, None]))  # the one purity gate
-    lognegs = log_negativity_two_mode(state).tolist()
-    gems = [gem_two_mode_closed(PolarCoupling.from_complex(w)) for w in points.tolist()]
+    lognegs = log_negativity_two_mode(state)
+    gems = gem_two_mode_closed(points)
     if args.self_test:
         _self_test(gems, gem_from_purity(state), "scan2 gem")
         # For a pure two-mode state, logneg = arcsinh(2 sqrt(-det Gamma_12)) = arcsinh(4 sqrt(gem)).
         _self_test(lognegs, np.arcsinh(4.0 * np.sqrt(gems)), "scan2 logneg")
     rows = [(w.real, w.imag, gem, _log_or_neginf(gem), logneg)
-            for w, gem, logneg in zip(points.tolist(), gems, lognegs)]
+            for w, gem, logneg in zip(points.tolist(), gems.tolist(), lognegs.tolist())]
     return _csv(["re_w", "im_w", "gem", "log_gem", "logneg"], rows), ""
 
 
@@ -204,12 +206,11 @@ def cmd_scan3(args) -> tuple[str, str]:
     topologies = (THREE_MODE_TRIANGLE, THREE_MODE_PATH)
     if args.family == "equal":
         weights = np.repeat(points[:, None], 3, axis=1)
-        couplings = [PolarCoupling.from_complex(w) for w in points.tolist()]
-        columns = [[gem(c) for c in couplings] for gem in (gem_three_mode_g1, gem_three_mode_g2)]
+        columns = [gem(points) for gem in (gem_three_mode_g1, gem_three_mode_g2)]
     else:
         weights = np.column_stack([1j * points.real, 1j * points.imag, np.ones(points.size)])
         stacks = [graph_state_covariances(3, pairs, weights[:, : len(pairs)]) for pairs in topologies]
-        columns = [gem_from_purity(stack).tolist() for stack in stacks]
+        columns = [gem_from_purity(stack) for stack in stacks]
     if args.self_test:
         for col, pairs in enumerate(topologies):
             if args.family == "equal":
@@ -218,7 +219,7 @@ def cmd_scan3(args) -> tuple[str, str]:
                 reference = gem_from_metric(stacks[col])
             _self_test(columns[col], reference, f"scan3 gem_g{col + 1}")
     rows = [(w.real, w.imag, g1, g2, g2 / g1 if g1 > 0.0 else float("nan"))
-            for w, g1, g2 in zip(points.tolist(), *columns)]
+            for w, g1, g2 in zip(points.tolist(), *(column.tolist() for column in columns))]
     header = ["re_w", "im_w"] if args.family == "equal" else ["x", "y"]
     return _csv(header + ["gem_g1", "gem_g2", "ratio_g2_g1"], rows), ""
 

@@ -71,6 +71,16 @@ def _triangle_masks(n: int) -> np.ndarray:
 
 _PADE_KERNELS = "scipy.linalg._matfuncs_expm"
 
+#: Bytes of ``matrix_exponential``'s (B, 5, n, n) work array: B = 102 slices
+#: at n = 4, and one slice from n = 29 on, where one (5, n, n) scratch of the
+#: kernels is the floor.
+_EXPM_WORK_BYTES = 1 << 16
+
+
+def _expm_block(n: int) -> int:
+    """Generic n x n slices per block of ``matrix_exponential``'s work array."""
+    return max(1, _EXPM_WORK_BYTES // (40 * n * n))
+
 
 def _pade_kernels():
     """scipy's compiled Pade kernels, loaded without importing ``scipy.linalg``.
@@ -103,6 +113,31 @@ def _pade_kernels():
     return kernels
 
 
+def _pade_in_place(kernels, work: np.ndarray) -> None:
+    """Replace each work[j, 0] by its exponential, with scipy's kernels and work[j] as their scratch.
+
+    ``work`` is a (B, 5, n, n) array whose slices work[j, 0] hold generic
+    matrices.  ``pick_pade_structure`` picks the order m and scaling s and
+    scales work[j, 0] by 2^-s in place, ``pade_UV_calc`` overwrites it with
+    the Pade quotient, and s squarings ``e = e @ e`` follow, as in
+    ``scipy.linalg.expm``'s loop; they are written back only when s > 0.
+    """
+    for j in range(len(work)):
+        scratch = work[j]
+        m, s = kernels.pick_pade_structure(scratch)
+        if m < 0:
+            raise MemoryError(f"scipy's Pade kernel could not allocate its work space (error code {m})")
+        info = kernels.pade_UV_calc(scratch, m)
+        if info != 0:
+            error = MemoryError if info <= -11 else RuntimeError
+            raise error(f"scipy's Pade kernel failed with LAPACK error code {info}")
+        if s:
+            e = scratch[0]
+            for _ in range(s):
+                e = e @ e
+            scratch[0] = e
+
+
 def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     """exp(M) for a square real matrix, or for each slice of a (..., n, n) stack.
 
@@ -114,14 +149,20 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     slices with nothing below, or nothing above, the diagonal, which scipy
     treats apart (its ``bandwidth`` branch): diagonal ones, zero included,
     take scipy's formula ``np.diag(np.exp(np.diag(slice)))`` here, and the
-    other triangular ones go through public ``scipy.linalg.expm``.  Every
-    generic slice is copied into one reused (5, n, n) scratch array and goes
-    through scipy's own kernels, ``pick_pade_structure`` (order m and
-    scaling s) and ``pade_UV_calc`` (the Pade quotient) of
+    other triangular ones go through public ``scipy.linalg.expm``.  The
+    generic slices go through scipy's own kernels, ``pick_pade_structure``
+    (order m and scaling s) and ``pade_UV_calc`` (the Pade quotient) of
     ``scipy.linalg._matfuncs_expm``, then s squarings ``e = e @ e``, as
-    ``expm``'s loop does, but without its per-slice Python wrapper.  The
-    kernels are private; they are called with the interface of scipy 1.17,
-    the floor in ``pyproject.toml``, and loaded on first use from their own
+    ``expm``'s loop does, but without its per-slice Python wrapper.  They
+    are copied a block at a time into one reused (B, 5, n, n) work array,
+    whose slices work[j] are the kernels' scratch (:func:`_pade_in_place`),
+    and each block's results come out in one vectorized copy.  A stack of
+    at most one block of generic slices, a single matrix included, is
+    copied out of the work array with no index scatter.  B is fixed by n
+    (:func:`_expm_block`), so the work array stays within 64 KiB, or one
+    (5, n, n) scratch for n > 40, however tall the stack.  The kernels
+    are private; they are called with the interface of scipy 1.17, the
+    floor in ``pyproject.toml``, and loaded on first use from their own
     extension file (:func:`_pade_kernels`), so only a non-diagonal
     triangular slice imports ``scipy.linalg``.
 
@@ -139,13 +180,19 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
 
     n = M.shape[-1]
     stack = M.reshape(math.prod(M.shape[:-2]), n, n)
-    out = np.empty_like(stack)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         # Sums of |entries| below and above the diagonal: both nonzero makes a generic slice.
         sums = np.abs(stack).reshape(len(stack), n * n) @ _triangle_masks(n)
         generic = sums.all(axis=-1)
-        indices = generic.nonzero()[0].tolist()
-        if len(indices) < len(stack):
+        indices = generic.nonzero()[0]
+        count = len(indices)
+        if count == len(stack) and (count == 1 or count <= _expm_block(n)):  # one block, no scatter
+            work = np.empty((count, 5, n, n))
+            work[:, 0] = stack
+            _pade_in_place(_pade_kernels(), work)
+            out = work[:, 0].copy()
+        else:
+            out = np.empty_like(stack)
             diagonal = ~sums.any(axis=-1)
             for k in diagonal.nonzero()[0]:
                 out[k] = np.diag(np.exp(np.diag(stack[k])))
@@ -154,21 +201,16 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
                 import scipy.linalg
 
                 out[triangular] = scipy.linalg.expm(stack[triangular])
-        kernels = _pade_kernels() if indices else None
-        scratch = np.empty((5, n, n))
-        for k in indices:
-            scratch[0] = stack[k]
-            m, s = kernels.pick_pade_structure(scratch)  # scales scratch[0] by 2^-s in place
-            if m < 0:
-                raise MemoryError(f"scipy's Pade kernel could not allocate its work space (error code {m})")
-            info = kernels.pade_UV_calc(scratch, m)
-            if info != 0:
-                error = MemoryError if info <= -11 else RuntimeError
-                raise error(f"scipy's Pade kernel failed with LAPACK error code {info}")
-            e = scratch[0]
-            for _ in range(s):
-                e = e @ e
-            out[k] = e
+            block_rows = _expm_block(n)
+            if count:
+                kernels = _pade_kernels()
+                work = np.empty((min(count, block_rows), 5, n, n))
+            for lo in range(0, count, block_rows):
+                rows = indices[lo : lo + block_rows]
+                block = work[: len(rows)]
+                block[:, 0] = stack[rows]
+                _pade_in_place(kernels, block)
+                out[rows] = block[:, 0]
     if not np.isfinite(out).all():
         raise NumericOverflowError("matrix exponential overflowed for the given norm")
     return out.reshape(M.shape)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussgem import GraphSpec, PolarCoupling, gem_from_purity, graph_state_covariance, graph_state_covariances
+from gaussgem import GraphSpec, gem_from_purity, graph_state_covariance, graph_state_covariances
 from gaussgem import cli, lattice
 from gaussgem.cli import main
 from conftest import child_env
@@ -254,8 +254,9 @@ class TestScan3:
     @pytest.mark.parametrize("family", ["equal", "xy"])
     def test_self_test_checks_g2(self, family, capsys, monkeypatch):
         if family == "equal":
+            # The closed form takes the grid's whole weight array; every entry comes out 1% high.
             closed = cli.gem_three_mode_g2
-            monkeypatch.setattr(cli, "gem_three_mode_g2", lambda c: 1.01 * closed(c))
+            monkeypatch.setattr(cli, "gem_three_mode_g2", lambda weights: 1.01 * closed(weights))
         else:
             # The xy columns are two pipeline calls, triangle then path; only
             # the second, the g2 column, comes out 1% high.
@@ -276,6 +277,17 @@ class TestScan3:
         )
         assert code == 3 and out == ""
         assert "self-test failed for scan3 gem_g2" in err
+
+    def test_closed_forms_take_the_whole_grid_once(self, capsys, monkeypatch):
+        calls = []
+        for name in ("gem_two_mode_closed", "gem_three_mode_g1", "gem_three_mode_g2"):
+            route = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda w, name=name, route=route: calls.append((name, np.shape(w))) or route(w))
+        grid = ["--re-range", "-1:1", "--im-range", "-1:1", "--steps", "5", "--self-test"]
+        for argv in (["scan2", *grid], ["scan3", "--family", "equal", *grid]):
+            code, *_ = run_cli(argv, capsys)
+            assert code == 0
+        assert calls == [("gem_two_mode_closed", (25,)), ("gem_three_mode_g1", (25,)), ("gem_three_mode_g2", (25,))]
 
     def test_overflow_error_is_the_only_stderr_line(self):
         # The purity residual overflows at these weights; numpy's warning must
@@ -342,9 +354,9 @@ class TestSelfTestFaults:
         if kind == "field":
             return lambda cfg: cfg.n == cls.FIELD_ROW + 1  # --n-list 1,2,3,4,5
         points = cli._scan_grid(cls.GRID)
-        if kind == "coupling":
-            target = PolarCoupling.from_complex(points.tolist()[cls.ROW])
-            return lambda coupling: coupling == target
+        if kind == "weight":
+            # A closed form takes the grid's weight array: one entry per row.
+            return lambda weights: np.asarray(weights) == points[cls.ROW]
         # The weight array the scan builds, so the row's covariance matches bit for bit.
         if family == "xy":
             weights = np.column_stack([1j * points.real, 1j * points.imag, np.ones(points.size)])
@@ -358,12 +370,12 @@ class TestSelfTestFaults:
     @pytest.mark.parametrize(
         "command, module, route, kind, pairs, label",
         [
-            pytest.param("scan2", cli, "gem_two_mode_closed", "coupling", None, "scan2 gem", id="scan2-closed"),
+            pytest.param("scan2", cli, "gem_two_mode_closed", "weight", None, "scan2 gem", id="scan2-closed"),
             pytest.param("scan2", cli, "gem_from_purity", "state", ((1, 2),), "scan2 gem", id="scan2-purity"),
             pytest.param("scan2", cli, "log_negativity_two_mode", "state", ((1, 2),), "scan2 logneg",
                          id="scan2-logneg"),
-            pytest.param("equal", cli, "gem_three_mode_g1", "coupling", None, "scan3 gem_g1", id="equal-g1-closed"),
-            pytest.param("equal", cli, "gem_three_mode_g2", "coupling", None, "scan3 gem_g2", id="equal-g2-closed"),
+            pytest.param("equal", cli, "gem_three_mode_g1", "weight", None, "scan3 gem_g1", id="equal-g1-closed"),
+            pytest.param("equal", cli, "gem_three_mode_g2", "weight", None, "scan3 gem_g2", id="equal-g2-closed"),
             pytest.param("equal", cli, "gem_from_purity", "state", cli.THREE_MODE_TRIANGLE, "scan3 gem_g1",
                          id="equal-g1-purity"),
             pytest.param("equal", cli, "gem_from_purity", "state", cli.THREE_MODE_PATH, "scan3 gem_g2",
@@ -568,6 +580,11 @@ class TestExitContract:
             pytest.param(["scan3", "--family", "equal", "--re-range", "4e15:4e15",
                           "--im-range", "1e15:1e15", "--steps", "2"],
                          3, "significant digit", id="scan3-equal-phase-past-2-53"),
+            # Finite bounds whose span overflows: the grid's points would be NaN.
+            pytest.param(["scan3", "--family", "equal", "--re-range=-1e308:1e308", "--im-range", "0:1", "--steps", "3"],
+                         2, "past double precision", id="scan3-equal-span-past-double"),
+            pytest.param(["scan3", "--family", "xy", "--re-range=-1e308:1e308", "--im-range", "0:1", "--steps", "3"],
+                         2, "past double precision", id="scan3-xy-span-past-double"),
         ],
     )
     def test_one_error_line(self, argv, code, needle, tmp_path):

@@ -149,6 +149,32 @@ class TestExponentialDriver:
             assert np.array_equal(out[k], scipy.linalg.expm(stack[k]))
             assert np.array_equal(np.signbit(out[k]), np.signbit(scipy.linalg.expm(stack[k])))
 
+    def test_stack_across_block_boundaries(self, rng):
+        # 2B + 3 slices: two full blocks of the driver's work array and three
+        # slices more, with zero, diagonal and triangular slices in each block.
+        B = gaussgem.core._expm_block(4)
+        assert B > 1
+        scales = np.geomspace(1e-3, 60.0, 2 * B + 3)
+        generic = scales[:, None, None] * rng.standard_normal((2 * B + 3, 4, 4)) / 2.0
+        assert {0, 1, 2, 3, 4} <= {self._squarings(M) for M in generic}
+        mixed = generic.copy()
+        mixed[[0, B + 1, 2 * B + 2]] = 0.0
+        for k in (B - 1, B, 2 * B):
+            mixed[k] = np.diag(np.diag(generic[k]))
+        for k in (5, B + 2, 2 * B + 1):
+            mixed[k] = np.triu(generic[k])
+        for k in (7, B + 7, 2 * B - 1):
+            mixed[k] = np.tril(generic[k], -1)
+        mixed[9] = np.triu(generic[9])
+        mixed[9, 3, 0] = -0.0  # a negative zero below the diagonal counts as zero
+        # Every slice generic: exactly one block, then two blocks and three slices.
+        for stack in (generic[:B], generic, mixed):
+            out = matrix_exponential(stack)
+            for M, got in zip(stack, out):
+                want = scipy.linalg.expm(M)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_dense_graph_generator(self, rng):
         h = hamiltonian_from_graph(random_graph_spec(rng, 96, edge_prob=0.04))
         M = build_omega(96) @ h

@@ -1,5 +1,6 @@
 """Tests for graph-state construction, closed forms, and baselines."""
 
+import itertools
 import math
 
 import mpmath
@@ -314,6 +315,89 @@ class TestThreeModeClosedForms:
             assert abs(gem_two_mode_closed(c) - _pipeline_two_mode(w)) < 1e-8
             assert abs(gem_three_mode_g1(c) - _pipeline_uniform(3, TRIANGLE, w)) < 1e-8
             assert abs(gem_three_mode_g2(c) - _pipeline_uniform(3, PATH3, w)) < 1e-8
+
+
+CLOSED_FORMS = (gem_two_mode_closed, gem_three_mode_g1, gem_three_mode_g2)
+
+
+def _scalar_call(closed, w):
+    """The closed form on weight w's PolarCoupling, read off as the array path reads it."""
+    return closed(PolarCoupling(float(np.hypot(w.real, w.imag)), float(np.arctan2(w.imag, w.real))))
+
+
+class TestClosedFormArrays:
+    """The closed forms on an array of complex weights: the scalar code at every entry."""
+
+    @staticmethod
+    def _weights(rng):
+        # Both sides of the four rays cos 2 phi = 0, from 1e-12 to 1e-3 away
+        # (the nearest inside the ray series' window), then random weights
+        # on both sides and weights on the axes; shaped (3, 97).
+        offsets = np.geomspace(1e-12, 1e-3, 10)
+        rays = np.pi / 4 * np.array([1.0, -1.0, 3.0, -3.0])
+        phi = (rays[:, None] + np.concatenate([offsets, -offsets, [0.0]])).ravel()
+        near_rays = rng.uniform(0.0, 5.0, phi.size) * np.exp(1j * phi)
+        scattered = rng.uniform(-4.0, 4.0, 200) + 1j * rng.uniform(-4.0, 4.0, 200)
+        axes = np.array([0.0, 1.0, -1.0, 1j, -1j, 2.5, -0.5j])
+        return np.concatenate([near_rays, scattered, axes]).reshape(3, 97)
+
+    def test_array_equals_scalar_bit_for_bit(self, rng):
+        w = self._weights(rng)
+        r, phi = np.hypot(w.real, w.imag), np.arctan2(w.imag, w.real)
+        u = np.cos(2.0 * phi)
+        assert (u > 0).any() and (u < 0).any()
+        for closed, s, u_closed in ((gem_two_mode_closed, 2.0 * r, u), (gem_three_mode_g1, 3.0 * r, u),
+                                    (gem_three_mode_g2, r, 2.0 * u)):
+            in_window = np.abs(u_closed) * np.maximum(s * s, 1.0) < 1e-6
+            assert in_window.sum() >= 8 and (~in_window).sum() >= 200
+            got = closed(w)
+            assert got.shape == w.shape and got.dtype == np.float64
+            want = np.array([_scalar_call(closed, x) for x in w.ravel()]).reshape(w.shape)
+            assert all(type(_scalar_call(closed, x)) is float for x in w.ravel()[:3])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))  # sign bits included
+            assert np.all(got[(w.imag == 0.0)] == 0.0)  # real couplings: exactly zero
+
+    @pytest.mark.parametrize("closed", CLOSED_FORMS)
+    def test_fault_inside_array_names_first_point(self, closed):
+        faults = {
+            "near-ray": 17700.0 * np.exp(1j * (np.pi / 4 + 5e-5)),  # finite sinh^2 over a small -u overflows
+            "2r": 1.7e308 * np.exp(2.0j),  # the scaled modulus s itself overflows
+            "phase": 1e17 * np.exp(0.3j),  # s sqrt(u) past 2^53 on the u > 0 side
+        }
+        messages = {}
+        for name, w in faults.items():
+            with pytest.raises(NumericOverflowError) as info:
+                _scalar_call(closed, w)
+            messages[name] = str(info.value)
+        assert len(set(messages.values())) == 3
+        assert "significant digit" in messages["phase"]
+        for first, second in itertools.permutations(faults, 2):
+            weights = np.array([[0.5 + 0.5j, faults[first]], [0.3j, faults[second]]])
+            with pytest.raises(NumericOverflowError) as info:
+                closed(weights)
+            assert str(info.value) == messages[first]
+
+    def test_g2_product_overflow_in_order_with_its_factor(self):
+        # At 130i both factors of g2 are finite and their product is not; at
+        # 300i the factor S itself overflows.  The first point decides.
+        product, factor = 130j, 300j
+        messages = {}
+        for w in (product, factor):
+            with pytest.raises(NumericOverflowError) as info:
+                _scalar_call(gem_three_mode_g2, w)
+            messages[w] = str(info.value)
+        assert "at r = 130" in messages[product] and "sin^2" in messages[factor]
+        for first, second in ((product, factor), (factor, product)):
+            with pytest.raises(NumericOverflowError) as info:
+                gem_three_mode_g2(np.array([0.3j, first, second]))
+            assert str(info.value) == messages[first]
+
+    @pytest.mark.parametrize("closed", CLOSED_FORMS)
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(np.inf, 1.0), complex(0.0, -np.inf),
+                                     complex(1.5e308, 1.5e308)])  # the last: finite parts, modulus past range
+    def test_non_finite_weight_or_modulus_raises_invalid(self, closed, bad):
+        with pytest.raises(InvalidArgumentError, match="finite r and phi.* at index 1$"):
+            closed(np.array([0.5j, bad, complex(np.nan, 0.0)]))
 
 
 class TestEdgeRatios:
