@@ -186,7 +186,7 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
         generic = sums.all(axis=-1)
         indices = generic.nonzero()[0]
         count = len(indices)
-        if count == len(stack) and (count == 1 or count <= _expm_block(n)):  # one block, no scatter
+        if count == len(stack) and count <= _expm_block(n):  # one block, no scatter
             work = np.empty((count, 5, n, n))
             work[:, 0] = stack
             _pade_in_place(_pade_kernels(), work)
@@ -391,6 +391,12 @@ def check_pure(gamma: np.ndarray) -> tuple[bool, float]:
     return (bool(passes), float(residual)) if residual.ndim == 0 else (passes, residual)
 
 
+def _at_stack_index(k: int, shape: tuple) -> str:
+    """" at stack index (i, ...)" naming flat slice ``k`` of a stack of ``shape``; "" for one state."""
+    index = tuple(int(i) for i in np.unravel_index(k, shape))
+    return f" at stack index {index}" if index else ""
+
+
 def require_pure(gamma: np.ndarray | PureState) -> np.ndarray:
     """Validate purity and return ``gamma`` as a float array.
 
@@ -410,8 +416,7 @@ def require_pure(gamma: np.ndarray | PureState) -> np.ndarray:
     if scale is None or passes.all():
         return gamma
     k = np.flatnonzero(~passes)[0]
-    index = tuple(int(i) for i in np.unravel_index(k, gamma.shape[:-2]))
-    where = f" at stack index {index}" if index else ""
+    where = _at_stack_index(k, gamma.shape[:-2])
     if np.isinf(scale.flat[k]):
         raise UnphysicalStateError(
             f"state{where} fails the purity gate: ||Gamma||_1^2 overflows double precision, "

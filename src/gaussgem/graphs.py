@@ -53,6 +53,7 @@ import numpy as np
 
 from .core import (
     PureState,
+    _at_stack_index,
     _is_integer,
     _symmetrized,
     require_pure,
@@ -84,10 +85,6 @@ class PolarCoupling:
     @property
     def weight(self) -> complex:
         return self.r * cmath.exp(1j * self.phi)
-
-    @classmethod
-    def from_complex(cls, w: complex) -> "PolarCoupling":
-        return cls(abs(w), cmath.phase(w))
 
 
 def _validated_pairs(num_modes, pairs) -> tuple:
@@ -427,9 +424,7 @@ def log_negativity_two_mode(gamma: np.ndarray | PureState) -> float | np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         det12 = gamma[..., 0, 2] * gamma[..., 1, 3] - gamma[..., 0, 3] * gamma[..., 1, 2]
     if not np.isfinite(det12).all():
-        k = np.flatnonzero(~np.isfinite(det12))[0]
-        index = tuple(int(i) for i in np.unravel_index(k, det12.shape))
-        where = f" at stack index {index}" if index else ""
+        where = _at_stack_index(np.flatnonzero(~np.isfinite(det12))[0], det12.shape)
         raise NumericOverflowError(
             f"log negativity{where} overflows double precision: det Gamma_12 is not finite"
         )
@@ -444,9 +439,7 @@ def two_mode_metric_closed(r: float, phi: float) -> MetricTensor:
     diagonal mode blocks are diag(A, -A, -A), so the Killing contraction
     collapses to -A, which is exactly the two-mode closed-form measure.
     """
-    if not (math.isfinite(r) and math.isfinite(phi)):
-        raise InvalidArgumentError("closed metric needs finite r and phi")
-    rs, phis = np.array([r], dtype=float), np.array([phi], dtype=float)
+    rs, phis = _polar(PolarCoupling(r, phi))  # finite r and phi, r >= 0, as every closed form takes them
     u = np.cos(2.0 * phis)
     s2 = float(_sin_phi_sq(phis)[0])
     with np.errstate(over="ignore"):  # 2r past double range, checked in _require_finite

@@ -12,8 +12,11 @@ own, the lattice oracles build the Fourier rows one mode number at a time
 and transport the mode variances with two dense products, and the elliptic
 oracle is adaptive quadrature of the defining integral; the log negativity
 oracle takes the partial transpose's symplectic spectrum from a general
-eigensolve.
+eigensolve; the CSV table oracles build the command tables one row tuple at
+a time, with ``math.log`` and Python float division.
 """
+
+import math
 
 import numpy as np
 from scipy import sparse
@@ -305,3 +308,33 @@ def elliptic_by_quadrature(kind, m):
         f = lambda t: np.sqrt(1.0 - m * np.sin(t) ** 2)
     val, _ = quad(f, 0.0, np.pi / 2.0, epsabs=1e-13, epsrel=1e-13, limit=200)
     return val
+
+
+def grid_by_loop(lo, hi, steps):
+    """``steps`` evenly spaced points from lo to hi, one Python float at a time."""
+    return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
+
+
+def csv_by_rows(header, rows):
+    """CSV text built one row tuple at a time, each float by "%.9g"."""
+    line = ",".join(["%.9g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join([line % row for row in rows])
+
+
+def scan2_rows(points, gems, lognegs):
+    """(re w, im w, gem, log gem, logneg) per point; log of a zero gem is -inf."""
+    return [(w.real, w.imag, gem, math.log(gem) if gem > 0.0 else float("-inf"), logneg)
+            for w, gem, logneg in zip(points, gems, lognegs)]
+
+
+def scan3_rows(points, g1s, g2s):
+    """(re w, im w, g1, g2, g2 / g1) per point; the ratio is nan where g1 is not positive."""
+    return [(w.real, w.imag, g1, g2, g2 / g1 if g1 > 0.0 else float("nan"))
+            for w, g1, g2 in zip(points, g1s, g2s)]
+
+
+def field_rows(ns, exacts, asyms):
+    """(n, exact, asymptotic, relative error) per size; the error is nan without both values."""
+    return [(float(n), exact, asym,
+             abs(asym - exact) / abs(exact) if exact != 0.0 and not math.isnan(asym) else float("nan"))
+            for n, exact, asym in zip(ns, exacts, asyms)]

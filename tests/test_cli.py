@@ -9,10 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussgem import GraphSpec, gem_from_purity, graph_state_covariance, graph_state_covariances
+from gaussgem import (
+    GraphSpec,
+    gem_from_purity,
+    gem_three_mode_g1,
+    gem_three_mode_g2,
+    gem_two_mode_closed,
+    graph_state_covariance,
+    graph_state_covariances,
+    log_negativity_two_mode,
+)
 from gaussgem import cli, lattice
 from gaussgem.cli import main
 from conftest import child_env
+from oracles import csv_by_rows, field_rows, grid_by_loop, scan2_rows, scan3_rows
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -595,6 +605,63 @@ class TestExitContract:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]
         assert "Traceback" not in proc.stderr
+
+
+class TestTablesMatchRowOracle:
+    """Each command's CSV, byte for byte, against the same library values formatted row by row."""
+
+    @staticmethod
+    def _points(re_range, im_range, steps):
+        grids = [grid_by_loop(*map(float, text.split(":")), steps) for text in (re_range, im_range)]
+        return [complex(a, b) for a in grids[0] for b in grids[1]]
+
+    @staticmethod
+    def _scan(argv, re_range, im_range, steps, capsys):
+        code, out, _ = run_cli([*argv, f"--re-range={re_range}", f"--im-range={im_range}",
+                                "--steps", str(steps), "--self-test"], capsys)
+        assert code == 0
+        return out
+
+    @pytest.mark.parametrize("re_range, im_range, steps, sentinel", [
+        ("-1:1", "-1:1", 5, ",-inf,"),  # the real axis: gem 0, log gem -inf
+        ("-0:-1", "-0:-1", 2, "-0,-0,"),  # a signed zero on both axes
+    ])
+    def test_scan2(self, re_range, im_range, steps, sentinel, capsys):
+        out = self._scan(["scan2"], re_range, im_range, steps, capsys)
+        points = self._points(re_range, im_range, steps)
+        weights = np.array(points)
+        gems = gem_two_mode_closed(weights).tolist()
+        lognegs = log_negativity_two_mode(graph_state_covariances(2, ((1, 2),), weights[:, None])).tolist()
+        assert sentinel in out
+        assert out == csv_by_rows(["re_w", "im_w", "gem", "log_gem", "logneg"], scan2_rows(points, gems, lognegs))
+
+    def test_scan3_equal(self, capsys):
+        out = self._scan(["scan3", "--family", "equal"], "-1:1", "-1:1", 5, capsys)
+        points = self._points("-1:1", "-1:1", 5)
+        weights = np.array(points)
+        rows = scan3_rows(points, gem_three_mode_g1(weights).tolist(), gem_three_mode_g2(weights).tolist())
+        assert ",nan\n" in out  # the real axis: g1 = 0
+        assert out == csv_by_rows(["re_w", "im_w", "gem_g1", "gem_g2", "ratio_g2_g1"], rows)
+
+    def test_scan3_xy(self, capsys):
+        out = self._scan(["scan3", "--family", "xy"], "-0:-1", "-1:1", 3, capsys)
+        points = self._points("-0:-1", "-1:1", 3)
+        xy = np.array(points)
+        weights = np.column_stack([1j * xy.real, 1j * xy.imag, np.ones(xy.size)])
+        g1, g2 = (gem_from_purity(graph_state_covariances(3, pairs, weights[:, : len(pairs)])).tolist()
+                  for pairs in (cli.THREE_MODE_TRIANGLE, cli.THREE_MODE_PATH))
+        assert out.startswith("x,y,gem_g1,gem_g2,ratio_g2_g1\n-0,-1,")
+        assert out == csv_by_rows(["x", "y", "gem_g1", "gem_g2", "ratio_g2_g1"], scan3_rows(points, g1, g2))
+
+    def test_field(self, capsys):
+        code, out, _ = run_cli(["field", "--n-list", "0,1,10", "--mass", "1", "--radius", "1", "--self-test"], capsys)
+        assert code == 0
+        configs = [lattice.LatticeFieldConfig(n=n, mass=1.0, radius=1.0) for n in (0, 1, 10)]
+        exacts = [lattice.gem_field_exact(cfg) for cfg in configs]
+        asyms = [lattice.gem_field_asymptotic(cfg.n, cfg.tau, 0) if cfg.n else float("nan") for cfg in configs]
+        assert out.startswith("n,gem_exact,gem_asymptotic,rel_error\n0,") and ",nan,nan\n" in out
+        assert out == csv_by_rows(["n", "gem_exact", "gem_asymptotic", "rel_error"],
+                                  field_rows((0, 1, 10), exacts, asyms))
 
 
 class TestFieldPureByConstruction:

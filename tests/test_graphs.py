@@ -493,6 +493,14 @@ class TestLogNegativity:
 
 
 class TestTwoModeMetricClosed:
+    @pytest.mark.parametrize(
+        "r, phi", [(-0.7, 1.0), (math.nan, 1.0), (0.7, math.nan), (math.inf, 1.0), (0.7, -math.inf)]
+    )
+    def test_rejects_what_polar_coupling_rejects(self, r, phi):
+        # A negative modulus once came back as the metric at |r|.
+        with pytest.raises(InvalidArgumentError):
+            two_mode_metric_closed(r, phi)
+
     def test_zero_coupling_values(self):
         h = two_mode_metric_closed(0.0, 0.9)
         assert h.matrix[0, 0] == pytest.approx(0.0, abs=1e-15)  # A

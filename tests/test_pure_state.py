@@ -147,6 +147,14 @@ class TestOneVerdictPerCommand:
         assert measure in json.loads(capsys.readouterr().out)
         assert calls == [(4, 4)]
 
+    def test_scan3_xy_self_test_runs_the_residual_once_per_topology(self, capsys, monkeypatch):
+        # The pipeline column and its metric-route self-test share one gated stack per topology.
+        calls = _count_residuals(monkeypatch)
+        argv = ["scan3", "--family", "xy", "--re-range=-1:1", "--im-range=-1:1", "--steps", "5", "--self-test"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("\n") == 26
+        assert calls == [(25, 6, 6), (25, 6, 6)]
+
     @pytest.mark.parametrize(
         "n, mass, radius", [(0, 1.0, 1.0), (1, 1.0, 1.0), (5, 0.7, 1.3), (50, 2.0, 0.4), (200, 1.0, 1.0)]
     )
