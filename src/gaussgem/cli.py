@@ -112,10 +112,12 @@ def _csv(header: list[str], columns) -> str:
     """CSV text: the header line, then the float ``columns`` side by side at 9 significant digits.
 
     Python already prints non-finite floats as the sentinels nan, inf and -inf.
+    The table is one bytes ``%``, which prints floats as str ``%`` does: a
+    str ``%`` this large left the heap growing over repeated in-process calls.
     """
     table = np.column_stack(columns)
-    line = ",".join(["%.9g"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
+    line = ",".join(["%.9g"] * len(header)).encode() + b"\n"
+    return ",".join(header) + "\n" + ((line * len(table)) % tuple(table.ravel().tolist())).decode()
 
 
 def _write(document: str, summary: str, out_path: str | None) -> None:
