@@ -39,6 +39,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _require_mode_count(num_modes) -> None:
+    """InvalidArgumentError unless ``num_modes`` is a positive integer."""
+    if not _is_integer(num_modes) or num_modes < 1:
+        raise InvalidArgumentError(f"mode count must be a positive integer, got {num_modes!r}")
+
+
 def build_omega(num_modes: int) -> np.ndarray:
     """Symplectic form: block-diagonal with ``num_modes`` copies of [[0,1],[-1,0]].
 
@@ -47,8 +53,7 @@ def build_omega(num_modes: int) -> np.ndarray:
     Raises:
         InvalidArgumentError: if ``num_modes`` < 1.
     """
-    if not _is_integer(num_modes) or num_modes < 1:
-        raise InvalidArgumentError(f"mode count must be a positive integer, got {num_modes!r}")
+    _require_mode_count(num_modes)
     omega = np.zeros((2 * num_modes, 2 * num_modes))
     # Entries (2m, 2m+1) and (2m+1, 2m) sit 4N + 2 apart in the flat array.
     omega.flat[1 :: 4 * num_modes + 2] = 1.0
@@ -145,24 +150,23 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     scaling-and-squaring Pade algorithm of Al-Mohy and Higham (SIAM J.
     Matrix Anal. Appl. 31, 970 (2009)), which handles the non-normal
     generators Omega @ h arising here without an eigendecomposition.  A 2-D
-    matrix is a stack of one.  One vectorized test over the stack finds the
-    slices with nothing below, or nothing above, the diagonal, which scipy
-    treats apart (its ``bandwidth`` branch): diagonal ones, zero included,
-    take scipy's formula ``np.diag(np.exp(np.diag(slice)))`` here, and the
-    other triangular ones go through public ``scipy.linalg.expm``.  The
-    generic slices go through scipy's own kernels, ``pick_pade_structure``
-    (order m and scaling s) and ``pade_UV_calc`` (the Pade quotient) of
-    ``scipy.linalg._matfuncs_expm``, then s squarings ``e = e @ e``, as
-    ``expm``'s loop does, but without its per-slice Python wrapper.  They
-    are copied a block at a time into one reused (B, 5, n, n) work array,
-    whose slices work[j] are the kernels' scratch (:func:`_pade_in_place`),
-    and each block's results come out in one vectorized copy.  A stack of
-    at most one block of generic slices, a single matrix included, is
-    copied out of the work array with no index scatter.  B is fixed by n
-    (:func:`_expm_block`), so the work array stays within 64 KiB, or one
-    (5, n, n) scratch for n > 40, however tall the stack.  The kernels
-    are private; they are called with the interface of scipy 1.17, the
-    floor in ``pyproject.toml``, and loaded on first use from their own
+    matrix is a stack of one.  Every slice goes through scipy's own kernels,
+    ``pick_pade_structure`` (order m and scaling s) and ``pade_UV_calc``
+    (the Pade quotient) of ``scipy.linalg._matfuncs_expm``, then s squarings
+    ``e = e @ e``, as ``expm``'s loop does, but without its per-slice Python
+    wrapper.  One loop copies contiguous blocks stack[lo : lo + B] into one
+    reused (B, 5, n, n) work array, whose slices work[j] are the kernels'
+    scratch (:func:`_pade_in_place`), and copies each block's results out to
+    out[lo : lo + B].  B is fixed by n (:func:`_expm_block`), so the work
+    array stays within 64 KiB, or one (5, n, n) scratch for n > 40, however
+    tall the stack.  One vectorized test over the stack finds the slices
+    with nothing below, or nothing above, the diagonal, which scipy treats
+    apart (its ``bandwidth`` branch).  They enter the kernels as zeros, one
+    cheap s = 0 call each, and are overwritten after the loop: diagonal
+    ones, zero included, with scipy's formula ``np.diag(np.exp(np.diag(slice)))``,
+    the other triangular ones with public ``scipy.linalg.expm``.  The
+    kernels are private; they are called with the interface of scipy 1.17,
+    the floor in ``pyproject.toml``, and loaded on first use from their own
     extension file (:func:`_pade_kernels`), so only a non-diagonal
     triangular slice imports ``scipy.linalg``.
 
@@ -184,15 +188,19 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
         # Sums of |entries| below and above the diagonal: both nonzero makes a generic slice.
         sums = np.abs(stack).reshape(len(stack), n * n) @ _triangle_masks(n)
         generic = sums.all(axis=-1)
-        indices = generic.nonzero()[0]
-        count = len(indices)
-        if count == len(stack) and count <= _expm_block(n):  # one block, no scatter
-            work = np.empty((count, 5, n, n))
-            work[:, 0] = stack
-            _pade_in_place(_pade_kernels(), work)
-            out = work[:, 0].copy()
-        else:
-            out = np.empty_like(stack)
+        # Slices that scipy treats apart enter the kernels as zeros and are fixed up after the loop.
+        fix_up = np.count_nonzero(generic) < len(stack)  # cheaper than generic.all() on a 4 x 4
+        pade_input = np.where(generic[:, None, None], stack, 0.0) if fix_up else stack
+        kernels = _pade_kernels()
+        block_rows = _expm_block(n)
+        work = np.empty((min(len(stack), block_rows), 5, n, n))
+        out = np.empty_like(stack)
+        for lo in range(0, len(stack), block_rows):
+            block = work[: len(stack) - lo]
+            block[:, 0] = pade_input[lo : lo + block_rows]
+            _pade_in_place(kernels, block)
+            out[lo : lo + block_rows] = block[:, 0]
+        if fix_up:
             diagonal = ~sums.any(axis=-1)
             for k in diagonal.nonzero()[0]:
                 out[k] = np.diag(np.exp(np.diag(stack[k])))
@@ -201,16 +209,6 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
                 import scipy.linalg
 
                 out[triangular] = scipy.linalg.expm(stack[triangular])
-            block_rows = _expm_block(n)
-            if count:
-                kernels = _pade_kernels()
-                work = np.empty((min(count, block_rows), 5, n, n))
-            for lo in range(0, count, block_rows):
-                rows = indices[lo : lo + block_rows]
-                block = work[: len(rows)]
-                block[:, 0] = stack[rows]
-                _pade_in_place(kernels, block)
-                out[rows] = block[:, 0]
     if not np.isfinite(out).all():
         raise NumericOverflowError("matrix exponential overflowed for the given norm")
     return out.reshape(M.shape)
@@ -253,8 +251,7 @@ def symplectic_from_hamiltonian(h: np.ndarray) -> np.ndarray:
 
 def vacuum_state(num_modes: int) -> np.ndarray:
     """Covariance matrix I/2 of the ``num_modes``-mode vacuum."""
-    if not _is_integer(num_modes) or num_modes < 1:
-        raise InvalidArgumentError(f"mode count must be a positive integer, got {num_modes!r}")
+    _require_mode_count(num_modes)
     return 0.5 * np.eye(2 * num_modes)
 
 
@@ -453,13 +450,14 @@ def _pure_by_construction(gamma: np.ndarray) -> PureState:
 
     Runs no purity residual: the caller vouches for purity, and only
     finiteness is checked.  ``gamma`` must be a float array that no one else
-    holds, as the state keeps it without a copy.
+    holds, as the state keeps it without a copy and makes it read-only.
 
     Raises:
         NumericOverflowError: ``gamma`` has non-finite entries.
     """
     if not np.isfinite(gamma).all():
         raise NumericOverflowError("covariance of a built state has non-finite entries")
+    gamma.setflags(write=False)
     state = object.__new__(PureState)  # skips __post_init__, which would gate
     object.__setattr__(state, "gamma", gamma)
     return state

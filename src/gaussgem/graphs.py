@@ -55,6 +55,7 @@ from .core import (
     PureState,
     _at_stack_index,
     _is_integer,
+    _require_mode_count,
     _symmetrized,
     require_pure,
     symplectic_from_hamiltonian,
@@ -89,8 +90,7 @@ class PolarCoupling:
 
 def _validated_pairs(num_modes, pairs) -> tuple:
     """Edge pairs (i, j) checked as 1 <= i < j <= num_modes, integer, no repeats."""
-    if not _is_integer(num_modes) or num_modes < 1:
-        raise InvalidArgumentError(f"mode count must be a positive integer, got {num_modes!r}")
+    _require_mode_count(num_modes)
     seen = {}  # insertion-ordered set
     for pair in pairs:
         try:

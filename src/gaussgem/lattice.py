@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .core import _is_integer, _pure_by_construction
+from .core import _is_integer, _pure_by_construction, _require_mode_count
 from .errors import DivergenceError, InvalidArgumentError, NumericOverflowError
 from .measure import gem_from_purity
 
@@ -69,7 +69,8 @@ class LatticeFieldConfig:
     """Odd-size lattice: n pairs of rotating modes plus the zero mode.
 
     Attributes:
-        n: non-negative integer, N = 2n + 1 lattice sites.
+        n: non-negative integer, N = 2n + 1 lattice sites; N must not
+            exceed ``np.iinfo(np.intp).max``, numpy's largest array size.
         mass: field mass, > 0 (inverse length).
         radius: circle radius, > 0 (length).
     """
@@ -81,6 +82,10 @@ class LatticeFieldConfig:
     def __post_init__(self):
         if not _is_integer(self.n) or self.n < 0:
             raise InvalidArgumentError(f"n must be a non-negative integer, got {self.n!r}")
+        if 2 * int(self.n) + 1 > np.iinfo(np.intp).max:
+            raise InvalidArgumentError(
+                f"n = {self.n} is too large: N = 2n + 1 exceeds numpy's largest array size {np.iinfo(np.intp).max}"
+            )
         if not (math.isfinite(self.mass) and self.mass > 0):
             raise InvalidArgumentError(f"mass must be positive, got {self.mass!r}")
         if not (math.isfinite(self.radius) and self.radius > 0):
@@ -112,8 +117,7 @@ class LatticeFieldConfig:
     @classmethod
     def from_modes(cls, num_modes: int, mass: float, radius: float) -> "LatticeFieldConfig":
         """Build from the site count N, which must be odd."""
-        if not _is_integer(num_modes) or num_modes < 1:
-            raise InvalidArgumentError(f"mode count must be a positive integer, got {num_modes!r}")
+        _require_mode_count(num_modes)
         if num_modes % 2 == 0:
             raise InvalidArgumentError(
                 f"mode count must be odd (N = 2n + 1); got even N = {num_modes}"

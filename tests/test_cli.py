@@ -580,6 +580,11 @@ class TestExitContract:
             pytest.param(["field", "--n-list", "3", "--mass", "1e-320", "--radius", "1"],
                          3, "overflow", id="field-mass-1e-320"),
             pytest.param(["field", "--modes-list", "4", "--mass", "1", "--radius", "1"], 2, "odd", id="field-even"),
+            # numpy refuses an array of N = 2n + 1 > intp max before allocating anything.
+            pytest.param(["field", "--n-list", str(10**20), "--mass", "1", "--radius", "1"],
+                         2, f"n = {10**20}", id="field-n-past-intp"),
+            pytest.param(["field", "--modes-list", str(2 * 10**20 + 1), "--mass", "1", "--radius", "1"],
+                         2, f"n = {10**20}", id="field-modes-past-intp"),
             pytest.param(["field", "--n-list", "3", "--mass", "1e-200", "--radius", "1e-200"],
                          3, "tau", id="field-tau-underflow"),
             pytest.param(["field", "--n-list", "3", "--mass", "1e200", "--radius", "1e200"],

@@ -175,6 +175,34 @@ class TestExponentialDriver:
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    def test_stack_without_generic_slices(self, rng):
+        # Every slice is one of scipy's own cases: each enters the kernels as
+        # zeros and is overwritten after the loop, sign bits of zeros included.
+        generic = rng.standard_normal((5, 4, 4))
+        stack = np.zeros((5, 4, 4))
+        stack[1] = np.diag(rng.standard_normal(4))
+        stack[2] = np.triu(generic[2])
+        stack[3] = np.tril(generic[3])
+        stack[4] = np.triu(generic[4], 1)
+        stack[4, 3, 0] = -0.0
+        out = matrix_exponential(stack)
+        for M, got in zip(stack, out):
+            want = scipy.linalg.expm(M)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("r", [0.5, 20.0, 700.0])
+    def test_single_mode_squeezer(self, r):
+        # Omega h = diag(r, -r): a diagonal single matrix, fixed up after the loop.
+        M = np.diag([r, -r])
+        got, want = matrix_exponential(M), scipy.linalg.expm(M)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_calls_share_no_memory(self, rng):
+        for M in (rng.standard_normal((4, 4)), rng.standard_normal((3, 4, 4)), np.diag([1.0, 2.0])):
+            assert not np.shares_memory(matrix_exponential(M), matrix_exponential(M))
+
     def test_dense_graph_generator(self, rng):
         h = hamiltonian_from_graph(random_graph_spec(rng, 96, edge_prob=0.04))
         M = build_omega(96) @ h

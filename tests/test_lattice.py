@@ -61,6 +61,14 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError):
             LatticeFieldConfig(n=1, mass=1.0, radius=-2.0)
 
+    def test_n_past_largest_array_size(self):
+        # N = 2n + 1 past numpy's largest array size: numpy would refuse it
+        # before allocating anything, so the config refuses it first.
+        with pytest.raises(InvalidArgumentError, match=f"n = {10**20} is too large"):
+            LatticeFieldConfig(n=10**20, mass=1.0, radius=1.0)
+        with pytest.raises(InvalidArgumentError, match=f"n = {10**20} is too large"):
+            LatticeFieldConfig.from_modes(2 * 10**20 + 1, mass=1.0, radius=1.0)
+
     def test_from_modes_rejects_even(self):
         with pytest.raises(InvalidArgumentError):
             LatticeFieldConfig.from_modes(4, mass=1.0, radius=1.0)

@@ -132,9 +132,11 @@ class TestConstruction:
     def test_bypass_checks_finiteness(self):
         gamma = vacuum_state(2)
         assert _pure_by_construction(gamma).gamma is gamma
-        gamma[0, 0] = np.inf
+        assert not gamma.flags.writeable  # kept without a copy, so the verdict cannot go stale
+        bad = vacuum_state(2)
+        bad[0, 0] = np.inf
         with pytest.raises(NumericOverflowError):
-            _pure_by_construction(gamma)
+            _pure_by_construction(bad)
 
 
 class TestOneVerdictPerCommand:

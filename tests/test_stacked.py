@@ -267,6 +267,16 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     _assert_child_exits_0(tmp_path, code)
 
 
+def test_edgeless_graph_leaves_scipy_linalg_unloaded(tmp_path):
+    # An edgeless graph's generator is zero, a diagonal slice: it goes
+    # through the kernels as zeros and is fixed up without scipy.linalg.
+    code = (
+        "assert main(['gem', edgeless]) == 0; "
+        "assert 'scipy.linalg' not in sys.modules, 'an edgeless gem imported scipy.linalg'"
+    )
+    _assert_child_exits_0(tmp_path, code)
+
+
 def test_import_leaves_numpy_fft_unloaded(tmp_path):
     # Only field_covariance needs numpy.fft, and only field --self-test calls
     # it; importing the package, a plain field run, the equal-family scan and
