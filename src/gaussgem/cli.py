@@ -280,34 +280,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_gem.add_argument("--measure", choices=("gem", "logneg"), default="gem")
     p_gem.set_defaults(func=cmd_gem, out=None)
 
-    p_scan2 = sub.add_parser("scan2", help="two-mode complex-weight grid (CSV)")
-    p_scan2.add_argument("--re-range", required=True, help="a:b range of Re(w)")
-    p_scan2.add_argument("--im-range", required=True, help="a:b range of Im(w)")
-    p_scan2.add_argument("--steps", type=int, required=True, help="grid points per axis (>= 2)")
-    p_scan2.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    p_scan2.add_argument("--self-test", action="store_true", help="spot-check rows against the library")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--re-range", required=True, help="a:b range of Re(w), or of x for scan3 --family xy")
+    grid.add_argument("--im-range", required=True, help="a:b range of Im(w), or of y for scan3 --family xy")
+    grid.add_argument("--steps", type=int, required=True, help="grid points per axis (>= 2)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="write the CSV here instead of stdout")
+    output.add_argument("--self-test", action="store_true", help="check every row against an independent route "
+                        "(field: the rows with N <= 401) and exit 3 on a mismatch")
+
+    p_scan2 = sub.add_parser("scan2", parents=[grid, output], help="two-mode complex-weight grid (CSV)")
     p_scan2.set_defaults(func=cmd_scan2)
 
-    p_scan3 = sub.add_parser("scan3", help="three-mode topology comparison (CSV)")
+    p_scan3 = sub.add_parser("scan3", parents=[grid, output], help="three-mode topology comparison (CSV)")
     p_scan3.add_argument("--family", choices=("equal", "xy"), required=True)
-    p_scan3.add_argument("--re-range", required=True,
-                         help="a:b range of Re(w) (equal family) or x (xy family)")
-    p_scan3.add_argument("--im-range", required=True,
-                         help="a:b range of Im(w) (equal family) or y (xy family)")
-    p_scan3.add_argument("--steps", type=int, required=True)
-    p_scan3.add_argument("--out", default=None)
-    p_scan3.add_argument("--self-test", action="store_true")
     p_scan3.set_defaults(func=cmd_scan3)
 
-    p_field = sub.add_parser("field", help="lattice field scaling run (CSV + summary)")
+    p_field = sub.add_parser("field", parents=[output], help="lattice field scaling run (CSV + summary)")
     size = p_field.add_mutually_exclusive_group(required=True)
     size.add_argument("--n-list", default=None, help="comma-separated n values (N = 2n + 1)")
     size.add_argument("--modes-list", default=None, help="comma-separated site counts N (odd)")
     p_field.add_argument("--mass", type=float, required=True)
     p_field.add_argument("--radius", type=float, required=True)
     p_field.add_argument("--asymptotic-p", type=int, choices=(0, 1), default=0)
-    p_field.add_argument("--out", default=None)
-    p_field.add_argument("--self-test", action="store_true")
     p_field.set_defaults(func=cmd_field)
 
     return parser

@@ -181,6 +181,8 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError(f"matrix_exponential needs a square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise InvalidArgumentError("matrix_exponential needs finite entries")
+    if M.size == 0:  # as scipy.linalg.expm: an empty result of the input's shape
+        return np.empty(M.shape)
 
     n = M.shape[-1]
     stack = M.reshape(math.prod(M.shape[:-2]), n, n)

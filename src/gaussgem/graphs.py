@@ -61,7 +61,7 @@ from .core import (
     symplectic_from_hamiltonian,
 )
 from .errors import DivisionByZeroError, InvalidArgumentError, NumericOverflowError
-from .measure import MetricTensor, _assemble, gem_from_purity
+from .measure import MetricTensor, gem_from_purity
 
 #: Series window around the removable rays cos(2 phi) = 0, on |u| max(s^2, 1).
 _RAY_WINDOW = 1e-6
@@ -113,7 +113,10 @@ def _validated_pairs(num_modes, pairs) -> tuple:
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Mode count plus undirected weighted edges (i < j, 1-based, no loops)."""
+    """Mode count plus undirected weighted edges (i < j, 1-based, no loops).
+
+    A weight is a Python or numpy number other than a bool; it is stored as complex.
+    """
 
     num_modes: int
     edges: tuple = field(default_factory=tuple)
@@ -127,10 +130,18 @@ class GraphSpec:
                 raise InvalidArgumentError(f"edge {edge!r} is not an (i, j, weight) triple") from exc
             triples.append((i, j, w))
         pairs = _validated_pairs(self.num_modes, [(i, j) for i, j, _ in triples])
-        weights = [complex(w) for _, _, w in triples]
-        for (i, j), w in zip(pairs, weights):
+        weights = []
+        for (i, j), (_, _, w) in zip(pairs, triples):
+            # Numbers only, as _is_integer judges integers: complex() would also parse "0.5" and read True as 1.
+            if not isinstance(w, (int, float, complex, np.number)) or isinstance(w, bool):
+                raise InvalidArgumentError(f"edge ({i}, {j}) weight must be a number, got {type(w).__name__}")
+            try:
+                w = complex(w)
+            except OverflowError as exc:  # an integer beyond double range
+                raise InvalidArgumentError(f"edge ({i}, {j}) weight is out of double range") from exc
             if not (math.isfinite(w.real) and math.isfinite(w.imag)):
                 raise InvalidArgumentError(f"edge ({i}, {j}) has non-finite weight {w}")
+            weights.append(w)
         object.__setattr__(self, "edges", tuple((i, j, w) for (i, j), w in zip(pairs, weights)))
 
     @property
@@ -183,11 +194,14 @@ def graph_state_covariances(num_modes: int, pairs, weights) -> np.ndarray:
         graph carrying weights ``weights[k]``, bit for bit.
 
     Raises:
-        InvalidArgumentError: bad topology, or weights of the wrong shape or
-            with non-finite entries.
+        InvalidArgumentError: bad topology, or weights that are not numbers,
+            of the wrong shape or with non-finite entries.
     """
     pairs = _validated_pairs(num_modes, pairs)
-    weights = np.asarray(weights, dtype=complex)
+    weights = np.asarray(weights)
+    if weights.dtype.kind not in "iufc":  # strings, booleans and objects such as 10**400 are no weights
+        raise InvalidArgumentError(f"edge weights must be numbers, got an array of dtype {weights.dtype}")
+    weights = weights.astype(complex, copy=False)
     if weights.ndim < 1 or weights.shape[-1] != len(pairs):
         raise InvalidArgumentError(
             f"weights must have shape (..., {len(pairs)}) for {len(pairs)} edges, got {weights.shape}"
@@ -296,8 +310,8 @@ def _polar(coupling) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidArgumentError(f"closed forms need a PolarCoupling or complex weights, got {coupling!r}") from exc
     with np.errstate(over="ignore"):  # a modulus past double range is checked below
         r = np.hypot(w.real, w.imag)
-    if not np.isfinite(r).all():  # also catches a NaN or infinite part
-        k = int(np.argmin(np.isfinite(r)))
+    k = _first_fault(r)  # also catches a NaN or infinite part
+    if k is not None:
         raise InvalidArgumentError(f"polar coupling needs finite r and phi, got weight {complex(w[k])} at index {k}")
     return r, np.arctan2(w.imag, w.real)
 
@@ -423,8 +437,9 @@ def log_negativity_two_mode(gamma: np.ndarray | PureState) -> float | np.ndarray
     gamma = require_pure(gamma)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         det12 = gamma[..., 0, 2] * gamma[..., 1, 3] - gamma[..., 0, 3] * gamma[..., 1, 2]
-    if not np.isfinite(det12).all():
-        where = _at_stack_index(np.flatnonzero(~np.isfinite(det12))[0], det12.shape)
+    k = _first_fault(det12)
+    if k is not None:
+        where = _at_stack_index(k, det12.shape)
         raise NumericOverflowError(
             f"log negativity{where} overflows double precision: det Gamma_12 is not finite"
         )
@@ -435,9 +450,10 @@ def log_negativity_two_mode(gamma: np.ndarray | PureState) -> float | np.ndarray
 def two_mode_metric_closed(r: float, phi: float) -> MetricTensor:
     """Shifted metric of the two-mode graph state from its closed components.
 
-    The surviving generator families are built from five scalars A..E;
-    diagonal mode blocks are diag(A, -A, -A), so the Killing contraction
-    collapses to -A, which is exactly the two-mode closed-form measure.
+    The matrix is built from five scalars A..E: each mode-diagonal block is
+    diag(A, -A, -A) and the cross block [[B, 0, 0], [0, C, D], [0, D, E]],
+    so the Killing contraction collapses to -A, which is exactly the
+    two-mode closed-form measure.
     """
     rs, phis = _polar(PolarCoupling(r, phi))  # finite r and phi, r >= 0, as every closed form takes them
     u = np.cos(2.0 * phis)
@@ -453,14 +469,5 @@ def two_mode_metric_closed(r: float, phi: float) -> MetricTensor:
     e_val = 0.25 * s2 * ssr1 * (ssr1 + 1.0)
     if not all(map(math.isfinite, (c_val, d_val, e_val))):  # products of finite factors
         raise NumericOverflowError(f"closed metric overflows double precision at r = {r:.6g}")
-    off = np.array([[0.0, 1.0], [1.0, 0.0]])
-    eye = np.eye(2)
-    fams = {
-        (0, 0): a_val * eye + b_val * off,
-        (0, 1): np.zeros((2, 2)),
-        (0, 2): np.zeros((2, 2)),
-        (1, 1): -a_val * eye + c_val * off,
-        (1, 2): d_val * off,
-        (2, 2): -a_val * eye + e_val * off,
-    }
-    return MetricTensor(_assemble(2, fams))
+    cross = np.array([[b_val, 0.0, 0.0], [0.0, c_val, d_val], [0.0, d_val, e_val]])
+    return MetricTensor(np.kron(np.eye(2), np.diag([a_val, -a_val, -a_val])) + np.kron([[0.0, 1.0], [1.0, 0.0]], cross))

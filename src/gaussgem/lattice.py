@@ -69,8 +69,9 @@ class LatticeFieldConfig:
     """Odd-size lattice: n pairs of rotating modes plus the zero mode.
 
     Attributes:
-        n: non-negative integer, N = 2n + 1 lattice sites; N must not
-            exceed ``np.iinfo(np.intp).max``, numpy's largest array size.
+        n: non-negative integer, N = 2n + 1 lattice sites; an array of N
+            float64 values, 8N bytes, must not exceed ``np.iinfo(np.intp).max``,
+            numpy's largest array size in bytes.
         mass: field mass, > 0 (inverse length).
         radius: circle radius, > 0 (length).
     """
@@ -82,9 +83,10 @@ class LatticeFieldConfig:
     def __post_init__(self):
         if not _is_integer(self.n) or self.n < 0:
             raise InvalidArgumentError(f"n must be a non-negative integer, got {self.n!r}")
-        if 2 * int(self.n) + 1 > np.iinfo(np.intp).max:
+        if 8 * (2 * int(self.n) + 1) > np.iinfo(np.intp).max:
             raise InvalidArgumentError(
-                f"n = {self.n} is too large: N = 2n + 1 exceeds numpy's largest array size {np.iinfo(np.intp).max}"
+                f"n = {self.n} is too large: N = 2n + 1 float64 values exceed numpy's largest array size, "
+                f"{np.iinfo(np.intp).max} bytes"
             )
         if not (math.isfinite(self.mass) and self.mass > 0):
             raise InvalidArgumentError(f"mass must be positive, got {self.mass!r}")

@@ -612,6 +612,62 @@ class TestExitContract:
         assert "Traceback" not in proc.stderr
 
 
+class TestFieldSizeBound:
+    # 8N bytes past intp max: numpy would refuse the array, not the config.
+    @pytest.mark.parametrize(
+        "flag, size, n",
+        [
+            ("--n-list", 4611686018427387903, 4611686018427387903),
+            ("--n-list", 576460752303423488, 576460752303423488),
+            ("--modes-list", 2 * 4611686018427387903 + 1, 4611686018427387903),
+            ("--modes-list", 2 * 576460752303423488 + 1, 576460752303423488),
+        ],
+    )
+    def test_past_the_bound_exit_2(self, flag, size, n, capsys):
+        code, out, err = run_cli(["field", flag, str(size), "--mass", "1", "--radius", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: n = {n} is too large") and err.count("\n") == 1
+
+
+class TestSharedFlags:
+    """--re-range, --im-range, --steps, --out and --self-test: declared once, one help text each."""
+
+    COMMANDS = ("scan2", "scan3", "field")
+
+    @staticmethod
+    def _helps():
+        """{flag: {help text per command that has it}} over every subcommand."""
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        helps = {}
+        for sub in commands.values():
+            for action in sub._actions:
+                for flag in action.option_strings:
+                    helps.setdefault(flag, []).append(action.help)
+        return helps
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: gaussgem {command}") and "spot-check" not in out
+
+    def test_each_shared_flag_has_one_help_text(self):
+        helps = self._helps()
+        counts = {"--re-range": 2, "--im-range": 2, "--steps": 2, "--out": 3, "--self-test": 3}
+        for flag, count in counts.items():
+            assert len(helps[flag]) == count, flag
+            assert len(set(helps[flag])) == 1 and helps[flag][0], flag
+        assert "independent route" in helps["--self-test"][0] and "exit 3" in helps["--self-test"][0]
+        assert "x for scan3 --family xy" in helps["--re-range"][0]
+        assert "y for scan3 --family xy" in helps["--im-range"][0]
+
+    def test_no_help_says_spot_check(self):
+        assert not any("spot-check" in (text or "") for texts in self._helps().values() for text in texts)
+
+
 class TestTablesMatchRowOracle:
     """Each command's CSV, byte for byte, against the same library values formatted row by row."""
 

@@ -235,6 +235,14 @@ class TestExponentialDriver:
         with pytest.raises(InvalidArgumentError):
             matrix_exponential([[np.nan, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0), (0, 3, 3)])
+    def test_empty_input_as_scipy(self, shape, monkeypatch):
+        want = scipy.linalg.expm(np.zeros(shape))
+        # An input with no entries needs no kernel: hide them, as above.
+        monkeypatch.setattr(gaussgem.core, "_PADE_KERNELS", "scipy.linalg._no_such_kernels")
+        got = matrix_exponential(np.zeros(shape))
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+
     @pytest.mark.parametrize(
         "kernel,result,error",
         [

@@ -79,6 +79,51 @@ class TestGraphSpec:
             GraphSpec(num_modes, edges)
 
 
+NOT_NUMBERS = [
+    pytest.param("0.5", id="string"),
+    pytest.param(True, id="bool"),
+    pytest.param(np.True_, id="numpy-bool"),
+    pytest.param(None, id="none"),
+    pytest.param(10**400, id="huge-integer"),
+]
+
+NUMBERS = [0, 1, -2, 0.5, 0.3 + 0.5j, np.int64(1), np.uint8(2), np.float64(-0.5), np.float32(0.25),
+           np.complex128(0.3 + 0.5j), 1j]
+
+
+class TestWeightsAreNumbers:
+    """Both entry points take numbers only, as the CLI's JSON reader does."""
+
+    @pytest.mark.parametrize("weight", NOT_NUMBERS)
+    def test_graph_spec_rejects(self, weight):
+        with pytest.raises(InvalidArgumentError, match=r"edge \(1, 2\) weight"):
+            GraphSpec(2, ((1, 2, weight),))
+
+    @pytest.mark.parametrize("weight", NOT_NUMBERS)
+    def test_stacked_covariances_reject(self, weight):
+        with pytest.raises(InvalidArgumentError, match="edge weights must be numbers"):
+            graph_state_covariances(2, ((1, 2),), [weight])
+        with pytest.raises(InvalidArgumentError, match="edge weights must be numbers"):
+            graph_state_covariances(3, ((1, 2), (2, 3)), [[weight, weight]] * 2)
+
+    @pytest.mark.parametrize("weight", NUMBERS)
+    def test_numbers_give_the_state_of_their_complex_value(self, weight):
+        want = graph_state_covariance(GraphSpec(2, ((1, 2, complex(weight)),)))
+        assert np.array_equal(graph_state_covariance(GraphSpec(2, ((1, 2, weight),))), want)
+        assert np.array_equal(graph_state_covariances(2, ((1, 2),), [weight])[()], want)
+        assert np.array_equal(graph_state_covariances(2, ((1, 2),), [[weight], [weight]])[1], want)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float32, np.float64, np.complex64, complex])
+    def test_numeric_arrays_give_their_complex_states(self, dtype):
+        pairs = ((1, 2), (2, 3), (1, 3))
+        weights = np.array([[1, 0, 2], [0, 1, 1]], dtype=dtype)
+        want = graph_state_covariances(3, pairs, weights.astype(complex))
+        assert np.array_equal(graph_state_covariances(3, pairs, weights), want)
+        for k, row in enumerate(weights):
+            spec = GraphSpec(3, tuple((i, j, w) for (i, j), w in zip(pairs, row)))
+            assert np.array_equal(graph_state_covariance(spec), want[k])
+
+
 class TestHamiltonianFromGraph:
     def test_empty_graph(self):
         assert np.array_equal(hamiltonian_from_graph(GraphSpec(2)), np.zeros((4, 4)))
@@ -500,6 +545,20 @@ class TestTwoModeMetricClosed:
         # A negative modulus once came back as the metric at |r|.
         with pytest.raises(InvalidArgumentError):
             two_mode_metric_closed(r, phi)
+
+    def test_block_pattern(self, rng):
+        # Row 3m + i is generator i of mode m: diag(A, -A, -A) on each mode, a
+        # symmetric cross block with first row (B, 0, 0), B = 1/8 + A.
+        points = zip(rng.uniform(0.0, 4.0, 200), rng.uniform(-np.pi, np.pi, 200))
+        for r, phi in [*points, (0.0, 0.9), (0.9, 0.0), (1.0, np.pi / 4), (1.0, np.pi / 2)]:
+            h = two_mode_metric_closed(r, phi).matrix
+            a = -gem_two_mode_closed(PolarCoupling(r, phi))
+            for m in (0, 1):
+                assert np.array_equal(h[3 * m : 3 * m + 3, 3 * m : 3 * m + 3], np.diag([a, -a, -a]))
+            cross = h[:3, 3:]
+            assert np.array_equal(cross, cross.T) and np.array_equal(h[3:, :3], cross)
+            assert np.array_equal(cross[0, 1:], [0.0, 0.0])
+            assert cross[0, 0] == pytest.approx(0.125 + a, rel=1e-12, abs=1e-15)
 
     def test_zero_coupling_values(self):
         h = two_mode_metric_closed(0.0, 0.9)

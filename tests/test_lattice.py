@@ -69,6 +69,20 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError, match=f"n = {10**20} is too large"):
             LatticeFieldConfig.from_modes(2 * 10**20 + 1, mass=1.0, radius=1.0)
 
+    def test_n_past_largest_array_size_in_bytes(self):
+        # An array of N float64 values takes 8N bytes; numpy refuses more than
+        # intp max bytes, so the last accepted n has 8(2n + 1) <= 2^63 - 1.
+        last = 576460752303423487
+        assert 8 * (2 * last + 1) <= np.iinfo(np.intp).max < 8 * (2 * last + 3)
+        for n in (last, np.int64(last)):
+            assert LatticeFieldConfig(n=n, mass=1.0, radius=1.0).num_modes == 2 * last + 1
+        assert LatticeFieldConfig.from_modes(2 * last + 1, mass=1.0, radius=1.0).n == last
+        for n in (last + 1, 4611686018427387903):
+            with pytest.raises(InvalidArgumentError, match=f"n = {n} is too large"):
+                LatticeFieldConfig(n=n, mass=1.0, radius=1.0)
+            with pytest.raises(InvalidArgumentError, match=f"n = {n} is too large"):
+                LatticeFieldConfig.from_modes(2 * n + 1, mass=1.0, radius=1.0)
+
     def test_from_modes_rejects_even(self):
         with pytest.raises(InvalidArgumentError):
             LatticeFieldConfig.from_modes(4, mass=1.0, radius=1.0)
