@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import lattice
-from .core import PureState
+from .core import PureState, _is_number
 from .errors import GaussGemError, InvalidArgumentError
 from .graphs import (
     GraphSpec,
@@ -95,8 +95,8 @@ def _load_graph_spec(path: str) -> GraphSpec:
         if not isinstance(entry, dict) or not {"i", "j"} <= set(entry):
             raise InvalidArgumentError(f"{path}: each edge needs 'i' and 'j' fields, got {entry!r}")
         parts = entry.get("re", 0.0), entry.get("im", 0.0)
-        # JSON numbers only: float() would also parse the string "0.5" and read true as 1.0.
-        if not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in parts):
+        # JSON numbers only, as GraphSpec judges weights: float() would also parse "0.5" and read true as 1.0.
+        if not all(map(_is_number, parts)):
             raise InvalidArgumentError(f"{path}: edge weights must be JSON numbers, got {entry!r}")
         try:
             weight = complex(*map(float, parts))

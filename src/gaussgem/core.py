@@ -39,6 +39,21 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """True for a Python int, float or complex other than a bool, and for a numpy scalar or array of such a dtype."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.dtype.kind in "iufc"  # not bool, str, object or time
+    return isinstance(value, (int, float, complex)) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    """True for a scalar :func:`_is_number` that is not complex and is a finite double."""
+    try:
+        return _is_number(value) and np.ndim(value) == 0 and not np.iscomplexobj(value) and math.isfinite(value)
+    except OverflowError:  # an integer past double range
+        return False
+
+
 def _require_mode_count(num_modes) -> None:
     """InvalidArgumentError unless ``num_modes`` is a positive integer."""
     if not _is_integer(num_modes) or num_modes < 1:

@@ -27,6 +27,12 @@ is 1.9e-7 off at r = 1e10, 1.1e-3 at 1e13 and 9.8% at 1e15, and returns
 those values.  The u < 0 side and the ray series carry no such
 amplification.
 
+An edge weight is a Python or numpy int, float or complex, never a bool,
+whose modulus r and phase phi are finite; a string, ``None`` or an integer
+past double range is none.  ``GraphSpec``, ``graph_state_covariances`` and
+the closed forms judge weights by this one rule, in ``_weights``, and raise
+``InvalidArgumentError`` for anything else.
+
 The closed forms work elementwise.  Each takes one ``PolarCoupling`` and
 returns a float, or a whole array of complex weights and returns an array
 of its shape; the float is the array code at size 1, so entry k of an
@@ -54,7 +60,9 @@ import numpy as np
 from .core import (
     PureState,
     _at_stack_index,
+    _is_finite_real,
     _is_integer,
+    _is_number,
     _require_mode_count,
     _symmetrized,
     require_pure,
@@ -72,20 +80,48 @@ _PHASE_LIMIT = 2.0**53
 
 @dataclass(frozen=True)
 class PolarCoupling:
-    """Edge weight in polar form, w = r e^{i phi} with r >= 0."""
+    """Edge weight in polar form, w = r e^{i phi} with r >= 0.
+
+    Raises:
+        InvalidArgumentError: r or phi is not a finite real number, as
+            ``core._is_number`` judges numbers, or r < 0.
+    """
 
     r: float
     phi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and math.isfinite(self.phi)):
-            raise InvalidArgumentError("polar coupling needs finite r and phi")
-        if self.r < 0:
-            raise InvalidArgumentError(f"modulus must be non-negative, got {self.r}")
+        if not (_is_finite_real(self.r) and _is_finite_real(self.phi) and self.r >= 0):
+            raise InvalidArgumentError(f"polar coupling needs finite real r >= 0 and phi, got {self.r!r}, {self.phi!r}")
 
     @property
     def weight(self) -> complex:
         return self.r * cmath.exp(1j * self.phi)
+
+
+def _weights(values) -> np.ndarray:
+    """``values`` as a complex array of their shape, once each entry is judged an edge weight.
+
+    An ndarray of numeric dtype is judged by its dtype alone, anything else
+    entry by entry, because numpy reads a bool or a string inside a list as
+    a number.  Raises InvalidArgumentError for the first entry, in flat
+    order, that is no edge weight (see the module docstring).
+    """
+    if not (isinstance(values, np.ndarray) and _is_number(values)):
+        try:
+            entries = np.asarray(values, dtype=object)
+            for k, entry in enumerate(entries.flat):
+                if not _is_number(entry):
+                    raise TypeError(f"got {type(entry).__name__} at index {k}")
+            values = entries.astype(complex)
+        except (TypeError, ValueError, OverflowError) as exc:  # no number, a ragged list, an integer past double range
+            raise InvalidArgumentError(f"edge weights must be numbers in double range: {exc}") from exc
+    weights = values.astype(complex, copy=False)
+    with np.errstate(over="ignore"):  # a modulus past double range is the fault sought
+        k = _first_fault(np.abs(weights))
+    if k is not None:
+        raise InvalidArgumentError(f"edge weights need finite r and phi, got {complex(weights.flat[k])} at index {k}")
+    return weights
 
 
 def _validated_pairs(num_modes, pairs) -> tuple:
@@ -102,9 +138,7 @@ def _validated_pairs(num_modes, pairs) -> tuple:
         if i == j:
             raise InvalidArgumentError(f"self-loop on mode {i} is not allowed")
         if not (1 <= i < j <= num_modes):
-            raise InvalidArgumentError(
-                f"edge ({i}, {j}) must satisfy 1 <= i < j <= {num_modes}"
-            )
+            raise InvalidArgumentError(f"edge ({i}, {j}) must satisfy 1 <= i < j <= {num_modes}")
         if (i, j) in seen:
             raise InvalidArgumentError(f"duplicate edge ({i}, {j})")
         seen[int(i), int(j)] = None
@@ -113,36 +147,25 @@ def _validated_pairs(num_modes, pairs) -> tuple:
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Mode count plus undirected weighted edges (i < j, 1-based, no loops).
+    """Mode count plus undirected weighted edges (i < j, 1-based, no loops); weights are stored as complex.
 
-    A weight is a Python or numpy number other than a bool; it is stored as complex.
+    Raises:
+        InvalidArgumentError: a bad mode count or edge, or a weight that is
+            no edge weight (see the module docstring).
     """
 
     num_modes: int
     edges: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        triples = []
-        for edge in self.edges:
-            try:
-                i, j, w = edge
-            except (TypeError, ValueError) as exc:
-                raise InvalidArgumentError(f"edge {edge!r} is not an (i, j, weight) triple") from exc
-            triples.append((i, j, w))
+        try:
+            triples = [(i, j, w) for i, j, w in self.edges]
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"edges must be (i, j, weight) triples: {exc}") from exc
         pairs = _validated_pairs(self.num_modes, [(i, j) for i, j, _ in triples])
-        weights = []
-        for (i, j), (_, _, w) in zip(pairs, triples):
-            # Numbers only, as _is_integer judges integers: complex() would also parse "0.5" and read True as 1.
-            if not isinstance(w, (int, float, complex, np.number)) or isinstance(w, bool):
-                raise InvalidArgumentError(f"edge ({i}, {j}) weight must be a number, got {type(w).__name__}")
-            try:
-                w = complex(w)
-            except OverflowError as exc:  # an integer beyond double range
-                raise InvalidArgumentError(f"edge ({i}, {j}) weight is out of double range") from exc
-            if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-                raise InvalidArgumentError(f"edge ({i}, {j}) has non-finite weight {w}")
-            weights.append(w)
-        object.__setattr__(self, "edges", tuple((i, j, w) for (i, j), w in zip(pairs, weights)))
+        # One object per edge, so that a list given as a weight stays one entry.
+        weights = _weights(np.fromiter((w for _, _, w in triples), dtype=object, count=len(triples)))
+        object.__setattr__(self, "edges", tuple((i, j, w) for (i, j), w in zip(pairs, weights.tolist())))
 
     @property
     def pairs(self) -> tuple:
@@ -194,20 +217,16 @@ def graph_state_covariances(num_modes: int, pairs, weights) -> np.ndarray:
         graph carrying weights ``weights[k]``, bit for bit.
 
     Raises:
-        InvalidArgumentError: bad topology, or weights that are not numbers,
-            of the wrong shape or with non-finite entries.
+        InvalidArgumentError: bad topology, weights of the wrong shape, or an
+            entry that is no edge weight (see the module docstring).
+        NumericOverflowError: a state past double precision, as at weight 2**70.
     """
     pairs = _validated_pairs(num_modes, pairs)
-    weights = np.asarray(weights)
-    if weights.dtype.kind not in "iufc":  # strings, booleans and objects such as 10**400 are no weights
-        raise InvalidArgumentError(f"edge weights must be numbers, got an array of dtype {weights.dtype}")
-    weights = weights.astype(complex, copy=False)
+    weights = _weights(weights)
     if weights.ndim < 1 or weights.shape[-1] != len(pairs):
         raise InvalidArgumentError(
             f"weights must have shape (..., {len(pairs)}) for {len(pairs)} edges, got {weights.shape}"
         )
-    if not np.isfinite(weights).all():
-        raise InvalidArgumentError("edge weights must be finite")
     return _covariances(num_modes, pairs, weights)
 
 
@@ -237,7 +256,7 @@ def _sin_sq_over(u: np.ndarray, s: np.ndarray) -> np.ndarray:
     comes out non-finite: inf or NaN where the value overflows (a finite
     sinh^2 divided by a small -u can), NaN where u > 0 and the phase
     s sqrt(u) is 2^53 or more, since sin of the rounded phase has no
-    significant digit there.  :func:`_closed_form_error` names the fault.
+    significant digit there.  :func:`_closed_form` names the fault.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # faults come out non-finite
         s2 = s * s
@@ -250,35 +269,10 @@ def _sin_sq_over(u: np.ndarray, s: np.ndarray) -> np.ndarray:
         return np.where(phase >= _PHASE_LIMIT, np.nan, value)
 
 
-def _closed_form_error(u: float, s: float) -> NumericOverflowError:
-    """The error for a point at which :func:`_sin_sq_over` came out non-finite."""
-    phase = s * math.sqrt(u) if u > 0 else 0.0
-    if phase >= _PHASE_LIMIT:
-        return NumericOverflowError(
-            f"closed form has no significant digit: phase s sqrt(u) = {phase:.6g} "
-            f"is past 2^53 at s = {s:.6g}, u = {u:.6g}"
-        )
-    return NumericOverflowError(
-        f"closed form overflows double precision: sin^2(s sqrt(u)) / u at s = {s:.6g}, u = {u:.6g}"
-    )
-
-
 def _first_fault(value: np.ndarray) -> int | None:
     """Flat index of the first non-finite entry of ``value``, or None."""
     finite = np.isfinite(value)
     return None if finite.all() else int(np.argmin(finite))
-
-
-def _require_finite(value: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``value``, a finite factor times ``_sin_sq_over(u, s)``, once every point is checked finite.
-
-    Raises:
-        NumericOverflowError: for the first such point, in flat order.
-    """
-    k = _first_fault(value)
-    if k is not None:
-        raise _closed_form_error(float(u[k]), float(s[k]))
-    return value
 
 
 def _sin_phi_sq(phi: np.ndarray) -> np.ndarray:
@@ -292,32 +286,35 @@ def _sin_phi_sq(phi: np.ndarray) -> np.ndarray:
     return np.where(np.abs(s) < 1e-12, 0.0, s * s)
 
 
-def _polar(coupling) -> tuple[np.ndarray, np.ndarray]:
-    """(r, phi) as flat arrays: one point for a :class:`PolarCoupling`, or one per complex weight.
+def _closed_form(coupling, u_scale: float, s_scale: float, combine):
+    """``combine(sin^2 phi, u, S)`` with S = ``_sin_sq_over(u, s)``, u = u_scale cos 2phi, s = s_scale r.
 
-    A weight w = a + ib has r = np.hypot(a, b), which equals Python's
-    abs(w), and phi = np.arctan2(b, a).
-
-    Raises:
-        InvalidArgumentError: a weight that is not a number, or a weight or
-            modulus that is not finite.
+    ``coupling`` is a :class:`PolarCoupling`, giving a float, or an array of
+    weights, giving an array of its shape.  A weight w = a + ib has
+    r = np.hypot(a, b), which equals Python's abs(w), and phi = np.arctan2(b, a).
     """
     if isinstance(coupling, PolarCoupling):
-        return np.array([coupling.r]), np.array([coupling.phi])
-    try:
-        w = np.asarray(coupling, dtype=complex).ravel()
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"closed forms need a PolarCoupling or complex weights, got {coupling!r}") from exc
-    with np.errstate(over="ignore"):  # a modulus past double range is checked below
-        r = np.hypot(w.real, w.imag)
-    k = _first_fault(r)  # also catches a NaN or infinite part
+        r, phi = np.array([coupling.r]), np.array([coupling.phi])
+    else:
+        w = _weights(coupling).ravel()
+        r, phi = np.hypot(w.real, w.imag), np.arctan2(w.imag, w.real)
+    with np.errstate(over="ignore", invalid="ignore"):  # a fault comes out non-finite, checked below
+        u, s = u_scale * np.cos(2.0 * phi), s_scale * r
+        S = _sin_sq_over(u, s)
+        value = combine(_sin_phi_sq(phi), u, S)
+    k = _first_fault(value)  # a non-finite S, or finite factors whose product overflows
     if k is not None:
-        raise InvalidArgumentError(f"polar coupling needs finite r and phi, got weight {complex(w[k])} at index {k}")
-    return r, np.arctan2(w.imag, w.real)
-
-
-def _shaped(value: np.ndarray, coupling):
-    """A float for a :class:`PolarCoupling`, else ``value`` in the weights' shape."""
+        u, s = float(u[k]), float(s[k])
+        if math.isfinite(S[k]):
+            raise NumericOverflowError(f"closed form overflows double precision at r = {float(r[k]):.6g}")
+        if u > 0 and s * math.sqrt(u) >= _PHASE_LIMIT:
+            raise NumericOverflowError(
+                f"closed form has no significant digit: phase s sqrt(u) = {s * math.sqrt(u):.6g} "
+                f"is past 2^53 at s = {s:.6g}, u = {u:.6g}"
+            )
+        raise NumericOverflowError(
+            f"closed form overflows double precision: sin^2(s sqrt(u)) / u at s = {s:.6g}, u = {u:.6g}"
+        )
     return float(value[0]) if isinstance(coupling, PolarCoupling) else value.reshape(np.shape(coupling))
 
 
@@ -327,12 +324,12 @@ def gem_two_mode_closed(coupling: PolarCoupling | np.ndarray) -> float | np.ndar
     """Measure of the single-edge two-mode state: sin^2(phi) sin^2(2r sqrt(cos 2phi)) / (16 cos 2phi).
 
     Real couplings give exactly zero; at phi = +-pi/2 this is sinh^2(2r)/16.
+
+    Raises:
+        InvalidArgumentError: an entry of ``coupling`` that is no edge weight.
+        NumericOverflowError: the first point, in flat order, whose value leaves double precision.
     """
-    r, phi = _polar(coupling)
-    with np.errstate(over="ignore", invalid="ignore"):  # a fault comes out non-finite, checked below
-        u, s = np.cos(2.0 * phi), 2.0 * r
-        value = _sin_phi_sq(phi) * _sin_sq_over(u, s) / 16.0
-    return _shaped(_require_finite(value, u, s), coupling)
+    return _closed_form(coupling, 1.0, 2.0, lambda sin2, u, S: sin2 * S / 16.0)
 
 
 def compact_gem_two_mode(nu: float, phi: float) -> float:
@@ -345,18 +342,19 @@ def compact_gem_two_mode(nu: float, phi: float) -> float:
 
     so the value approaches 1 only in the limit nu -> inf at phi = +-pi/2.
     """
-    if nu < 0:
-        raise InvalidArgumentError(f"compactified modulus parameter must be >= 0, got {nu}")
+    if not _is_finite_real(nu) or nu < 0:
+        raise InvalidArgumentError(f"compactified modulus parameter must be a finite real >= 0, got {nu!r}")
     return 16.0 * gem_two_mode_closed(PolarCoupling(math.tanh(nu), phi)) / math.sinh(2.0) ** 2
 
 
 def gem_three_mode_g1(coupling: PolarCoupling | np.ndarray) -> float | np.ndarray:
-    """Triangle graph with equal weights: (1/12) sin^2(phi) sec(2phi) sin^2(3r sqrt(cos 2phi))."""
-    r, phi = _polar(coupling)
-    with np.errstate(over="ignore", invalid="ignore"):  # a fault comes out non-finite, checked below
-        u, s = np.cos(2.0 * phi), 3.0 * r
-        value = _sin_phi_sq(phi) * _sin_sq_over(u, s) / 12.0
-    return _shaped(_require_finite(value, u, s), coupling)
+    """Triangle graph with equal weights: (1/12) sin^2(phi) sec(2phi) sin^2(3r sqrt(cos 2phi)).
+
+    Raises:
+        InvalidArgumentError: an entry of ``coupling`` that is no edge weight.
+        NumericOverflowError: the first point, in flat order, whose value leaves double precision.
+    """
+    return _closed_form(coupling, 1.0, 3.0, lambda sin2, u, S: sin2 * S / 12.0)
 
 
 def gem_three_mode_g2(coupling: PolarCoupling | np.ndarray) -> float | np.ndarray:
@@ -365,19 +363,13 @@ def gem_three_mode_g2(coupling: PolarCoupling | np.ndarray) -> float | np.ndarra
     (1/32) sin^2(phi) sec(2phi) sin^2(r v) (3 cos(2 r v) + 5) with
     v = sqrt(sin 4phi csc 2phi) = sqrt(2 cos 2phi).  Since
     3 cos(2x) + 5 = 8 - 6 sin^2 x, this is sin^2(phi) S (4 - 3 v^2 S) / 8
-    with S = sin^2(r v) / v^2, continued as above.
+    with S = sin^2(r v) / v^2 and u = v^2 = sin(4 phi) csc(2 phi), continued as above.
+
+    Raises:
+        InvalidArgumentError: an entry of ``coupling`` that is no edge weight.
+        NumericOverflowError: the first point, in flat order, whose value leaves double precision.
     """
-    r, phi = _polar(coupling)
-    with np.errstate(over="ignore", invalid="ignore"):  # a fault comes out non-finite, checked below
-        u2 = 2.0 * np.cos(2.0 * phi)  # sin(4 phi) csc(2 phi)
-        S = _sin_sq_over(u2, r)
-        value = _sin_phi_sq(phi) * S * (4.0 - 3.0 * u2 * S) / 8.0
-    k = _first_fault(value)  # a non-finite S, or two finite factors whose product overflows
-    if k is not None:
-        if not math.isfinite(S[k]):
-            raise _closed_form_error(float(u2[k]), float(r[k]))
-        raise NumericOverflowError(f"closed form overflows double precision at r = {float(r[k]):.6g}")
-    return _shaped(value, coupling)
+    return _closed_form(coupling, 2.0, 1.0, lambda sin2, u, S: sin2 * S * (4.0 - 3.0 * u * S) / 8.0)
 
 
 def gem_ratio_small_r(spec_a: GraphSpec, spec_b: GraphSpec, r: float) -> float:
@@ -390,9 +382,7 @@ def gem_ratio_small_r(spec_a: GraphSpec, spec_b: GraphSpec, r: float) -> float:
         DivisionByZeroError: the denominator state carries zero measure.
     """
     if spec_a.num_modes != spec_b.num_modes:
-        raise InvalidArgumentError(
-            f"graphs live on different mode counts: {spec_a.num_modes} vs {spec_b.num_modes}"
-        )
+        raise InvalidArgumentError(f"graphs live on different mode counts: {spec_a.num_modes} vs {spec_b.num_modes}")
     w = 1j * r
     num, den = (
         gem_from_purity(graph_state_covariance(GraphSpec.with_uniform_weight(spec.num_modes, spec.pairs, w)))
@@ -455,11 +445,9 @@ def two_mode_metric_closed(r: float, phi: float) -> MetricTensor:
     so the Killing contraction collapses to -A, which is exactly the
     two-mode closed-form measure.
     """
-    rs, phis = _polar(PolarCoupling(r, phi))  # finite r and phi, r >= 0, as every closed form takes them
-    u = np.cos(2.0 * phis)
-    s2 = float(_sin_phi_sq(phis)[0])
-    with np.errstate(over="ignore"):  # 2r past double range, checked in _require_finite
-        ssr2, ssr1 = (float(_require_finite(_sin_sq_over(u, s), u, s)[0]) for s in (2.0 * rs, rs))
+    coupling = PolarCoupling(r, phi)  # finite r and phi, r >= 0, as every closed form takes them
+    ssr2, ssr1 = (_closed_form(coupling, 1.0, k, lambda sin2, u, S: S) for k in (2.0, 1.0))
+    s2 = float(_sin_phi_sq(np.array([coupling.phi]))[0])
     # (cos^2 phi - sin^2 phi cos(2r sqrt u)) / u, with 1 - cos(2r sqrt u) = 2 sin^2(r sqrt u)
     bracket = 1.0 + 2.0 * s2 * ssr1
     a_val = -s2 * ssr2 / 16.0

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .core import _is_integer, _pure_by_construction, _require_mode_count
+from .core import _is_finite_real, _is_integer, _pure_by_construction, _require_mode_count
 from .errors import DivergenceError, InvalidArgumentError, NumericOverflowError
 from .measure import gem_from_purity
 
@@ -72,8 +72,8 @@ class LatticeFieldConfig:
         n: non-negative integer, N = 2n + 1 lattice sites; an array of N
             float64 values, 8N bytes, must not exceed ``np.iinfo(np.intp).max``,
             numpy's largest array size in bytes.
-        mass: field mass, > 0 (inverse length).
-        radius: circle radius, > 0 (length).
+        mass: field mass, a finite real number > 0 (inverse length).
+        radius: circle radius, a finite real number > 0 (length).
     """
 
     n: int
@@ -88,10 +88,10 @@ class LatticeFieldConfig:
                 f"n = {self.n} is too large: N = 2n + 1 float64 values exceed numpy's largest array size, "
                 f"{np.iinfo(np.intp).max} bytes"
             )
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise InvalidArgumentError(f"mass must be positive, got {self.mass!r}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise InvalidArgumentError(f"radius must be positive, got {self.radius!r}")
+        if not (_is_finite_real(self.mass) and self.mass > 0):
+            raise InvalidArgumentError(f"mass must be a positive real number, got {self.mass!r}")
+        if not (_is_finite_real(self.radius) and self.radius > 0):
+            raise InvalidArgumentError(f"radius must be a positive real number, got {self.radius!r}")
 
     @property
     def num_modes(self) -> int:
@@ -347,10 +347,10 @@ def asymptotic_coefficients(tau: float, p: int) -> AsymptoticCoefficients:
     only like 1/ln n.
 
     Raises:
-        InvalidArgumentError: tau <= 0 or p outside {0, 1}.
+        InvalidArgumentError: tau not a finite real number > 0, or p outside {0, 1}.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise InvalidArgumentError(f"tau must be positive, got {tau!r}")
+    if not (_is_finite_real(tau) and tau > 0):
+        raise InvalidArgumentError(f"tau must be a positive real number, got {tau!r}")
     if p not in (0, 1):
         raise InvalidArgumentError(f"truncation order must be 0 or 1, got {p!r}")
     kappa2 = 1.0 / (16.0 * math.pi)
@@ -398,13 +398,13 @@ def complete_elliptic(kind: str, parameter: float) -> float:
 
     Raises:
         DivergenceError: K requested at m >= 1.
-        InvalidArgumentError: ``kind`` other than "K" or "E", or parameter > 1.
+        InvalidArgumentError: ``kind`` other than "K" or "E", or no finite real parameter <= 1.
     """
     if kind not in ("K", "E"):
         raise InvalidArgumentError(f"kind must be 'K' or 'E', got {kind!r}")
+    if not (_is_finite_real(parameter) and parameter <= 1.0):
+        raise InvalidArgumentError(f"parameter must be a finite real number <= 1, got {parameter!r}")
     m = float(parameter)
-    if not math.isfinite(m) or m > 1.0:
-        raise InvalidArgumentError(f"parameter must be <= 1, got {parameter!r}")
     if kind == "K" and m == 1.0:
         raise DivergenceError("K(m) diverges at m = 1")
     if kind == "E" and m == 1.0:

@@ -141,6 +141,20 @@ class TestGemCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "part, want",
+        [('"re": 1e400', 2), ('"re": 1e308, "im": 1.5e308', 2), ('"im": 1180591620717411303424', 3)],
+        ids=["inf", "modulus", "2**70"],
+    )
+    def test_weight_rule_exit_codes(self, tmp_path, capsys, part, want):
+        # JSON reads 1e400 as inf; a modulus past double range is no weight either.  2**70 is
+        # a weight whose state overflows.
+        path = tmp_path / "state.json"
+        path.write_text('{"modes": 2, "edges": [{"i": 1, "j": 2, %s}]}' % part, encoding="utf-8")
+        code, out, err = run_cli(["gem", str(path)], capsys)
+        assert (code, out) == (want, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_overflowing_weight_exit_3(self, tmp_path, capsys):
         doc = {"modes": 2, "edges": [{"i": 1, "j": 2, "re": 0, "im": 1e4}]}
         code, _, err = run_cli(["gem", write_spec(tmp_path, doc)], capsys)

@@ -14,11 +14,15 @@ from gaussgem import (
     DivisionByZeroError,
     GraphSpec,
     InvalidArgumentError,
+    LatticeFieldConfig,
     NumericOverflowError,
     PolarCoupling,
+    asymptotic_coefficients,
     check_pure,
     compact_gem_two_mode,
+    complete_elliptic,
     evolve_covariance,
+    gem_field_asymptotic,
     gem_from_purity,
     gem_ratio_small_r,
     gem_three_mode_g1,
@@ -96,7 +100,7 @@ class TestWeightsAreNumbers:
 
     @pytest.mark.parametrize("weight", NOT_NUMBERS)
     def test_graph_spec_rejects(self, weight):
-        with pytest.raises(InvalidArgumentError, match=r"edge \(1, 2\) weight"):
+        with pytest.raises(InvalidArgumentError, match="edge weights must be numbers"):
             GraphSpec(2, ((1, 2, weight),))
 
     @pytest.mark.parametrize("weight", NOT_NUMBERS)
@@ -122,6 +126,81 @@ class TestWeightsAreNumbers:
         for k, row in enumerate(weights):
             spec = GraphSpec(3, tuple((i, j, w) for (i, j), w in zip(pairs, row)))
             assert np.array_equal(graph_state_covariance(spec), want[k])
+
+
+#: Every entry point that takes an edge weight or a real parameter, as a function of that input.
+WEIGHT_ENTRY_POINTS = {
+    "GraphSpec": lambda x: GraphSpec(3, ((1, 2, x), (2, 3, 0.5j))),
+    "graph_state_covariances": lambda x: graph_state_covariances(3, PATH3, x),
+    "gem_two_mode_closed": gem_two_mode_closed,
+    "gem_three_mode_g1": gem_three_mode_g1,
+    "gem_three_mode_g2": gem_three_mode_g2,
+}
+REAL_ENTRY_POINTS = {
+    "PolarCoupling-r": lambda x: PolarCoupling(x, 0.3),
+    "PolarCoupling-phi": lambda x: PolarCoupling(0.3, x),
+    "two_mode_metric_closed": lambda x: two_mode_metric_closed(x, 0.3),
+    "LatticeFieldConfig-mass": lambda x: LatticeFieldConfig(1, x, 1.0),
+    "LatticeFieldConfig-radius": lambda x: LatticeFieldConfig(1, 1.0, x),
+    "asymptotic_coefficients": lambda x: asymptotic_coefficients(x, 0),
+    "gem_field_asymptotic": lambda x: gem_field_asymptotic(3, x, 0),
+    "compact_gem_two_mode": lambda x: compact_gem_two_mode(x, 0.3),
+    "complete_elliptic": lambda x: complete_elliptic("K", x),
+}
+NO_WEIGHTS = [
+    *NOT_NUMBERS,
+    pytest.param([[0.5j, True]], id="bool-in-list"),
+    pytest.param("1j", id="0d-string"),
+    pytest.param(np.array([[True, False]]), id="bool-array"),
+    pytest.param([[0.5j, 1.0], [1.0]], id="ragged"),
+]
+
+
+class TestOneWeightRule:
+    """One judge of weights for every entry point; a typed error, never a bare TypeError or OverflowError."""
+
+    @pytest.mark.parametrize("bad", NO_WEIGHTS)
+    @pytest.mark.parametrize("name", WEIGHT_ENTRY_POINTS)
+    def test_weight_entry_points_reject(self, name, bad):
+        with pytest.raises(InvalidArgumentError, match="edge weights must be numbers"):
+            WEIGHT_ENTRY_POINTS[name](bad)
+
+    @pytest.mark.parametrize("bad", NO_WEIGHTS)
+    @pytest.mark.parametrize("name", REAL_ENTRY_POINTS)
+    def test_real_parameters_reject(self, name, bad):
+        with pytest.raises(InvalidArgumentError, match="real"):
+            REAL_ENTRY_POINTS[name](bad)
+
+    @pytest.mark.parametrize("name", REAL_ENTRY_POINTS)
+    def test_real_parameters_reject_complex(self, name):
+        with pytest.raises(InvalidArgumentError, match="real"):
+            REAL_ENTRY_POINTS[name](0.5 + 0j)
+
+    def test_integer_in_double_range_overflows_in_both_builders(self):
+        for build in (lambda: graph_state_covariance(GraphSpec(2, ((1, 2, 2**70),))),
+                      lambda: graph_state_covariances(2, ((1, 2),), [2**70])):
+            with pytest.raises(NumericOverflowError):
+                build()
+
+    @pytest.mark.parametrize("name", ["GraphSpec", "graph_state_covariances"])
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), complex(1.5e308, 1.5e308)])
+    def test_builders_need_finite_modulus_and_phase(self, name, bad):
+        # As the closed forms do: the last has finite parts, but its modulus r is past double range.
+        weights = [[0.5j, bad]] if name == "graph_state_covariances" else bad
+        with pytest.raises(InvalidArgumentError, match="finite r and phi"):
+            WEIGHT_ENTRY_POINTS[name](weights)
+
+    @pytest.mark.parametrize("closed", [gem_two_mode_closed, gem_three_mode_g1, gem_three_mode_g2])
+    def test_entry_by_entry_equals_dtype_path(self, closed):
+        # A list, an object array and a complex array of the same weights agree bit for bit.
+        rng = np.random.default_rng(21)
+        w = rng.uniform(-3.0, 3.0, (7, 5)) + 1j * rng.uniform(-3.0, 3.0, (7, 5))
+        w[0, :3] = [0.0, complex(-0.0, -0.0), -2.0]
+        want = closed(w)
+        for same in (w.tolist(), w.astype(object), [list(map(np.complex128, row)) for row in w]):
+            assert np.array_equal(closed(same).view(np.int64), want.view(np.int64))  # sign bits included
+        want = closed(np.array([complex(x) for x in NUMBERS]))
+        assert np.array_equal(closed(NUMBERS).view(np.int64), want.view(np.int64))
 
 
 class TestHamiltonianFromGraph:
