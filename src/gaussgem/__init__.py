@@ -18,122 +18,18 @@ the gate's residual; graph states stay gated, since there the gate also
 catches covariances beyond double precision.
 """
 
-from .core import (
-    DEFAULT_PURITY_TOL,
-    PureState,
-    build_omega,
-    check_pure,
-    evolve_covariance,
-    matrix_exponential,
-    purity,
-    require_pure,
-    symplectic_from_hamiltonian,
-    vacuum_state,
-)
-from .errors import (
-    DivergenceError,
-    DivisionByZeroError,
-    GaussGemError,
-    InvalidArgumentError,
-    NumericOverflowError,
-    UnphysicalStateError,
-)
-from .graphs import (
-    GraphSpec,
-    PolarCoupling,
-    compact_gem_two_mode,
-    gem_ratio_small_r,
-    gem_three_mode_g1,
-    gem_three_mode_g2,
-    gem_two_mode_closed,
-    graph_state_covariance,
-    graph_state_covariances,
-    hamiltonian_from_graph,
-    log_negativity_two_mode,
-    two_mode_metric_closed,
-)
-from .lattice import (
-    AsymptoticCoefficients,
-    BogoliubovMatrices,
-    LatticeFieldConfig,
-    asymptotic_coefficients,
-    bogoliubov_matrices,
-    bogoliubov_residuals,
-    complete_elliptic,
-    dispersion,
-    field_covariance,
-    gem_field_asymptotic,
-    gem_field_exact,
-    gem_field_pipeline,
-    reduced_det_from_xy,
-)
-from .measure import (
-    MetricTensor,
-    MomentTable,
-    gem_from_metric,
-    gem_from_purity,
-    killing_contraction,
-    killing_form_sp2,
-    metric_from_moments,
-    metric_g,
-    metric_h,
-    mode_purities,
-    moments_from_covariance,
-)
+from .core import *
+from .errors import *
+from .graphs import *
+from .lattice import *
+from .measure import *
+from . import core, errors, graphs, lattice, measure
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticCoefficients",
-    "BogoliubovMatrices",
-    "DEFAULT_PURITY_TOL",
-    "DivergenceError",
-    "DivisionByZeroError",
-    "GaussGemError",
-    "GraphSpec",
-    "InvalidArgumentError",
-    "LatticeFieldConfig",
-    "MetricTensor",
-    "MomentTable",
-    "NumericOverflowError",
-    "PolarCoupling",
-    "PureState",
-    "UnphysicalStateError",
-    "asymptotic_coefficients",
-    "bogoliubov_matrices",
-    "bogoliubov_residuals",
-    "build_omega",
-    "check_pure",
-    "compact_gem_two_mode",
-    "complete_elliptic",
-    "dispersion",
-    "evolve_covariance",
-    "field_covariance",
-    "gem_field_asymptotic",
-    "gem_field_exact",
-    "gem_field_pipeline",
-    "gem_from_metric",
-    "gem_from_purity",
-    "gem_ratio_small_r",
-    "gem_three_mode_g1",
-    "gem_three_mode_g2",
-    "gem_two_mode_closed",
-    "graph_state_covariance",
-    "graph_state_covariances",
-    "hamiltonian_from_graph",
-    "killing_contraction",
-    "killing_form_sp2",
-    "log_negativity_two_mode",
-    "matrix_exponential",
-    "metric_from_moments",
-    "metric_g",
-    "metric_h",
-    "mode_purities",
-    "moments_from_covariance",
-    "purity",
-    "reduced_det_from_xy",
-    "require_pure",
-    "symplectic_from_hamiltonian",
-    "two_mode_metric_closed",
-    "vacuum_state",
-]
+__all__ = []
+__all__ += core.__all__
+__all__ += errors.__all__
+__all__ += graphs.__all__
+__all__ += lattice.__all__
+__all__ += measure.__all__

@@ -185,14 +185,15 @@ def _scan_grid(args) -> np.ndarray:
 
 
 def cmd_scan2(args) -> tuple[str, str]:
+    """Both columns from the closed form; only --self-test builds the states, as the independent route."""
     points = _scan_grid(args)
-    state = PureState(graph_state_covariances(2, ((1, 2),), points[:, None]))  # the one purity gate
-    lognegs = log_negativity_two_mode(state)
     gems = gem_two_mode_closed(points)
+    # For a pure two-mode state, logneg = arcsinh(2 sqrt(-det Gamma_12)) = arcsinh(4 sqrt(gem)).
+    lognegs = np.arcsinh(4.0 * np.sqrt(gems))
     if args.self_test:
+        state = PureState(graph_state_covariances(2, ((1, 2),), points[:, None]))  # the one purity gate
         _self_test(gems, gem_from_purity(state), "scan2 gem")
-        # For a pure two-mode state, logneg = arcsinh(2 sqrt(-det Gamma_12)) = arcsinh(4 sqrt(gem)).
-        _self_test(lognegs, np.arcsinh(4.0 * np.sqrt(gems)), "scan2 logneg")
+        _self_test(lognegs, log_negativity_two_mode(state), "scan2 logneg")
     log_gems = np.log(gems, out=np.full_like(gems, -np.inf), where=gems > 0.0)
     return _csv(["re_w", "im_w", "gem", "log_gem", "logneg"],
                 [points.real, points.imag, gems, log_gems, lognegs]), ""

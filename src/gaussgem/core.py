@@ -30,6 +30,18 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericOverflowError, UnphysicalStateError
 
+__all__ = [
+    "DEFAULT_PURITY_TOL",
+    "PureState",
+    "build_omega",
+    "evolve_covariance",
+    "matrix_exponential",
+    "purity",
+    "require_pure",
+    "symplectic_from_hamiltonian",
+    "vacuum_state",
+]
+
 #: The purity gate's one threshold, on the residual max-norm |(Gamma Omega^-1)^2 + I/4|.
 DEFAULT_PURITY_TOL = 1e-9
 
@@ -392,19 +404,6 @@ def _purity_verdict(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return residual < DEFAULT_PURITY_TOL * np.where(np.isfinite(scale), scale, 1.0), residual, scale
 
 
-def check_pure(gamma: np.ndarray) -> tuple[bool, float]:
-    """The purity gate's verdict, without raising.
-
-    Returns:
-        (is_pure, residual) where residual = ||(Gamma Omega^-1)^2 + I/4||_max
-        and is_pure is the verdict of :func:`require_pure` on the same input.
-        For a (..., 2N, 2N) stack both are arrays of shape (...), one entry
-        per slice.
-    """
-    passes, residual, _ = _purity_verdict(np.asarray(gamma, dtype=float))
-    return (bool(passes), float(residual)) if residual.ndim == 0 else (passes, residual)
-
-
 def _at_stack_index(k: int, shape: tuple) -> str:
     """" at stack index (i, ...)" naming flat slice ``k`` of a stack of ``shape``; "" for one state."""
     index = tuple(int(i) for i in np.unravel_index(k, shape))
@@ -416,7 +415,7 @@ def require_pure(gamma: np.ndarray | PureState) -> np.ndarray:
 
     A :class:`PureState` carries its verdict already: its ``gamma`` comes
     back unchanged and unjudged.  Any other input is judged here, from the
-    verdict of :func:`check_pure`; a (..., 2N, 2N) stack is accepted only if
+    verdict of ``_purity_verdict``; a (..., 2N, 2N) stack is accepted only if
     every slice passes on its own.
 
     Raises:

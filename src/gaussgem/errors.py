@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DivergenceError",
+    "DivisionByZeroError",
+    "GaussGemError",
+    "InvalidArgumentError",
+    "NumericOverflowError",
+    "UnphysicalStateError",
+]
+
 
 class GaussGemError(Exception):
     """Base class for all errors raised by this package."""

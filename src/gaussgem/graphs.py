@@ -71,6 +71,21 @@ from .core import (
 from .errors import DivisionByZeroError, InvalidArgumentError, NumericOverflowError
 from .measure import MetricTensor, gem_from_purity
 
+__all__ = [
+    "GraphSpec",
+    "PolarCoupling",
+    "compact_gem_two_mode",
+    "gem_ratio_small_r",
+    "gem_three_mode_g1",
+    "gem_three_mode_g2",
+    "gem_two_mode_closed",
+    "graph_state_covariance",
+    "graph_state_covariances",
+    "hamiltonian_from_graph",
+    "log_negativity_two_mode",
+    "two_mode_metric_closed",
+]
+
 #: Series window around the removable rays cos(2 phi) = 0, on |u| max(s^2, 1).
 _RAY_WINDOW = 1e-6
 
@@ -80,7 +95,7 @@ _PHASE_LIMIT = 2.0**53
 
 @dataclass(frozen=True)
 class PolarCoupling:
-    """Edge weight in polar form, w = r e^{i phi} with r >= 0.
+    """Edge weight in polar form, w = r e^{i phi} with r >= 0, kept as two Python floats.
 
     Raises:
         InvalidArgumentError: r or phi is not a finite real number, as
@@ -93,6 +108,9 @@ class PolarCoupling:
     def __post_init__(self):
         if not (_is_finite_real(self.r) and _is_finite_real(self.phi) and self.r >= 0):
             raise InvalidArgumentError(f"polar coupling needs finite real r >= 0 and phi, got {self.r!r}, {self.phi!r}")
+        # Doubles, so the closed forms compute in double precision whatever number type came in.
+        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "phi", float(self.phi))
 
     @property
     def weight(self) -> complex:
@@ -379,8 +397,12 @@ def gem_ratio_small_r(spec_a: GraphSpec, spec_b: GraphSpec, r: float) -> float:
     to the edge-count ratio of the two graphs.
 
     Raises:
+        InvalidArgumentError: r is not a finite real number, as ``core._is_number``
+            judges numbers, or the graphs have different mode counts.
         DivisionByZeroError: the denominator state carries zero measure.
     """
+    if not _is_finite_real(r):
+        raise InvalidArgumentError(f"coupling modulus r must be a finite real number, got {r!r}")
     if spec_a.num_modes != spec_b.num_modes:
         raise InvalidArgumentError(f"graphs live on different mode counts: {spec_a.num_modes} vs {spec_b.num_modes}")
     w = 1j * r

@@ -31,6 +31,22 @@ from .core import _is_finite_real, _is_integer, _pure_by_construction, _require_
 from .errors import DivergenceError, InvalidArgumentError, NumericOverflowError
 from .measure import gem_from_purity
 
+__all__ = [
+    "AsymptoticCoefficients",
+    "BogoliubovMatrices",
+    "LatticeFieldConfig",
+    "asymptotic_coefficients",
+    "bogoliubov_matrices",
+    "bogoliubov_residuals",
+    "complete_elliptic",
+    "dispersion",
+    "field_covariance",
+    "gem_field_asymptotic",
+    "gem_field_exact",
+    "gem_field_pipeline",
+    "reduced_det_from_xy",
+]
+
 
 def _all_finite(value) -> bool:
     """Whether every number in a lattice result is finite: a float, an array, a dict or a record."""

@@ -45,6 +45,20 @@ import numpy as np
 from .core import DEFAULT_PURITY_TOL, _mode_dets, build_omega, require_pure
 from .errors import UnphysicalStateError
 
+__all__ = [
+    "MetricTensor",
+    "MomentTable",
+    "gem_from_metric",
+    "gem_from_purity",
+    "killing_contraction",
+    "killing_form_sp2",
+    "metric_from_moments",
+    "metric_g",
+    "metric_h",
+    "mode_purities",
+    "moments_from_covariance",
+]
+
 # A_i with T_i = xi^T A_i xi / 2, xi = (q, p): A1 = diag(1, -1)/2, A2 = -sigma_x/2, A3 = I/2.
 _GENERATORS = 0.5 * np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, -1.0], [-1.0, 0.0]], np.eye(2)])
 

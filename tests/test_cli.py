@@ -585,6 +585,9 @@ class TestExitContract:
                          3, "overflow", id="scan2-170-400"),
             pytest.param(["scan2", "--re-range", "-3:3", "--im-range", "176:178", "--steps", "41"],
                          3, "overflow", id="scan2-176-178"),
+            # A plain scan2 builds no state: at w = 200i the closed form is the route that overflows.
+            pytest.param(["scan2", "--re-range", "0:0", "--im-range", "200:200", "--steps", "2"],
+                         3, "closed form overflows double precision", id="scan2-200j"),
             pytest.param(["scan3", "--family", "xy", "--re-range", "0:200", "--im-range", "0:200", "--steps", "5"],
                          3, "overflow", id="scan3-xy-0-200"),
             pytest.param(["field", "--n-list", "3", "--mass", "1e200", "--radius", "1"],

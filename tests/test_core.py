@@ -1,5 +1,6 @@
 """Tests for the covariance / symplectic machinery."""
 
+import ast
 import inspect
 import sys
 import warnings
@@ -17,7 +18,6 @@ from gaussgem import (
     PureState,
     UnphysicalStateError,
     build_omega,
-    check_pure,
     evolve_covariance,
     gem_from_purity,
     graph_state_covariance,
@@ -31,6 +31,7 @@ from gaussgem import (
     symplectic_from_hamiltonian,
     vacuum_state,
 )
+from gaussgem.core import _purity_residual
 from conftest import random_graph_spec, random_local_symplectic
 from oracles import (
     fock_covariance,
@@ -348,8 +349,7 @@ class TestEvolveCovariance:
         gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 0.4 + 0.9j),)))
         for _ in range(20):
             S = random_local_symplectic(rng, 2)
-            _, residual = check_pure(evolve_covariance(gamma, S))
-            assert residual < 1e-9
+            assert _purity_residual(evolve_covariance(gamma, S)) < 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
@@ -448,35 +448,37 @@ class TestPurity:
 
 
 class TestCheckPure:
+    """The gate's residual, read through ``core._purity_residual``, and its verdict, through ``require_pure``."""
+
     def test_vacuum_residual_zero(self):
-        ok, residual = check_pure(vacuum_state(2))
-        assert ok and residual == 0.0
+        require_pure(vacuum_state(2))
+        assert _purity_residual(vacuum_state(2)) == 0.0
 
     def test_prepared_states_pure(self, rng):
         for _ in range(10):
             h = rng.uniform(-1, 1, (6, 6))
             h = 0.5 * (h + h.T)
             S = symplectic_from_hamiltonian(h)
-            ok, residual = check_pure(0.5 * S @ S.T)
-            assert ok and residual < 1e-9
+            require_pure(0.5 * S @ S.T)
+            assert _purity_residual(0.5 * S @ S.T) < 1e-9
 
     def test_thermal_not_pure(self):
-        ok, residual = check_pure(np.eye(2))
-        assert not ok
-        assert residual == pytest.approx(0.75, abs=1e-15)
+        with pytest.raises(UnphysicalStateError, match="not pure"):
+            require_pure(np.eye(2))
+        assert _purity_residual(np.eye(2)) == pytest.approx(0.75, abs=1e-15)
 
     def test_verdict_is_the_gate_verdict(self):
         # A squeezed pure state whose raw residual exceeds the unscaled 1e-9:
-        # the scaled bound accepts it, in check_pure as in require_pure.
+        # the scaled bound accepts it, in require_pure as in PureState.
         gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 5j),)))
-        ok, residual = check_pure(gamma)
-        assert residual > DEFAULT_PURITY_TOL
-        assert ok is True
+        assert _purity_residual(gamma) > DEFAULT_PURITY_TOL
         require_pure(gamma)
+        PureState(gamma)
 
     def test_nan_covariance_fails(self):
-        ok, residual = check_pure(np.full((4, 4), np.nan))
-        assert ok is False and np.isnan(residual)
+        with pytest.raises(UnphysicalStateError, match="not pure"):
+            PureState(np.full((4, 4), np.nan))
+        assert np.isnan(_purity_residual(np.full((4, 4), np.nan)))
 
 
 class TestRequirePure:
@@ -504,7 +506,7 @@ class TestRequirePure:
 
     @pytest.mark.parametrize(
         "route",
-        [gem_from_purity, metric_g, moments_from_covariance, mode_purities, check_pure, require_pure, PureState, purity],
+        [gem_from_purity, metric_g, moments_from_covariance, mode_purities, require_pure, PureState, purity],
     )
     def test_zero_mode_covariance_rejected(self, route):
         with pytest.raises(InvalidArgumentError, match="N >= 1"):
@@ -517,6 +519,40 @@ class TestRequirePure:
             obj = getattr(gaussgem, name)
             if inspect.isfunction(obj):
                 assert "tol" not in inspect.signature(obj).parameters, name
+
+
+PUBLIC_MODULES = (gaussgem.core, gaussgem.errors, gaussgem.graphs, gaussgem.lattice, gaussgem.measure)
+
+
+class TestPublicNames:
+    """Each public name is declared once, in the ``__all__`` of the module that defines it."""
+
+    def test_each_name_in_exactly_one_module_list(self):
+        assert len(set(gaussgem.__all__)) == len(gaussgem.__all__)
+        for name in gaussgem.__all__:
+            owners = [module for module in PUBLIC_MODULES if name in module.__all__]
+            assert len(owners) == 1, (name, owners)
+            assert getattr(gaussgem, name) is getattr(owners[0], name), name
+        assert sorted(gaussgem.__all__) == sorted(n for module in PUBLIC_MODULES for n in module.__all__)
+
+    @pytest.mark.parametrize("module", PUBLIC_MODULES, ids=lambda module: module.__name__)
+    def test_module_list_is_its_public_definitions(self, module):
+        # Top-level defs, classes and assignments without a leading underscore; imports are not definitions.
+        defined = set()
+        for node in ast.parse(inspect.getsource(module)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        assert set(module.__all__) == {n for n in defined if not n.startswith("_")}
+
+    def test_package_init_names_none(self):
+        # The package re-exports by star import; it spells no public name itself.
+        tree = ast.parse(inspect.getsource(gaussgem))
+        spelled = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        spelled |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not spelled & set(gaussgem.__all__)
 
 
 class TestInvariants:
@@ -538,8 +574,7 @@ class TestInvariants:
             h *= 5.0 / np.linalg.norm(h, 2) * rng.uniform(0.2, 1.0)
             S = symplectic_from_hamiltonian(h)
             gamma = evolve_covariance(vacuum_state(n), S)
-            _, residual = check_pure(gamma)
-            assert residual < 1e-9
+            assert _purity_residual(gamma) < 1e-9
 
     def test_wick_four_point_matches_fock(self):
         # Pairing sums of C = Gamma + (i/2) Omega against the truncated

@@ -18,7 +18,6 @@ from gaussgem import (
     NumericOverflowError,
     PolarCoupling,
     asymptotic_coefficients,
-    check_pure,
     compact_gem_two_mode,
     complete_elliptic,
     evolve_covariance,
@@ -35,11 +34,12 @@ from gaussgem import (
     log_negativity_two_mode,
     metric_h,
     mode_purities,
+    require_pure,
     symplectic_from_hamiltonian,
     two_mode_metric_closed,
     vacuum_state,
 )
-from gaussgem.core import _pure_by_construction
+from gaussgem.core import _pure_by_construction, _purity_residual
 from conftest import random_graph_spec
 from oracles import fock_covariance, log_negativity_eigvals, prepared_graph_state, quadrature_ops_two_mode
 
@@ -146,6 +146,7 @@ REAL_ENTRY_POINTS = {
     "gem_field_asymptotic": lambda x: gem_field_asymptotic(3, x, 0),
     "compact_gem_two_mode": lambda x: compact_gem_two_mode(x, 0.3),
     "complete_elliptic": lambda x: complete_elliptic("K", x),
+    "gem_ratio_small_r": lambda x: gem_ratio_small_r(GraphSpec(3, ((1, 2, 1.0),)), GraphSpec(3, ((2, 3, 1.0),)), x),
 }
 NO_WEIGHTS = [
     *NOT_NUMBERS,
@@ -233,8 +234,8 @@ class TestGraphStateCovariance:
     def test_states_are_pure(self, rng):
         for _ in range(10):
             gamma = graph_state_covariance(random_graph_spec(rng, 4))
-            ok, residual = check_pure(gamma)
-            assert ok and residual < 1e-9
+            require_pure(gamma)
+            assert _purity_residual(gamma) < 1e-9
 
     def test_vacuum_evolved_in_one_product(self, rng):
         # S S^T / 2 equals evolve_covariance(vacuum_state(N), S) bit for bit,
@@ -267,6 +268,39 @@ class TestGraphStateCovariance:
         psi = prepared_graph_state(hamiltonian_from_graph(spec), cutoff)
         fock_gamma = fock_covariance(psi, quadrature_ops_two_mode(cutoff))
         assert np.allclose(graph_state_covariance(spec), fock_gamma, atol=1e-7)
+
+
+class TestPolarCouplingInDouble:
+    """A PolarCoupling keeps r and phi as Python floats, so every closed form computes in double precision."""
+
+    def test_stores_floats(self):
+        for r, phi in [(1, 0.3), (np.float32(0.5), np.float32(0.3)), (np.int64(2), 1), (0.25, np.float64(1.0))]:
+            coupling = PolarCoupling(r, phi)
+            assert type(coupling.r) is float and type(coupling.phi) is float
+            assert (coupling.r, coupling.phi) == (float(r), float(phi))
+        assert PolarCoupling(1, 0.3).r == 1.0
+
+    @pytest.mark.parametrize("closed", [gem_two_mode_closed, gem_three_mode_g1, gem_three_mode_g2])
+    def test_float32_and_int_inputs_give_double_values(self, closed):
+        # Each input gives the bits of its exact double value, not a float32 computation.
+        rng = np.random.default_rng(22)
+        for r, phi in zip(rng.uniform(0.0, 5.0, 100).astype(np.float32), rng.uniform(-3.0, 3.0, 100).astype(np.float32)):
+            want = closed(PolarCoupling(float(r), float(phi)))
+            assert closed(PolarCoupling(r, phi)) == want
+            assert closed(PolarCoupling(float(r), phi)) == want
+        for r in range(6):
+            assert closed(PolarCoupling(np.int32(r), 0.7)) == closed(PolarCoupling(r, 0.7)) == closed(PolarCoupling(float(r), 0.7))
+
+    def test_float32_metric_is_double(self):
+        r, phi = np.float32(0.8), np.float32(1.1)
+        want = two_mode_metric_closed(float(r), float(phi)).matrix
+        assert np.array_equal(two_mode_metric_closed(r, phi).matrix, want)
+
+    @pytest.mark.parametrize("closed", [gem_two_mode_closed, gem_three_mode_g1, gem_three_mode_g2])
+    def test_integer_r_past_int64_raises_overflow(self, closed):
+        # 2**70 is a double; its phase s sqrt(u) is past 2^53, so no digit of sin survives.
+        with pytest.raises(NumericOverflowError, match="no significant digit"):
+            closed(PolarCoupling(2**70, 0.3))
 
 
 class TestTwoModeClosedForm:
@@ -529,6 +563,16 @@ class TestEdgeRatios:
         a = GraphSpec.with_uniform_weight(3, PATH3, 1.0)
         b = GraphSpec.with_uniform_weight(3, TRIANGLE, 1.0)
         assert gem_ratio_small_r(a, b, 1e-3) == pytest.approx(2.0 / 3.0, abs=1e-4)
+
+    @pytest.mark.parametrize("r", [-1e-3, np.float32(1e-3), np.int64(1)])
+    def test_any_finite_real_r_is_taken(self, r):
+        # A negative r puts -i|r| on every edge; the limit is still the edge-count ratio.
+        a = GraphSpec.with_uniform_weight(3, PATH3, 1.0)
+        b = GraphSpec.with_uniform_weight(3, TRIANGLE, 1.0)
+        want = gem_ratio_small_r(a, b, float(r))
+        assert gem_ratio_small_r(a, b, r) == want
+        if abs(r) < 0.1:
+            assert want == pytest.approx(2.0 / 3.0, abs=1e-4)
 
     def test_mode_count_mismatch(self):
         a = GraphSpec.with_uniform_weight(3, PATH3, 1.0)

@@ -16,7 +16,6 @@ from gaussgem import (
     asymptotic_coefficients,
     bogoliubov_matrices,
     bogoliubov_residuals,
-    check_pure,
     complete_elliptic,
     dispersion,
     field_covariance,
@@ -24,7 +23,9 @@ from gaussgem import (
     gem_field_exact,
     gem_field_pipeline,
     reduced_det_from_xy,
+    require_pure,
 )
+from gaussgem.core import _purity_residual
 from gaussgem.lattice import _fourier_basis
 from oracles import (
     bogoliubov_by_loops,
@@ -373,8 +374,8 @@ class TestFieldMeasure:
 
     def test_pipeline_states_are_pure(self):
         gamma = field_covariance(LatticeFieldConfig(n=3, mass=0.7, radius=1.1))
-        ok, residual = check_pure(gamma)
-        assert ok and residual < 1e-12
+        require_pure(gamma)
+        assert _purity_residual(gamma) < 1e-12
 
     def test_dual_route_quick(self):
         for (n, mass, radius) in [(1, 1.0, 1.0), (10, 0.5, 2.0)]:

@@ -6,6 +6,7 @@ import pytest
 import gaussgem.measure
 from gaussgem import (
     GraphSpec,
+    PureState,
     UnphysicalStateError,
     evolve_covariance,
     gem_from_metric,
@@ -238,6 +239,20 @@ class TestModePurities:
     def test_nonpure_rejected(self):
         with pytest.raises(UnphysicalStateError):
             mode_purities(np.eye(4))
+
+    def test_reduced_det_below_the_bound_rejected(self):
+        # Gamma = BS diag(-1, -1, 1, 1) BS^T / 2, BS a 50:50 beamsplitter, is not
+        # positive definite, yet its purity residual is 1.1e-16.  Each mode block
+        # is (-I + I) / 4, det ~1e-34, so the uncertainty check in mode_purities
+        # must reject it, on an array and on a PureState, alone and in a stack.
+        c = np.sqrt(0.5)
+        beamsplitter = np.block([[c * np.eye(2), c * np.eye(2)], [-c * np.eye(2), c * np.eye(2)]])
+        gamma = 0.5 * beamsplitter @ np.diag([-1.0, -1.0, 1.0, 1.0]) @ beamsplitter.T
+        for data in (gamma, np.stack([vacuum_state(2), gamma])):
+            with pytest.raises(UnphysicalStateError, match="below the uncertainty bound"):
+                mode_purities(data)
+            with pytest.raises(UnphysicalStateError):
+                mode_purities(PureState(data))
 
 
 class TestMetricG:

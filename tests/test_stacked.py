@@ -18,7 +18,6 @@ from gaussgem import (
     MetricTensor,
     MomentTable,
     build_omega,
-    check_pure,
     evolve_covariance,
     gem_from_metric,
     gem_from_purity,
@@ -37,6 +36,7 @@ from gaussgem import (
     symplectic_from_hamiltonian,
     vacuum_state,
 )
+from gaussgem.core import _purity_residual
 from conftest import child_env
 
 TRIANGLE = ((1, 2), (2, 3), (1, 3))
@@ -95,13 +95,14 @@ class TestStackEqualsSlices:
             assert lognegs[index] == single
 
     def test_check_pure(self):
+        # The gate's residual slice by slice, and its verdict: the stack passes as each slice does.
         stack = graph_state_covariances(3, TRIANGLE, _xy_grid(TRIANGLE))
-        ok, residual = check_pure(stack)
-        assert ok.shape == residual.shape == stack.shape[:-2]
+        residual = _purity_residual(stack)
+        assert residual.shape == stack.shape[:-2]
+        require_pure(stack)
         for index in np.ndindex(residual.shape):
-            single_ok, single_residual = check_pure(stack[index])
-            assert type(single_ok) is bool and type(single_residual) is float
-            assert (ok[index], residual[index]) == (single_ok, single_residual)
+            assert residual[index] == _purity_residual(stack[index])
+            require_pure(stack[index])
 
     def test_matrix_exponential_and_evolution(self, rng):
         h = rng.uniform(-1.0, 1.0, (5, 4, 6, 6))
@@ -179,7 +180,7 @@ class TestPurityGate:
             for gamma in (0.5 * S @ S.T, 0.55 * S @ S.T):
                 J = gamma @ (-build_omega(num_modes))
                 dense = float(np.max(np.abs(J @ J + 0.25 * np.eye(2 * num_modes))))
-                assert check_pure(gamma)[1] == dense
+                assert _purity_residual(gamma) == dense
 
     def test_mixed_slice_named(self):
         # Squeezed thermal state S (nu I/2) S^T, nu = 1.1, at small squeezing.
@@ -237,7 +238,7 @@ class TestStackValidation:
 # a scan2 grid through w = 0 and an xy scan with its self-test.
 EXPONENTIATING_RUNS = (
     "main(['gem', spec]); main(['gem', edgeless]); "
-    "main(['scan2', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3']); "
+    "main(['scan2', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3', '--self-test']); "
     "main(['scan3', '--family', 'xy', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3', '--self-test']); "
 )
 
@@ -253,13 +254,14 @@ def _assert_child_exits_0(tmp_path, code):
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):
-    # A field run and the equal-family scan (closed forms only) load no scipy
-    # module at all; the exponentiating commands load only scipy's Pade
-    # kernel extension, not the scipy package.
+    # A field run, the equal-family scan and a plain scan2 (closed forms only)
+    # load no scipy module at all; the exponentiating commands load only
+    # scipy's Pade kernel extension, not the scipy package.
     code = (
         "main(['field', '--n-list', '1,10', '--mass', '1', '--radius', '1', '--self-test']); "
         "main(['scan3', '--family', 'equal', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3']); "
-        "assert not [m for m in sys.modules if m.startswith('scipy')], 'field or scan3 equal loaded scipy'; "
+        "main(['scan2', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3']); "
+        "assert not [m for m in sys.modules if m.startswith('scipy')], 'field, scan3 equal or scan2 loaded scipy'; "
         + EXPONENTIATING_RUNS
         + "loaded = [m for m in sys.modules if m.startswith('scipy')]; "
         "assert loaded == ['scipy.linalg._matfuncs_expm'], loaded"
@@ -296,7 +298,7 @@ def test_kernels_loaded_first_are_shared_with_scipy_linalg(tmp_path):
     # scipy.linalg must reuse that module, and the driver must still equal
     # scipy.linalg.expm bit for bit.
     code = (
-        "main(['scan2', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3']); "
+        "main(['scan2', '--re-range=-1:1', '--im-range=-1:1', '--steps', '3', '--self-test']); "
         "kernels = sys.modules['scipy.linalg._matfuncs_expm']; "
         "import numpy as np, scipy.linalg, scipy.linalg._matfuncs as matfuncs; "
         "from gaussgem import matrix_exponential; "
