@@ -14,8 +14,9 @@ by one gate against the one threshold ``DEFAULT_PURITY_TOL`` fixed in
 stack) that has passed the gate; every route takes one in place of an array
 and does not judge it again.  An array passed to a route is gated once per
 call.  The lattice pipeline's ground state is pure by construction and skips
-the gate's residual; graph states stay gated, since there the gate also
-catches covariances beyond double precision.
+the gate's residual.  The graph builders return a ``PureState``, gated once
+at build, since there the gate also catches covariances beyond double
+precision.
 """
 
 from .core import *

@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import lattice
-from .core import PureState, _is_number
+from .core import _is_number
 from .errors import GaussGemError, InvalidArgumentError
 from .graphs import (
     GraphSpec,
@@ -163,7 +163,7 @@ def _self_test(column, reference, label: str) -> None:
 
 def cmd_gem(args) -> tuple[str, str]:
     spec = _load_graph_spec(args.spec)
-    state = PureState(graph_state_covariance(spec))  # the one purity gate of the command
+    state = graph_state_covariance(spec)  # the one purity gate of the command, run by the builder
     purities = mode_purities(state)
     report = {"modes": spec.num_modes, "purities": purities}
     if args.measure == "gem":
@@ -191,7 +191,7 @@ def cmd_scan2(args) -> tuple[str, str]:
     # For a pure two-mode state, logneg = arcsinh(2 sqrt(-det Gamma_12)) = arcsinh(4 sqrt(gem)).
     lognegs = np.arcsinh(4.0 * np.sqrt(gems))
     if args.self_test:
-        state = PureState(graph_state_covariances(2, ((1, 2),), points[:, None]))  # the one purity gate
+        state = graph_state_covariances(2, ((1, 2),), points[:, None])  # the one purity gate, run by the builder
         _self_test(gems, gem_from_purity(state), "scan2 gem")
         _self_test(lognegs, log_negativity_two_mode(state), "scan2 logneg")
     log_gems = np.log(gems, out=np.full_like(gems, -np.inf), where=gems > 0.0)
@@ -212,8 +212,8 @@ def cmd_scan3(args) -> tuple[str, str]:
         g1, g2 = gem_three_mode_g1(points), gem_three_mode_g2(points)
     else:
         weights = np.column_stack([1j * points.real, 1j * points.imag, np.ones(points.size)])
-        stacks = (graph_state_covariances(3, pairs, weights[:, : len(pairs)]) for pairs in topologies)
-        states = [PureState(stack) for stack in stacks]  # one purity gate per topology
+        # One purity gate per topology, run by the builder.
+        states = [graph_state_covariances(3, pairs, weights[:, : len(pairs)]) for pairs in topologies]
         g1, g2 = (gem_from_purity(state) for state in states)
     if args.self_test:
         for col, (column, pairs) in enumerate(zip((g1, g2), topologies)):

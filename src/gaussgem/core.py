@@ -448,6 +448,8 @@ class PureState:
     Construction runs :func:`require_pure` once and keeps a read-only copy of
     the gated matrix, so the verdict cannot go stale.  Every measure route
     takes a state wherever it takes an array, and does not judge it again.
+    The graph builders return states too: they gate the array they have
+    just built and keep it without a copy (:func:`_pure_by_construction`).
 
     Raises:
         UnphysicalStateError: as :func:`require_pure` raises on ``gamma``.
@@ -462,11 +464,12 @@ class PureState:
 
 
 def _pure_by_construction(gamma: np.ndarray) -> PureState:
-    """A :class:`PureState` for a covariance whose construction proves it pure.
+    """A :class:`PureState` for a covariance that its construction proves pure, or that passed the gate.
 
-    Runs no purity residual: the caller vouches for purity, and only
-    finiteness is checked.  ``gamma`` must be a float array that no one else
-    holds, as the state keeps it without a copy and makes it read-only.
+    Runs no purity residual: the caller vouches for purity, by construction
+    or by :func:`require_pure`, and only finiteness is checked.  ``gamma``
+    must be a float array that no one else holds, as the state keeps it
+    without a copy and makes it read-only.
 
     Raises:
         NumericOverflowError: ``gamma`` has non-finite entries.

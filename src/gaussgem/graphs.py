@@ -42,7 +42,14 @@ points, and an error names the first offending point in flat order.
 
 ``graph_state_covariances`` prepares one topology under a whole array of
 weights as a single (..., 2N, 2N) stack; each slice equals the one-state
-``graph_state_covariance`` bit for bit.
+``graph_state_covariance`` bit for bit.  Both builders return a
+``core.PureState``: each runs the purity gate once, on the covariance or
+stack it has just built, and keeps that array as the state's read-only
+``gamma`` without a copy, so the routes that take the state judge it no
+more.  The gate is also the graph states' overflow detector.  A covariance
+with a non-finite entry raises ``NumericOverflowError`` before it runs; one
+that is finite while ||Gamma||_1^2 overflows, as at weight 180i on one
+edge, fails it with ``UnphysicalStateError``.
 
 The two-mode baseline, the log negativity, is read from the state rather
 than from a closed form: for a pure state it is arcsinh(2 sqrt(-det Gamma_12))
@@ -63,6 +70,7 @@ from .core import (
     _is_finite_real,
     _is_integer,
     _is_number,
+    _pure_by_construction,
     _require_mode_count,
     _symmetrized,
     require_pure,
@@ -221,8 +229,8 @@ def _covariances(num_modes: int, pairs: tuple, weights: np.ndarray) -> np.ndarra
     return _symmetrized(product)
 
 
-def graph_state_covariances(num_modes: int, pairs, weights) -> np.ndarray:
-    """Covariances S S^T / 2 of one graph topology under a whole array of weights.
+def graph_state_covariances(num_modes: int, pairs, weights) -> PureState:
+    """Covariances S S^T / 2 of one graph topology under a whole array of weights, gated once.
 
     Args:
         num_modes: mode count N.
@@ -231,13 +239,16 @@ def graph_state_covariances(num_modes: int, pairs, weights) -> np.ndarray:
             weight of edge ``pairs[e]``.
 
     Returns:
-        (..., 2N, 2N) array; slice k equals ``graph_state_covariance`` of the
-        graph carrying weights ``weights[k]``, bit for bit.
+        A :class:`PureState` whose read-only ``gamma`` is the (..., 2N, 2N)
+        stack; slice k equals the ``gamma`` of ``graph_state_covariance`` of
+        the graph carrying weights ``weights[k]``, bit for bit.
 
     Raises:
         InvalidArgumentError: bad topology, weights of the wrong shape, or an
             entry that is no edge weight (see the module docstring).
         NumericOverflowError: a state past double precision, as at weight 2**70.
+        UnphysicalStateError: a slice fails the purity gate, as at weight 180i,
+            where ||Gamma||_1^2 overflows; the message names the first such slice.
     """
     pairs = _validated_pairs(num_modes, pairs)
     weights = _weights(weights)
@@ -245,7 +256,7 @@ def graph_state_covariances(num_modes: int, pairs, weights) -> np.ndarray:
         raise InvalidArgumentError(
             f"weights must have shape (..., {len(pairs)}) for {len(pairs)} edges, got {weights.shape}"
         )
-    return _covariances(num_modes, pairs, weights)
+    return _pure_by_construction(require_pure(_covariances(num_modes, pairs, weights)))
 
 
 def hamiltonian_from_graph(spec: GraphSpec) -> np.ndarray:
@@ -255,11 +266,17 @@ def hamiltonian_from_graph(spec: GraphSpec) -> np.ndarray:
     return _generators(spec.num_modes, spec.pairs, spec.weights)
 
 
-def graph_state_covariance(spec: GraphSpec) -> np.ndarray:
-    """Pure covariance matrix S S^T / 2 of the graph state, S = exp(Omega h)."""
+def graph_state_covariance(spec: GraphSpec) -> PureState:
+    """The graph state, S S^T / 2 with S = exp(Omega h), gated once as a :class:`PureState`.
+
+    Raises:
+        InvalidArgumentError: ``spec`` is not a :class:`GraphSpec`.
+        NumericOverflowError: the covariance leaves double precision.
+        UnphysicalStateError: the covariance fails the purity gate.
+    """
     if not isinstance(spec, GraphSpec):
         raise InvalidArgumentError("graph_state_covariance needs a GraphSpec")
-    return _covariances(spec.num_modes, spec.pairs, spec.weights)
+    return _pure_by_construction(require_pure(_covariances(spec.num_modes, spec.pairs, spec.weights)))
 
 
 # --- analytic continuation helpers (piecewise real, elementwise) --------------

@@ -33,7 +33,8 @@ Metric tensors are stored as dense 3N x 3N symmetric arrays with row index
 Every route also takes a (..., 2N, 2N) stack and keeps its leading axes:
 each slice is bit-identical to the one-state call, where a float stays a float.
 Wherever a route takes an array it also takes a ``core.PureState``: an array
-passes the purity gate once per call, a state has passed it already.
+passes the purity gate once per call, a state has passed it already.  The
+graph builders return such states, gated once at build.
 """
 
 from __future__ import annotations

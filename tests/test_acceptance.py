@@ -101,7 +101,7 @@ def test_criterion_04_local_invariance():
         for _ in range(50):
             n = int(rng.integers(2, 5))
             gamma = graph_state_covariance(random_graph_spec(rng, n))
-            moved = evolve_covariance(gamma, random_local_symplectic(rng, n))
+            moved = evolve_covariance(gamma.gamma, random_local_symplectic(rng, n))
             assert abs(gem_from_purity(moved) - gem_from_purity(gamma)) < 1e-8
 
 

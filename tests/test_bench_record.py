@@ -77,3 +77,15 @@ def test_failures_digests_and_provenance():
     # Only what every run of a side shares is its provenance.
     assert out["parent"]["provenance"] == {"python": "3.11.7"}
     assert out["change"]["provenance"] == {"python": "3.11.7", "loadavg_1min_at_start": 0.5}
+
+
+def test_traced_run_keeps_its_extra_block():
+    traced = {
+        "metrics": {"core.require_pure.calls": [5100, "count"], "trace.ops": [1020, "count"]},
+        "extra": {"failed_frac": 0.0, "missing_functions": ["core.check_pure"]},
+    }
+    assert bench_record.traced_layers(traced) == {
+        "per_layer": {"core.require_pure.calls": 5100, "trace.ops": 1020},
+        "failed_frac": 0.0,
+        "missing_functions": ["core.check_pure"],
+    }

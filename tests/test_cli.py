@@ -387,7 +387,7 @@ class TestSelfTestFaults:
         else:
             weights = np.repeat(points[:, None], len(pairs), axis=1)
         num_modes = max(j for _, j in pairs)
-        target = graph_state_covariances(num_modes, pairs, weights[:, : len(pairs)])[cls.ROW]
+        target = graph_state_covariances(num_modes, pairs, weights[:, : len(pairs)]).gamma[cls.ROW]
         # One entry per slice; a route may get the stack bare or as a PureState.
         return lambda state: np.all(getattr(state, "gamma", state) == target, axis=(-2, -1))
 
@@ -627,6 +627,17 @@ class TestExitContract:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("measure", ["gem", "logneg"])
+    def test_gem_state_failing_the_gate(self, measure, tmp_path):
+        # At w = 180i the covariance is finite but ||Gamma||_1^2 is not: the builder's gate rejects it.
+        spec = write_spec(tmp_path, {"modes": 2, "edges": [{"i": 1, "j": 2, "re": 0, "im": 180}]})
+        proc = run_subprocess(["gem", spec, "--measure", measure])
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "error: state fails the purity gate: ||Gamma||_1^2 overflows double precision, "
+            "so the bound stays 1.0e-09 (purity residual inf)\n"
+        )
 
 
 class TestFieldSizeBound:

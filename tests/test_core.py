@@ -283,7 +283,7 @@ class TestSymplecticFromHamiltonian:
         # Graph weight i*r squeezes the pair; the q1 variance must match the
         # truncated-Fock two-mode squeezed state.
         r = 0.5
-        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 1j * r),)))
+        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 1j * r),))).gamma
         psi = two_mode_squeezed_state(r, cutoff=30)
         ops = quadrature_ops_two_mode(30)
         fock_var = np.real(np.vdot(ops[0] @ psi, ops[0] @ psi))
@@ -346,7 +346,7 @@ class TestEvolveCovariance:
         assert np.allclose(out, 0.5 * S @ S.T, atol=1e-13)
 
     def test_local_symplectics_preserve_purity(self, rng):
-        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 0.4 + 0.9j),)))
+        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 0.4 + 0.9j),))).gamma
         for _ in range(20):
             S = random_local_symplectic(rng, 2)
             assert _purity_residual(evolve_covariance(gamma, S)) < 1e-9
@@ -370,7 +370,7 @@ class TestReducedCovariance:
 
     def test_two_mode_squeezed_reduction_matches_fock(self):
         r = 0.5
-        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 1j * r),)))
+        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 1j * r),))).gamma
         block = reduced_covariance(gamma, 1)
         psi = two_mode_squeezed_state(r, cutoff=30)
         ops = quadrature_ops_two_mode(30)
@@ -383,7 +383,7 @@ class TestReducedCovariance:
 
         for _ in range(5):
             spec = random_graph_spec(rng, 3)
-            gamma = graph_state_covariance(spec)
+            gamma = graph_state_covariance(spec).gamma
             for mode in range(1, 4):
                 block = reduced_covariance(gamma, mode)
                 assert block[0, 1] == pytest.approx(block[1, 0], abs=1e-14)
@@ -401,7 +401,7 @@ class TestPurity:
         # Reduced state of the r=1 squeezed pair is thermal; its purity is
         # 1/cosh(2r), cross-checked against the truncated Fock computation.
         r, cutoff = 1.0, 40
-        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 1j * r),)))
+        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 1j * r),))).gamma
         value = purity(reduced_covariance(gamma, 1))
         fock = fock_reduced_purity(two_mode_squeezed_state(r, cutoff), cutoff)
         assert value == pytest.approx(fock, abs=1e-8)
@@ -470,7 +470,7 @@ class TestCheckPure:
     def test_verdict_is_the_gate_verdict(self):
         # A squeezed pure state whose raw residual exceeds the unscaled 1e-9:
         # the scaled bound accepts it, in require_pure as in PureState.
-        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 5j),)))
+        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 5j),))).gamma
         assert _purity_residual(gamma) > DEFAULT_PURITY_TOL
         require_pure(gamma)
         PureState(gamma)
@@ -580,7 +580,7 @@ class TestInvariants:
         # Pairing sums of C = Gamma + (i/2) Omega against the truncated
         # Fock-space four-point functions of the squeezed pair.
         r, cutoff = 0.6, 32
-        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, -1j * r),)))
+        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, -1j * r),))).gamma
         psi = two_mode_squeezed_state(r, cutoff)
         ops = quadrature_ops_two_mode(cutoff)
         # Same state: the phase-space pipeline at weight -i r realizes the

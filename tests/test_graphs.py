@@ -17,6 +17,7 @@ from gaussgem import (
     LatticeFieldConfig,
     NumericOverflowError,
     PolarCoupling,
+    UnphysicalStateError,
     asymptotic_coefficients,
     compact_gem_two_mode,
     complete_elliptic,
@@ -112,20 +113,20 @@ class TestWeightsAreNumbers:
 
     @pytest.mark.parametrize("weight", NUMBERS)
     def test_numbers_give_the_state_of_their_complex_value(self, weight):
-        want = graph_state_covariance(GraphSpec(2, ((1, 2, complex(weight)),)))
-        assert np.array_equal(graph_state_covariance(GraphSpec(2, ((1, 2, weight),))), want)
-        assert np.array_equal(graph_state_covariances(2, ((1, 2),), [weight])[()], want)
-        assert np.array_equal(graph_state_covariances(2, ((1, 2),), [[weight], [weight]])[1], want)
+        want = graph_state_covariance(GraphSpec(2, ((1, 2, complex(weight)),))).gamma
+        assert np.array_equal(graph_state_covariance(GraphSpec(2, ((1, 2, weight),))).gamma, want)
+        assert np.array_equal(graph_state_covariances(2, ((1, 2),), [weight]).gamma[()], want)
+        assert np.array_equal(graph_state_covariances(2, ((1, 2),), [[weight], [weight]]).gamma[1], want)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float32, np.float64, np.complex64, complex])
     def test_numeric_arrays_give_their_complex_states(self, dtype):
         pairs = ((1, 2), (2, 3), (1, 3))
         weights = np.array([[1, 0, 2], [0, 1, 1]], dtype=dtype)
-        want = graph_state_covariances(3, pairs, weights.astype(complex))
-        assert np.array_equal(graph_state_covariances(3, pairs, weights), want)
+        want = graph_state_covariances(3, pairs, weights.astype(complex)).gamma
+        assert np.array_equal(graph_state_covariances(3, pairs, weights).gamma, want)
         for k, row in enumerate(weights):
             spec = GraphSpec(3, tuple((i, j, w) for (i, j), w in zip(pairs, row)))
-            assert np.array_equal(graph_state_covariance(spec), want[k])
+            assert np.array_equal(graph_state_covariance(spec).gamma, want[k])
 
 
 #: Every entry point that takes an edge weight or a real parameter, as a function of that input.
@@ -225,15 +226,15 @@ class TestHamiltonianFromGraph:
 
 class TestGraphStateCovariance:
     def test_empty_graph_is_vacuum(self):
-        assert np.allclose(graph_state_covariance(GraphSpec(3)), vacuum_state(3))
+        assert np.allclose(graph_state_covariance(GraphSpec(3)).gamma, vacuum_state(3))
 
     def test_squeezer_variance(self):
-        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 0.5j),)))
+        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 0.5j),))).gamma
         assert gamma[0, 0] == pytest.approx(np.cosh(1.0) / 2.0, abs=1e-12)
 
     def test_states_are_pure(self, rng):
         for _ in range(10):
-            gamma = graph_state_covariance(random_graph_spec(rng, 4))
+            gamma = graph_state_covariance(random_graph_spec(rng, 4)).gamma
             require_pure(gamma)
             assert _purity_residual(gamma) < 1e-9
 
@@ -245,13 +246,13 @@ class TestGraphStateCovariance:
         specs += [random_graph_spec(rng, 96, edge_prob=0.04) for _ in range(2)]
         for spec in specs:
             S = symplectic_from_hamiltonian(hamiltonian_from_graph(spec))
-            got, want = graph_state_covariance(spec), evolve_covariance(vacuum_state(spec.num_modes), S)
+            got, want = graph_state_covariance(spec).gamma, evolve_covariance(vacuum_state(spec.num_modes), S)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
         axis = np.linspace(-3.0, 3.0, 61)
         weights = (axis[:, None] + 1j * axis)[..., None]
         S = symplectic_from_hamiltonian(gaussgem.graphs._generators(2, ((1, 2),), weights))
-        got, want = graph_state_covariances(2, ((1, 2),), weights), evolve_covariance(vacuum_state(2), S)
+        got, want = graph_state_covariances(2, ((1, 2),), weights).gamma, evolve_covariance(vacuum_state(2), S)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -260,6 +261,19 @@ class TestGraphStateCovariance:
         with pytest.raises(NumericOverflowError, match="S Gamma S"):
             graph_state_covariance(GraphSpec(2, ((1, 2, 400j),)))
 
+    def test_state_failing_the_gate_raises_from_the_builder(self):
+        # At w = 180i S S^T / 2 is finite but ||Gamma||_1^2 is not, so the residual's bound cannot scale.
+        message = (
+            "state{} fails the purity gate: ||Gamma||_1^2 overflows double precision, "
+            "so the bound stays 1.0e-09 (purity residual inf)"
+        )
+        with pytest.raises(UnphysicalStateError) as raised:
+            graph_state_covariance(GraphSpec(2, ((1, 2, 180j),)))
+        assert str(raised.value) == message.format("")
+        with pytest.raises(UnphysicalStateError) as raised:
+            graph_state_covariances(2, ((1, 2),), [[0.5j], [180j]])
+        assert str(raised.value) == message.format(" at stack index (1,)")
+
     def test_matches_fock_preparation(self, rng):
         # Full covariance agreement with the truncated-Fock preparation
         # exp(-iH)|00> for a generic two-mode weight.
@@ -267,7 +281,7 @@ class TestGraphStateCovariance:
         cutoff = 40
         psi = prepared_graph_state(hamiltonian_from_graph(spec), cutoff)
         fock_gamma = fock_covariance(psi, quadrature_ops_two_mode(cutoff))
-        assert np.allclose(graph_state_covariance(spec), fock_gamma, atol=1e-7)
+        assert np.allclose(graph_state_covariance(spec).gamma, fock_gamma, atol=1e-7)
 
 
 class TestPolarCouplingInDouble:
@@ -656,7 +670,7 @@ class TestLogNegativity:
         r, phi = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, 64)), rng.uniform(-math.pi, math.pi, 64)
         stack = graph_state_covariances(2, ((1, 2),), (r * np.exp(1j * phi))[:, None])
         got = log_negativity_two_mode(stack)
-        for k, gamma in enumerate(stack):
+        for k, gamma in enumerate(stack.gamma):
             assert got[k] == pytest.approx(log_negativity_eigvals(gamma), abs=1e-9)
 
 

@@ -110,7 +110,7 @@ def _generic_state(rng, num_modes):
     gamma = vacuum_state(num_modes)
     if num_modes > 1:
         spec = random_graph_spec(rng, num_modes, max_weight=0.6, edge_prob=min(0.7, 4.0 / num_modes))
-        gamma = graph_state_covariance(spec)
+        gamma = graph_state_covariance(spec).gamma
     return evolve_covariance(gamma, random_local_symplectic(rng, num_modes))
 
 
@@ -131,7 +131,7 @@ class TestMomentsAgainstHandExpanded:
     def test_stack(self, rng):
         weights = rng.normal(0.0, 0.5, (4, 5, 3)) + 1j * rng.normal(0.0, 0.5, (4, 5, 3))
         stack = graph_state_covariances(3, [(1, 2), (2, 3), (1, 3)], weights)
-        self._check(moments_from_covariance(stack), stack)
+        self._check(moments_from_covariance(stack), stack.gamma)
 
 
 class TestMomentsAgainstComplexWick(TestMomentsAgainstHandExpanded):
@@ -190,7 +190,7 @@ class TestPurityGateOnce:
             return gate(gamma)
 
         monkeypatch.setattr(gaussgem.measure, "require_pure", counted)
-        route(graph_state_covariance(random_graph_spec(rng, 3)))
+        route(graph_state_covariance(random_graph_spec(rng, 3)).gamma)
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
@@ -207,7 +207,7 @@ class TestPurityGateOnce:
 
         monkeypatch.setattr(gaussgem.measure, "require_pure", counted)
         weights = 1j * np.linspace(0.1, 1.2, 12).reshape(3, 4, 1)
-        route(graph_state_covariances(2, ((1, 2),), weights))
+        route(graph_state_covariances(2, ((1, 2),), weights).gamma)
         assert calls == [(3, 4, 4, 4)]
 
 
@@ -216,7 +216,7 @@ class TestModePurities:
 
     def test_gem_from_purity_sums_in_mode_order(self, rng):
         for num_modes in (2, 3, 5, 8):
-            gamma = graph_state_covariance(random_graph_spec(rng, num_modes))
+            gamma = graph_state_covariance(random_graph_spec(rng, num_modes)).gamma
             total = 0.0
             for mode in range(1, num_modes + 1):
                 total = total + (np.linalg.det(reduced_covariance(gamma, mode)) - 0.25)
@@ -224,7 +224,7 @@ class TestModePurities:
 
     def test_matches_per_mode_formula(self, rng):
         for num_modes in (2, 3, 5, 8):
-            gamma = graph_state_covariance(random_graph_spec(rng, num_modes))
+            gamma = graph_state_covariance(random_graph_spec(rng, num_modes)).gamma
             want = [
                 min(1.0, 0.5 / np.sqrt(max(np.linalg.det(reduced_covariance(gamma, mode)), 0.25)))
                 for mode in range(1, num_modes + 1)
@@ -350,7 +350,7 @@ class TestMeasure:
             n = int(rng.integers(2, 5))
             gamma = graph_state_covariance(random_graph_spec(rng, n))
             S = random_local_symplectic(rng, n)
-            moved = evolve_covariance(gamma, S)
+            moved = evolve_covariance(gamma.gamma, S)
             assert abs(gem_from_purity(moved) - gem_from_purity(gamma)) < 1e-8
 
     def test_nonnegative(self, rng):
@@ -372,7 +372,7 @@ class TestMeasure:
         # ...and zero measure forces every reduced determinant to the bound.
         for _ in range(20):
             n = int(rng.integers(2, 5))
-            gamma = graph_state_covariance(random_graph_spec(rng, n))
+            gamma = graph_state_covariance(random_graph_spec(rng, n)).gamma
             if gem_from_purity(gamma) < 1e-10:
                 for mode in range(1, n + 1):
                     det = np.linalg.det(reduced_covariance(gamma, mode))

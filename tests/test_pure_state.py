@@ -72,8 +72,8 @@ def _thermal():
 
 
 STATES = {
-    "one": lambda rng: graph_state_covariance(random_graph_spec(rng, 2)),
-    "stack": lambda rng: graph_state_covariances(2, ((1, 2),), 1j * np.linspace(0.1, 1.2, 12).reshape(3, 4, 1)),
+    "one": lambda rng: graph_state_covariance(random_graph_spec(rng, 2)).gamma,
+    "stack": lambda rng: graph_state_covariances(2, ((1, 2),), 1j * np.linspace(0.1, 1.2, 12).reshape(3, 4, 1)).gamma,
 }
 
 
@@ -93,7 +93,7 @@ class TestRoutesTakeAState:
             assert np.array_equal(got, want)
 
     def test_require_pure_returns_the_gated_matrix(self, rng, monkeypatch):
-        state = PureState(graph_state_covariance(random_graph_spec(rng, 3)))
+        state = PureState(graph_state_covariance(random_graph_spec(rng, 3)).gamma)
         calls = _count_residuals(monkeypatch)
         assert require_pure(state) is state.gamma
         assert calls == []
@@ -104,13 +104,14 @@ class TestConstruction:
         assert [f.name for f in dataclasses.fields(PureState)] == ["gamma"]
 
     def test_constructor_gates_once(self, rng, monkeypatch):
+        stack = graph_state_covariances(2, ((1, 2),), 1j * np.linspace(0.1, 1.2, 6).reshape(3, 2, 1)).gamma
         calls = _count_residuals(monkeypatch)
-        PureState(graph_state_covariances(2, ((1, 2),), 1j * np.linspace(0.1, 1.2, 6).reshape(3, 2, 1)))
+        PureState(stack)
         assert calls == [(3, 2, 4, 4)]
 
     def test_thermal_raises_as_require_pure_does(self):
         thermal = _thermal()
-        stack = graph_state_covariances(2, ((1, 2),), 1j * np.linspace(0.05, 0.3, 6).reshape(2, 3, 1))
+        stack = np.array(graph_state_covariances(2, ((1, 2),), 1j * np.linspace(0.05, 0.3, 6).reshape(2, 3, 1)).gamma)
         stack[1, 2] = thermal
         for gamma in (thermal, stack):
             with pytest.raises(UnphysicalStateError) as gated:
@@ -120,7 +121,7 @@ class TestConstruction:
             assert str(constructed.value) == str(gated.value)
 
     def test_keeps_a_read_only_copy(self, rng):
-        gamma = graph_state_covariance(random_graph_spec(rng, 2))
+        gamma = np.array(graph_state_covariance(random_graph_spec(rng, 2)).gamma)  # a writable copy
         original = gamma.copy()
         state = PureState(gamma)
         gamma[0, 0] = 7.0  # the caller's array stays writable and the state does not follow it
@@ -137,6 +138,24 @@ class TestConstruction:
         bad[0, 0] = np.inf
         with pytest.raises(NumericOverflowError):
             _pure_by_construction(bad)
+
+
+class TestOneResidualPerBuiltState:
+    """A graph builder gates its state once; the routes that take the state judge it no more."""
+
+    def test_graph_state_through_every_measure_route(self, rng, monkeypatch):
+        spec = random_graph_spec(rng, 3)
+        calls = _count_residuals(monkeypatch)
+        state = graph_state_covariance(spec)
+        for route in ROUTES[:-1]:  # all but the two-mode log negativity
+            route(state)
+        assert calls == [(6, 6)]
+
+    def test_stack_through_log_negativity(self, monkeypatch):
+        calls = _count_residuals(monkeypatch)
+        stack = graph_state_covariances(2, ((1, 2),), 1j * np.linspace(0.1, 1.2, 12).reshape(3, 4, 1))
+        log_negativity_two_mode(stack)
+        assert calls == [(3, 4, 4, 4)]
 
 
 class TestOneVerdictPerCommand:
@@ -156,6 +175,19 @@ class TestOneVerdictPerCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out.count("\n") == 26
         assert calls == [(25, 6, 6), (25, 6, 6)]
+
+    @pytest.mark.parametrize(
+        "argv, stacks",
+        [
+            pytest.param(["scan2"], [(25, 4, 4)], id="scan2"),
+            pytest.param(["scan3", "--family", "equal"], [(25, 6, 6), (25, 6, 6)], id="scan3-equal"),
+        ],
+    )
+    def test_self_test_runs_the_residual_once_per_built_stack(self, argv, stacks, capsys, monkeypatch):
+        calls = _count_residuals(monkeypatch)
+        assert main([*argv, "--re-range=-1:1", "--im-range=-1:1", "--steps", "5", "--self-test"]) == 0
+        assert capsys.readouterr().out.count("\n") == 26
+        assert calls == stacks
 
     @pytest.mark.parametrize(
         "n, mass, radius", [(0, 1.0, 1.0), (1, 1.0, 1.0), (5, 0.7, 1.3), (50, 2.0, 0.4), (200, 1.0, 1.0)]

@@ -58,7 +58,7 @@ def _xy_grid(pairs):
 
 def _single(num_modes, pairs, weights):
     edges = tuple((i, j, complex(w)) for (i, j), w in zip(pairs, weights))
-    return graph_state_covariance(GraphSpec(num_modes, edges))
+    return graph_state_covariance(GraphSpec(num_modes, edges)).gamma
 
 
 def _cases():
@@ -70,14 +70,14 @@ def _cases():
 class TestStackEqualsSlices:
     @pytest.mark.parametrize("num_modes,pairs,weights", list(_cases()))
     def test_graph_state_covariances(self, num_modes, pairs, weights):
-        stack = graph_state_covariances(num_modes, pairs, weights)
+        stack = graph_state_covariances(num_modes, pairs, weights).gamma
         assert stack.shape == weights.shape[:-1] + (2 * num_modes, 2 * num_modes)
         for index in np.ndindex(weights.shape[:-1]):
             assert np.array_equal(stack[index], _single(num_modes, pairs, weights[index]))
 
     @pytest.mark.parametrize("num_modes,pairs,weights", list(_cases()))
     def test_gem_from_purity(self, num_modes, pairs, weights):
-        stack = graph_state_covariances(num_modes, pairs, weights)
+        stack = graph_state_covariances(num_modes, pairs, weights).gamma
         gems = gem_from_purity(stack)
         assert isinstance(gems, np.ndarray) and gems.shape == weights.shape[:-1]
         for index in np.ndindex(gems.shape):
@@ -86,7 +86,7 @@ class TestStackEqualsSlices:
             assert gems[index] == single
 
     def test_log_negativity_two_mode(self):
-        stack = graph_state_covariances(2, ((1, 2),), _two_mode_grid())
+        stack = graph_state_covariances(2, ((1, 2),), _two_mode_grid()).gamma
         lognegs = log_negativity_two_mode(stack)
         assert isinstance(lognegs, np.ndarray) and lognegs.shape == stack.shape[:-2]
         for index in np.ndindex(lognegs.shape):
@@ -96,7 +96,7 @@ class TestStackEqualsSlices:
 
     def test_check_pure(self):
         # The gate's residual slice by slice, and its verdict: the stack passes as each slice does.
-        stack = graph_state_covariances(3, TRIANGLE, _xy_grid(TRIANGLE))
+        stack = graph_state_covariances(3, TRIANGLE, _xy_grid(TRIANGLE)).gamma
         residual = _purity_residual(stack)
         assert residual.shape == stack.shape[:-2]
         require_pure(stack)
@@ -121,7 +121,7 @@ class TestMetricRouteStacks:
 
     @pytest.mark.parametrize("num_modes,pairs,weights", list(_cases()))
     def test_tensors(self, num_modes, pairs, weights):
-        stack = graph_state_covariances(num_modes, pairs, weights)
+        stack = graph_state_covariances(num_modes, pairs, weights).gamma
         lead = weights.shape[:-1]
         moments = moments_from_covariance(stack)
         tensors = [metric_g(stack), metric_h(stack), metric_from_moments(moments)]
@@ -144,7 +144,7 @@ class TestMetricRouteStacks:
 
     @pytest.mark.parametrize("num_modes,pairs,weights", list(_cases()))
     def test_contractions(self, num_modes, pairs, weights):
-        stack = graph_state_covariances(num_modes, pairs, weights)
+        stack = graph_state_covariances(num_modes, pairs, weights).gamma
         routes = [
             gem_from_metric,
             lambda gamma: killing_contraction(metric_g(gamma)),
@@ -161,7 +161,7 @@ class TestMetricRouteStacks:
 
     @pytest.mark.parametrize("num_modes,pairs,weights", list(_cases()))
     def test_mode_purities(self, num_modes, pairs, weights):
-        stack = graph_state_covariances(num_modes, pairs, weights)
+        stack = graph_state_covariances(num_modes, pairs, weights).gamma
         purities = mode_purities(stack)
         assert isinstance(purities, np.ndarray) and purities.shape == weights.shape[:-1] + (num_modes,)
         for index in np.ndindex(weights.shape[:-1]):
@@ -185,7 +185,7 @@ class TestPurityGate:
     def test_mixed_slice_named(self):
         # Squeezed thermal state S (nu I/2) S^T, nu = 1.1, at small squeezing.
         weights = 1j * np.linspace(0.05, 0.3, 12).reshape(3, 4, 1)
-        stack = graph_state_covariances(2, ((1, 2),), weights)
+        stack = np.array(graph_state_covariances(2, ((1, 2),), weights).gamma)  # a writable copy
         S = symplectic_from_hamiltonian(hamiltonian_from_graph(GraphSpec(2, ((1, 2, 0.1j),))))
         thermal = evolve_covariance(1.1 * vacuum_state(2), S)
         with pytest.raises(UnphysicalStateError):

@@ -15,8 +15,11 @@ The output holds, per workload and side, the median and quartiles of every
 end-to-end metric with the values of each run, ``failed`` and ``attempted``,
 the provenance common to the side's runs and the traced per-layer metrics;
 per workload, the pairs each metric won, lost and tied, and how many ops
-gave different output digests on the two sides.  The file is rewritten after
-every pair, so an interrupted recording keeps what it finished.
+gave different output digests on the two sides.  Beside each side's
+per-layer metrics stand its traced run's ``failed_frac`` and
+``missing_functions``: the listed functions the package no longer has,
+whose per-layer metrics read 0.  The file is rewritten after every pair, so
+an interrupted recording keeps what it finished.
 """
 
 from __future__ import annotations
@@ -80,6 +83,15 @@ def _side(declared: list[dict], reports: list[dict]) -> dict:
         "failed": sum(r["failed"] for r in reports),
         "errors": [e for r in reports for e in r["errors"]][:5],
         "provenance": _common([r["provenance"] for r in reports]),
+    }
+
+
+def traced_layers(report: dict) -> dict:
+    """A traced run's per-layer metrics, its failed fraction and the listed functions it found missing."""
+    return {
+        "per_layer": {name: value for name, (value, _unit) in report["metrics"].items()},
+        "failed_frac": report["extra"]["failed_frac"],
+        "missing_functions": report["extra"]["missing_functions"],
     }
 
 
@@ -153,10 +165,7 @@ def main() -> int:
                 doc["workloads"][workload] = aggregate(declared, pairs)
                 save()
             for side in SIDES:
-                traced = run(side, workload, 1, 1)
-                doc["workloads"][workload][side]["per_layer"] = {
-                    name: value for name, (value, _unit) in traced["metrics"].items()
-                }
+                doc["workloads"][workload][side].update(traced_layers(run(side, workload, 1, 1)))
             save()
     return 0
 
