@@ -466,16 +466,13 @@ class PureState:
 def _pure_by_construction(gamma: np.ndarray) -> PureState:
     """A :class:`PureState` for a covariance that its construction proves pure, or that passed the gate.
 
-    Runs no purity residual: the caller vouches for purity, by construction
-    or by :func:`require_pure`, and only finiteness is checked.  ``gamma``
-    must be a float array that no one else holds, as the state keeps it
-    without a copy and makes it read-only.
-
-    Raises:
-        NumericOverflowError: ``gamma`` has non-finite entries.
+    Checks nothing.  Precondition: ``gamma`` is a float array with finite
+    entries that the caller vouches pure, either by construction from a
+    covariance already checked finite, or because it passed
+    :func:`require_pure`, whose residual is inf or NaN for any non-finite
+    entry and so fails.  ``gamma`` must be an array that no one else holds,
+    as the state keeps it without a copy and makes it read-only.
     """
-    if not np.isfinite(gamma).all():
-        raise NumericOverflowError("covariance of a built state has non-finite entries")
     gamma.setflags(write=False)
     state = object.__new__(PureState)  # skips __post_init__, which would gate
     object.__setattr__(state, "gamma", gamma)

@@ -482,7 +482,8 @@ def two_mode_metric_closed(r: float, phi: float) -> MetricTensor:
     The matrix is built from five scalars A..E: each mode-diagonal block is
     diag(A, -A, -A) and the cross block [[B, 0, 0], [0, C, D], [0, D, E]],
     so the Killing contraction collapses to -A, which is exactly the
-    two-mode closed-form measure.
+    two-mode closed-form measure.  The tensor's families are strided views
+    of that symmetric 6 x 6 matrix, so ``.matrix`` reads it back bit for bit.
     """
     coupling = PolarCoupling(r, phi)  # finite r and phi, r >= 0, as every closed form takes them
     ssr2, ssr1 = (_closed_form(coupling, 1.0, k, lambda sin2, u, S: S) for k in (2.0, 1.0))
@@ -497,4 +498,5 @@ def two_mode_metric_closed(r: float, phi: float) -> MetricTensor:
     if not all(map(math.isfinite, (c_val, d_val, e_val))):  # products of finite factors
         raise NumericOverflowError(f"closed metric overflows double precision at r = {r:.6g}")
     cross = np.array([[b_val, 0.0, 0.0], [0.0, c_val, d_val], [0.0, d_val, e_val]])
-    return MetricTensor(np.kron(np.eye(2), np.diag([a_val, -a_val, -a_val])) + np.kron([[0.0, 1.0], [1.0, 0.0]], cross))
+    M = np.kron(np.eye(2), np.diag([a_val, -a_val, -a_val])) + np.kron([[0.0, 1.0], [1.0, 0.0]], cross)
+    return MetricTensor({(i, j): M[i::3, j::3] for i in range(3) for j in range(i, 3)})

@@ -27,8 +27,12 @@ purities,
 which is the cheap production route; the metric route exists as an
 independent cross-check of the whole construction.
 
-Metric tensors are stored as dense 3N x 3N symmetric arrays with row index
-3*(mode-1) + (i-1) for generator i of the given mode.
+A metric tensor is stored as its six component families F^{ij}, i <= j,
+each an N x N array over the mode pair; the dense symmetric 3N x 3N matrix,
+with row index 3*(mode-1) + (i-1) for generator i of the given mode, is
+assembled from them only when read.  The Killing contraction reads the
+families' diagonals alone, and :func:`gem_from_metric` evaluates the closed
+forms on those diagonals without forming any N x N array.
 
 Every route also takes a (..., 2N, 2N) stack and keeps its leading axes:
 each slice is bit-identical to the one-state call, where a float stays a float.
@@ -120,17 +124,27 @@ class MomentTable:
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """Restricted Fubini-Study metric g, or its shifted form h.
+    """Restricted Fubini-Study metric g, or its shifted form h, as its component families.
 
-    ``matrix`` is (..., 3N, 3N), each slice symmetric under
-    ((mode,i) <-> (mode',j)); row 3*(mode-1) + (i-1) is generator i of ``mode``.
+    ``families[(i, j)][..., m, n]``, i <= j, is the ((m,i),(n,j)) component,
+    an (..., N, N) array; the (j, i) families follow from the symmetry of the
+    tensor.  Leading axes index a stack.
     """
 
-    matrix: np.ndarray
+    families: dict
 
     @property
     def num_modes(self) -> int:
-        return self.matrix.shape[-1] // 3
+        return self.families[0, 0].shape[-1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The (..., 3N, 3N) tensor, each slice symmetric under ((mode,i) <-> (mode',j)).
+
+        Row 3*(mode-1) + (i-1) is generator i of ``mode``.  Assembled from the
+        families on each read, as a new array.
+        """
+        return _assemble(self.num_modes, self.families)
 
 
 def _quadrature_blocks(gamma: np.ndarray):
@@ -143,10 +157,11 @@ def _assemble(num_modes: int, families: dict) -> np.ndarray:
 
     ``families[(i, j)][..., m, n]`` holds the ((m,i),(n,j)) component family.
     The (j, i) families follow from the overall symmetry of the tensor;
-    diagonal families are symmetrized over the mode pair.
+    diagonal families are symmetrized over the mode pair.  The six families
+    write all nine generator slots, so the result needs no zero fill.
     """
     lead = np.broadcast_shapes(*(F.shape[:-2] for F in families.values()))
-    M = np.zeros(lead + (num_modes, 3, num_modes, 3))  # M[..., m, i, n, j] is entry (3m + i, 3n + j)
+    M = np.empty(lead + (num_modes, 3, num_modes, 3))  # M[..., m, i, n, j] is entry (3m + i, 3n + j)
     for (i, j), F in families.items():
         FT = F.swapaxes(-1, -2)
         if i == j:
@@ -226,18 +241,32 @@ def moments_from_covariance(gamma: np.ndarray) -> MomentTable:
 
 
 def metric_from_moments(moments: MomentTable) -> MetricTensor:
-    """Metric assembly g[(m,i),(n,j)] = -(K[m,n,i,j] + K[n,m,j,i])/2 from the connected moments K.
+    """Metric g[(m,i),(n,j)] = -(K[m,n,i,j] + K[n,m,j,i])/2 from the connected moments K.
 
-    The sum is written straight into the (..., 3N, 3N) result, the one array
-    this route allocates.
+    Family F^{ij} = -(K^{ij} + (K^{ji})^T)/2 with K^{ij}[m, n] = K[m, n, i, j];
+    the diagonal families come out symmetric bit for bit, as addition commutes.
     """
     K = moments.connected
-    n = K.shape[-3]
-    lead = K.shape[:-4]
-    M = np.empty(lead + (n, 3, n, 3))  # M[..., m, i, n, j] is entry (3m + i, 3n + j)
-    np.add(K, K.swapaxes(-4, -3).swapaxes(-2, -1), out=M.swapaxes(-3, -2))
-    M *= -0.5
-    return MetricTensor(M.reshape(lead + (3 * n, 3 * n)))
+    return MetricTensor(
+        {(i, j): -0.5 * (K[..., i, j] + K[..., j, i].swapaxes(-1, -2)) for i in range(3) for j in range(i, 3)}
+    )
+
+
+def _g_families(Qq, Pp, Pq, Qp, eye) -> dict:
+    """The closed-form families of g from Gamma's quadrature blocks, all elementwise.
+
+    Takes the (..., N, N) blocks with ``eye = np.eye(N)``, or their (..., N)
+    diagonals with ``eye = 1.0``, which gives the diagonals of the families
+    bit for bit.
+    """
+    return {
+        (0, 0): (-Pp**2 + Pq**2 + Qp**2 - Qq**2) / 8.0 - eye / 16.0,
+        (0, 1): (Qq * Qp - Pp * Pq) / 4.0,
+        (0, 2): (Pp**2 + Pq**2 - Qp**2 - Qq**2) / 8.0,
+        (1, 1): (-eye - 4.0 * (Pq * Qp + Pp * Qq)) / 16.0,
+        (1, 2): (Pp * Qp + Qq * Pq) / 4.0,
+        (2, 2): (eye - 2.0 * (Pp**2 + Pq**2 + Qp**2 + Qq**2)) / 16.0,
+    }
 
 
 def metric_g(gamma: np.ndarray) -> MetricTensor:
@@ -250,19 +279,9 @@ def metric_g(gamma: np.ndarray) -> MetricTensor:
         UnphysicalStateError: ``gamma`` fails the purity check.
     """
     gamma = require_pure(gamma)
-    num_modes = gamma.shape[-1] // 2
     Qq, Pp, Pq = _quadrature_blocks(gamma)
     Qp = Pq.swapaxes(-1, -2)  # Qp[m, n] = Gamma_{q_m, p_n} = Gamma_{p_n, q_m}
-    eye = np.eye(num_modes)
-    fams = {
-        (0, 0): (-Pp**2 + Pq**2 + Qp**2 - Qq**2) / 8.0 - eye / 16.0,
-        (0, 1): (Qq * Qp - Pp * Pq) / 4.0,
-        (0, 2): (Pp**2 + Pq**2 - Qp**2 - Qq**2) / 8.0,
-        (1, 1): (-eye - 4.0 * (Pq * Qp + Pp * Qq)) / 16.0,
-        (1, 2): (Pp * Qp + Qq * Pq) / 4.0,
-        (2, 2): (eye - 2.0 * (Pp**2 + Pq**2 + Qp**2 + Qq**2)) / 16.0,
-    }
-    return MetricTensor(_assemble(num_modes, fams))
+    return MetricTensor(_g_families(Qq, Pp, Pq, Qp, np.eye(gamma.shape[-1] // 2)))
 
 
 def metric_h(gamma: np.ndarray) -> MetricTensor:
@@ -297,33 +316,43 @@ def metric_h(gamma: np.ndarray) -> MetricTensor:
         # reproduces the purity route exactly.
         (2, 2): (-Pp**2 - Pq**2 - Qp**2 - Qq**2 + col((dp + dq) ** 2) - ones + eye / 2.0) / 8.0,
     }
-    return MetricTensor(_assemble(num_modes, fams))
+    return MetricTensor(fams)
+
+
+def _contract_diagonals(diagonals: dict) -> float | np.ndarray:
+    """Sum over modes of kappa^{ij} g[(m,i),(m,j)] from the six (..., N) family diagonals."""
+    blocks = np.empty(np.broadcast_shapes(*(d.shape for d in diagonals.values())) + (3, 3))
+    for (i, j), d in diagonals.items():
+        blocks[..., i, j] = blocks[..., j, i] = d
+    # cumsum adds the per-mode terms in mode order, as a running sum does.
+    total = (blocks * _KILLING_INVERSE).sum(axis=(-2, -1)).cumsum(axis=-1)[..., -1]
+    return float(total) if total.ndim == 0 else total
 
 
 def killing_contraction(metric: MetricTensor) -> float | np.ndarray:
     """Sum over modes of kappa^{ij} g[(m,i),(m,j)] (mode-diagonal blocks only).
 
     The Killing form of the direct-sum algebra is block diagonal across modes,
-    so cross-mode blocks never enter the contraction.
+    so cross-mode blocks never enter the contraction: it reads the diagonals
+    of the families and never assembles :attr:`MetricTensor.matrix`.
     """
-    n = metric.num_modes
-    M = metric.matrix.reshape(metric.matrix.shape[:-2] + (n, 3, n, 3))
-    blocks = np.moveaxis(np.diagonal(M, 0, -4, -2), -1, -3)  # (..., n, 3, 3) mode-diagonal blocks
-    # cumsum adds the per-mode terms in mode order, as a running sum does.
-    total = (blocks * _KILLING_INVERSE).sum(axis=(-2, -1)).cumsum(axis=-1)[..., -1]
-    return float(total) if total.ndim == 0 else total
+    return _contract_diagonals({ij: np.diagonal(F, 0, -2, -1) for ij, F in metric.families.items()})
 
 
 def gem_from_metric(gamma: np.ndarray) -> float | np.ndarray:
     """Entanglement measure via the Killing contraction of the metric.
 
-    Equals killing_contraction(metric_g) - N/8; the subtraction is the
-    separable baseline, so the result vanishes on product states.  Identical
-    (up to rounding) to contracting metric_h without any subtraction.
-    The purity gate runs once, inside :func:`metric_g`.
+    Equals killing_contraction(metric_g) - N/8, bit for bit; the subtraction
+    is the separable baseline, so the result vanishes on product states.
+    Identical (up to rounding) to contracting metric_h without any
+    subtraction.  Only the mode-diagonal blocks enter, so the closed forms of
+    :func:`metric_g` are evaluated on the diagonals of Gamma's quadrature
+    blocks alone, where Qp's diagonal is Pq's; no N x N array is formed.
+    An array passes the purity gate once, here.
     """
-    metric = metric_g(gamma)
-    return killing_contraction(metric) - metric.num_modes / 8.0
+    gamma = require_pure(gamma)
+    Qq, Pp, Pq = (np.diagonal(X, 0, -2, -1) for X in _quadrature_blocks(gamma))
+    return _contract_diagonals(_g_families(Qq, Pp, Pq, Pq, 1.0)) - (gamma.shape[-1] // 2) / 8.0
 
 
 def gem_from_purity(gamma: np.ndarray) -> float | np.ndarray:

@@ -12,7 +12,11 @@ own, the lattice oracles build the Fourier rows one mode number at a time
 and transport the mode variances with two dense products, and the elliptic
 oracle is adaptive quadrature of the defining integral; the log negativity
 oracle takes the partial transpose's symplectic spectrum from a general
-eigensolve; the CSV table oracles build the command tables one row tuple at
+eigensolve; the dense-metric oracles are the formulas the metric routes used
+when a tensor was stored as its assembled 3N x 3N matrix: the moments metric
+added into a (..., N, 3, N, 3) view, the Killing contraction read from that
+matrix's mode-diagonal blocks, and the two-mode closed metric written entry
+by entry from its five scalars; the CSV table oracles build the command tables one row tuple at
 a time, with ``math.log`` and Python float division.
 """
 
@@ -169,6 +173,42 @@ def fock_metric_two_mode(psi, cutoff):
             second = np.vdot(vecs[a], vecs[b])  # <psi| T_a T_b |psi>
             g[a, b] = -np.real(second) + firsts[a] * firsts[b]
     return 0.5 * (g + g.T)
+
+
+def metric_matrix_from_connected(connected):
+    """The (..., 3N, 3N) metric -(K[m,n,i,j] + K[n,m,j,i])/2, added into the (..., N, 3, N, 3) view."""
+    n = connected.shape[-3]
+    lead = connected.shape[:-4]
+    M = np.empty(lead + (n, 3, n, 3))  # M[..., m, i, n, j] is entry (3m + i, 3n + j)
+    np.add(connected, connected.swapaxes(-4, -3).swapaxes(-2, -1), out=M.swapaxes(-3, -2))
+    M *= -0.5
+    return M.reshape(lead + (3 * n, 3 * n))
+
+
+def killing_contraction_of_matrix(matrix):
+    """Sum over modes of kappa^{ij} g[(m,i),(m,j)], read from the dense matrix's mode-diagonal blocks.
+
+    kappa = 2 diag(-1, -1, 1), inverted as the library inverts it; the
+    per-mode terms are added in mode order.
+    """
+    n = matrix.shape[-1] // 3
+    M = matrix.reshape(matrix.shape[:-2] + (n, 3, n, 3))
+    blocks = np.moveaxis(np.diagonal(M, 0, -4, -2), -1, -3)  # (..., n, 3, 3) mode-diagonal blocks
+    total = (blocks * np.linalg.inv(2.0 * np.diag([-1.0, -1.0, 1.0]))).sum(axis=(-2, -1)).cumsum(axis=-1)[..., -1]
+    return float(total) if total.ndim == 0 else total
+
+
+def two_mode_closed_metric_matrix(a, b, c, d, e):
+    """The 6 x 6 closed two-mode metric: diagonal blocks diag(A, -A, -A), cross block [[B,0,0],[0,C,D],[0,D,E]]."""
+    M = np.zeros((6, 6))
+    for m in range(2):
+        M[3 * m, 3 * m], M[3 * m + 1, 3 * m + 1], M[3 * m + 2, 3 * m + 2] = a, -a, -a
+    for m, n in ((0, 1), (1, 0)):
+        M[3 * m, 3 * n] = b
+        M[3 * m + 1, 3 * n + 1] = c
+        M[3 * m + 1, 3 * n + 2] = M[3 * m + 2, 3 * n + 1] = d
+        M[3 * m + 2, 3 * n + 2] = e
+    return M
 
 
 def reduced_covariance(gamma, mode):

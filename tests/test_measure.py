@@ -33,8 +33,9 @@ from oracles import (
     reduced_covariance,
     single_mode_squeezed_state,
 )
-from gaussgem import hamiltonian_from_graph
+from gaussgem import hamiltonian_from_graph, two_mode_metric_closed
 from gaussgem.measure import _assemble
+from oracles import killing_contraction_of_matrix, metric_matrix_from_connected, two_mode_closed_metric_matrix
 
 
 class TestKillingForm:
@@ -174,6 +175,93 @@ class TestAssemblyMatchesModePairLoops:
                 for n in range(4):
                     M[3 * m + i, 3 * n + j] = M[3 * n + j, 3 * m + i] = F[m, n]
         assert np.array_equal(_assemble(4, families), M)
+
+
+def _family_state(case):
+    """A graph state, or a stack of them, for the family-route bit-identity tests."""
+    kind, num_modes = case
+    rng = np.random.default_rng(2400 + num_modes)
+    if kind == "one" and num_modes == 96:  # the benchmark's sparse random N = 96 graph
+        return graph_state_covariance(random_graph_spec(rng, 96, max_weight=0.5, edge_prob=4.0 / 95.0))
+    if kind == "one":
+        return graph_state_covariance(random_graph_spec(rng, num_modes))
+    pairs = tuple((i, j) for i in range(1, num_modes + 1) for j in range(i + 1, num_modes + 1))
+    weights = 0.6 * (rng.normal(size=(3, 2, len(pairs))) + 1j * rng.normal(size=(3, 2, len(pairs))))
+    return graph_state_covariances(num_modes, pairs, weights)
+
+
+FAMILY_CASES = [("one", n) for n in (*range(2, 13), 96)] + [("stack", 2), ("stack", 3)]
+METRIC_ROUTES = {
+    "metric_g": metric_g,
+    "metric_h": metric_h,
+    "metric_from_moments": lambda state: metric_from_moments(moments_from_covariance(state)),
+}
+CLOSED_POINTS = [(0.0, 0.9), (0.7, 0.3), (1.3, 1.1), (2.0, np.pi / 2), (0.4, -0.8)]
+
+
+def _same(got, want):
+    """Equal values of the same type: float == float, or equal arrays."""
+    return type(got) is type(want) and np.array_equal(got, want)
+
+
+class TestFamiliesMatchTheDenseMatrix:
+    """A tensor kept as families reads the values the assembled 3N x 3N matrix gave, bit for bit."""
+
+    @pytest.mark.parametrize("case", FAMILY_CASES, ids=lambda case: f"{case[0]}-{case[1]}")
+    @pytest.mark.parametrize("route", sorted(METRIC_ROUTES))
+    def test_contraction(self, route, case):
+        metric = METRIC_ROUTES[route](_family_state(case))
+        assert _same(killing_contraction(metric), killing_contraction_of_matrix(metric.matrix))
+
+    @pytest.mark.parametrize("case", FAMILY_CASES, ids=lambda case: f"{case[0]}-{case[1]}")
+    def test_gem_from_metric(self, case):
+        state = _family_state(case)
+        num_modes = state.gamma.shape[-1] // 2
+        assert _same(gem_from_metric(state), killing_contraction(metric_g(state)) - num_modes / 8.0)
+
+    @pytest.mark.parametrize("case", FAMILY_CASES, ids=lambda case: f"{case[0]}-{case[1]}")
+    def test_moments_matrix(self, case):
+        moments = moments_from_covariance(_family_state(case))
+        assert np.array_equal(metric_from_moments(moments).matrix, metric_matrix_from_connected(moments.connected))
+
+    @pytest.mark.parametrize("case", FAMILY_CASES, ids=lambda case: f"{case[0]}-{case[1]}")
+    @pytest.mark.parametrize("route", sorted(METRIC_ROUTES))
+    def test_matrix_lays_out_the_families(self, route, case):
+        metric = METRIC_ROUTES[route](_family_state(case))
+        matrix = metric.matrix
+        assert matrix is not metric.matrix and np.array_equal(matrix, metric.matrix)  # a new array per read
+        assert np.array_equal(matrix, matrix.swapaxes(-1, -2))
+        for (i, j), F in metric.families.items():
+            assert np.array_equal(matrix[..., i::3, j::3], F if i != j else 0.5 * (F + F.swapaxes(-1, -2)))
+
+    @pytest.mark.parametrize("r, phi", CLOSED_POINTS)
+    def test_two_mode_closed(self, r, phi):
+        metric = two_mode_metric_closed(r, phi)
+        F = metric.families
+        scalars = F[0, 0][0, 0], F[0, 0][0, 1], F[1, 1][0, 1], F[1, 2][0, 1], F[2, 2][0, 1]  # A..E
+        assert np.array_equal(metric.matrix, two_mode_closed_metric_matrix(*scalars))
+        assert _same(killing_contraction(metric), killing_contraction_of_matrix(metric.matrix))
+
+
+class TestContractionNeverAssembles:
+    """The contraction routes read family diagonals; only ``.matrix`` assembles the tensor."""
+
+    @pytest.mark.parametrize("kind", ["one", "stack"])
+    def test_routes(self, kind, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("assembled the dense metric")
+
+        monkeypatch.setattr(gaussgem.measure, "_assemble", refuse)
+        state = _family_state((kind, 3))
+        gem_from_metric(state)
+        killing_contraction(metric_g(state))
+        killing_contraction(metric_h(state))
+        killing_contraction(metric_from_moments(moments_from_covariance(state)))
+        killing_contraction(two_mode_metric_closed(0.7, 0.3))
+        moments = moments_from_covariance(state)
+        for metric in (metric_g(state), metric_h(state), metric_from_moments(moments), two_mode_metric_closed(0.7, 0.3)):
+            with pytest.raises(AssertionError, match="assembled"):
+                metric.matrix
 
 
 class TestPurityGateOnce:

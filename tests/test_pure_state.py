@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import gaussgem.core
+import gaussgem.graphs
+import gaussgem.lattice
 from gaussgem import (
     GraphSpec,
     LatticeFieldConfig,
+    MetricTensor,
     NumericOverflowError,
     PureState,
     UnphysicalStateError,
@@ -46,7 +49,9 @@ ROUTES = [
 
 
 def _arrays(result):
-    """A route's result as a tuple of arrays: the fields of a record, or the value itself."""
+    """A route's result as a tuple of arrays: a metric's matrix, the fields of a record, or the value itself."""
+    if isinstance(result, MetricTensor):
+        return (result.matrix,)
     if dataclasses.is_dataclass(result):
         return tuple(np.asarray(getattr(result, f.name)) for f in dataclasses.fields(result))
     return (np.asarray(result),)
@@ -130,14 +135,43 @@ class TestConstruction:
         with pytest.raises(ValueError):
             state.gamma[0, 0] = 7.0
 
-    def test_bypass_checks_finiteness(self):
+    def test_bypass_keeps_the_array_read_only(self):
         gamma = vacuum_state(2)
         assert _pure_by_construction(gamma).gamma is gamma
         assert not gamma.flags.writeable  # kept without a copy, so the verdict cannot go stale
-        bad = vacuum_state(2)
-        bad[0, 0] = np.inf
-        with pytest.raises(NumericOverflowError):
-            _pure_by_construction(bad)
+
+    @pytest.mark.parametrize(
+        "build, error, match",
+        [
+            pytest.param(
+                lambda: graph_state_covariance(GraphSpec(2, ((1, 2, 400j),))),
+                NumericOverflowError,
+                r"S Gamma S\^T overflows",
+                id="graph-covariance-not-finite",
+            ),
+            pytest.param(
+                lambda: graph_state_covariance(GraphSpec(2, ((1, 2, 180j),))),
+                UnphysicalStateError,
+                "fails the purity gate",
+                id="graph-failing-the-gate",
+            ),
+            pytest.param(
+                lambda: gem_field_pipeline(LatticeFieldConfig(n=3, mass=1e200, radius=1.0)),
+                NumericOverflowError,
+                "field_covariance overflows",
+                id="lattice-covariance-not-finite",
+            ),
+        ],
+    )
+    def test_bypass_is_reached_only_by_finite_covariances(self, build, error, match, monkeypatch):
+        # The bypass checks nothing: each builder raises before it would hand over a non-finite array.
+        def unreachable(gamma):
+            raise AssertionError("a non-finite covariance reached the bypass")
+
+        monkeypatch.setattr(gaussgem.graphs, "_pure_by_construction", unreachable)
+        monkeypatch.setattr(gaussgem.lattice, "_pure_by_construction", unreachable)
+        with pytest.raises(error, match=match):
+            build()
 
 
 class TestOneResidualPerBuiltState:
