@@ -190,12 +190,13 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     with nothing below, or nothing above, the diagonal, which scipy treats
     apart (its ``bandwidth`` branch).  They enter the kernels as zeros, one
     cheap s = 0 call each, and are overwritten after the loop: diagonal
-    ones, zero included, with scipy's formula ``np.diag(np.exp(np.diag(slice)))``,
-    the other triangular ones with public ``scipy.linalg.expm``.  The
-    kernels are private; they are called with the interface of scipy 1.17,
-    the floor in ``pyproject.toml``, and loaded on first use from their own
-    extension file (:func:`_pade_kernels`), so only a non-diagonal
-    triangular slice imports ``scipy.linalg``.
+    ones, zero included, all at once with ``np.exp(slices) * np.eye(n)``,
+    which gives the values of scipy's ``np.diag(np.exp(np.diag(slice)))``
+    (exp(0) * 0 = 0 off the diagonal), the other triangular ones with public
+    ``scipy.linalg.expm``.  The kernels are private; they are called with
+    the interface of scipy 1.17, the floor in ``pyproject.toml``, and loaded
+    on first use from their own extension file (:func:`_pade_kernels`), so
+    only a non-diagonal triangular slice imports ``scipy.linalg``.
 
     Raises:
         InvalidArgumentError: non-square input or non-finite entries.
@@ -231,8 +232,7 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
             out[lo : lo + block_rows] = block[:, 0]
         if fix_up:
             diagonal = ~sums.any(axis=-1)
-            for k in diagonal.nonzero()[0]:
-                out[k] = np.diag(np.exp(np.diag(stack[k])))
+            out[diagonal] = np.exp(stack[diagonal]) * np.eye(n)
             triangular = ~(generic | diagonal)
             if triangular.any():
                 import scipy.linalg

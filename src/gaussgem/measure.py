@@ -30,9 +30,11 @@ independent cross-check of the whole construction.
 A metric tensor is stored as its six component families F^{ij}, i <= j,
 each an N x N array over the mode pair; the dense symmetric 3N x 3N matrix,
 with row index 3*(mode-1) + (i-1) for generator i of the given mode, is
-assembled from them only when read.  The Killing contraction reads the
-families' diagonals alone, and :func:`gem_from_metric` evaluates the closed
-forms on those diagonals without forming any N x N array.
+assembled from them only when read.  The Killing form is diagonal in the
+T1, T2, T3 basis, so the Killing contraction reads the diagonals of the
+three families F^{00}, F^{11}, F^{22} alone, and :func:`gem_from_metric`
+evaluates the closed forms on the diagonals of Gamma's quadrature blocks
+without forming any N x N array.
 
 Every route also takes a (..., 2N, 2N) stack and keeps its leading axes:
 each slice is bit-identical to the one-state call, where a float stays a float.
@@ -86,7 +88,8 @@ def killing_form_sp2() -> np.ndarray:
     Recomputed from the structure constants on every call and checked against
     the closed form, so a sign-convention drift in the generator matrices,
     which the moment tables use as well, cannot pass silently.
-    :func:`killing_contraction` uses the inverse computed once at import.
+    :func:`killing_contraction` uses the inverse computed once at import,
+    where it is checked to be diagonal, and reads only that diagonal.
     """
     kappa = np.einsum("ilk,jkl->ij", _STRUCTURE, _STRUCTURE)  # (ad_i)_kl = c[i, l, k]
     if np.max(np.abs(kappa.imag)) > 1e-14:
@@ -99,6 +102,8 @@ def killing_form_sp2() -> np.ndarray:
 
 
 _KILLING_INVERSE = np.linalg.inv(killing_form_sp2())
+if np.count_nonzero(_KILLING_INVERSE - np.diag(np.diagonal(_KILLING_INVERSE))):
+    raise AssertionError(f"inverse Killing form {_KILLING_INVERSE} is not diagonal")
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,10 @@ class MomentTable:
 class MetricTensor:
     """Restricted Fubini-Study metric g, or its shifted form h, as its component families.
 
-    ``families[(i, j)][..., m, n]``, i <= j, is the ((m,i),(n,j)) component,
-    an (..., N, N) array; the (j, i) families follow from the symmetry of the
+    ``families[(i, j)][..., m, n]``, i <= j, is exactly the ((m,i),(n,j))
+    component, an (..., N, N) array, so ``families[(i, j)]`` equals
+    ``matrix[..., i::3, j::3]`` bit for bit and each F^{ii} is symmetric over
+    the mode pair; the (j, i) families follow from the symmetry of the
     tensor.  Leading axes index a stack.
     """
 
@@ -148,8 +155,12 @@ class MetricTensor:
 
 
 def _quadrature_blocks(gamma: np.ndarray):
-    """Split Gamma into (..., N, N) matrices Qq, Pp, Pq (Pq[m,n] = Gamma_{p_m, q_n})."""
-    return gamma[..., 0::2, 0::2], gamma[..., 1::2, 1::2], gamma[..., 1::2, 0::2]
+    """Split Gamma into (..., N, N) views Qq, Pp, Pq, Qp (Pq[m,n] = Gamma_{p_m, q_n}).
+
+    Qp[m, n] = Gamma_{q_m, p_n} = Gamma_{p_n, q_m} is the transposed view of Pq.
+    """
+    Pq = gamma[..., 1::2, 0::2]
+    return gamma[..., 0::2, 0::2], gamma[..., 1::2, 1::2], Pq, Pq.swapaxes(-1, -2)
 
 
 def _assemble(num_modes: int, families: dict) -> np.ndarray:
@@ -157,8 +168,9 @@ def _assemble(num_modes: int, families: dict) -> np.ndarray:
 
     ``families[(i, j)][..., m, n]`` holds the ((m,i),(n,j)) component family.
     The (j, i) families follow from the overall symmetry of the tensor;
-    diagonal families are symmetrized over the mode pair.  The six families
-    write all nine generator slots, so the result needs no zero fill.
+    diagonal families are symmetrized over the mode pair, which leaves the
+    routes' families, already symmetric, bit for bit as they are.  The six
+    families write all nine generator slots, so the result needs no zero fill.
     """
     lead = np.broadcast_shapes(*(F.shape[:-2] for F in families.values()))
     M = np.empty(lead + (num_modes, 3, num_modes, 3))  # M[..., m, i, n, j] is entry (3m + i, 3n + j)
@@ -269,6 +281,17 @@ def _g_families(Qq, Pp, Pq, Qp, eye) -> dict:
     }
 
 
+def _closed_tensor(families: dict) -> MetricTensor:
+    """The tensor of closed-form families, each F^{ii} replaced by its symmetric part 0.5 (F + F^T).
+
+    A closed form need not be symmetric in (m, n) as written (metric_h's
+    mode-m shifts depend on m alone); its symmetric part is the component.
+    Its mode diagonal keeps its bits, as 0.5 (x + x) = x, and so does the
+    assembled matrix, which symmetrizes the same way.
+    """
+    return MetricTensor({(i, j): 0.5 * (F + F.swapaxes(-1, -2)) if i == j else F for (i, j), F in families.items()})
+
+
 def metric_g(gamma: np.ndarray) -> MetricTensor:
     """Restricted Fubini-Study metric of a pure state, from the closed forms.
 
@@ -279,9 +302,7 @@ def metric_g(gamma: np.ndarray) -> MetricTensor:
         UnphysicalStateError: ``gamma`` fails the purity check.
     """
     gamma = require_pure(gamma)
-    Qq, Pp, Pq = _quadrature_blocks(gamma)
-    Qp = Pq.swapaxes(-1, -2)  # Qp[m, n] = Gamma_{q_m, p_n} = Gamma_{p_n, q_m}
-    return MetricTensor(_g_families(Qq, Pp, Pq, Qp, np.eye(gamma.shape[-1] // 2)))
+    return _closed_tensor(_g_families(*_quadrature_blocks(gamma), np.eye(gamma.shape[-1] // 2)))
 
 
 def metric_h(gamma: np.ndarray) -> MetricTensor:
@@ -296,36 +317,31 @@ def metric_h(gamma: np.ndarray) -> MetricTensor:
         UnphysicalStateError: ``gamma`` fails the purity check.
     """
     gamma = require_pure(gamma)
-    num_modes = gamma.shape[-1] // 2
-    Qq, Pp, Pq = _quadrature_blocks(gamma)
-    Qp = Pq.swapaxes(-1, -2)
-    dq = np.diagonal(Qq, 0, -2, -1)
-    dp = np.diagonal(Pp, 0, -2, -1)
-    c = np.diagonal(Pq, 0, -2, -1)
-    eye = np.eye(num_modes)
-    ones = np.ones((num_modes, num_modes))
-    col = lambda v: v[..., :, None]  # mode-m data broadcast across n
-    fams = {
-        (0, 0): (-Pp**2 + Pq**2 + Qp**2 - Qq**2 + col((dp - dq) ** 2) + ones - eye / 2.0) / 8.0,
-        (0, 1): (-Pp * Pq + Qq * Qp + col(c * (dp - dq))) / 4.0,
-        (0, 2): (Pp**2 - col(dp**2) + Pq**2 - Qp**2 - Qq**2 + col(dq**2)) / 8.0,
-        (1, 1): (-Pq * Qp - Pp * Qq + 2.0 * col(dp * dq) - eye / 4.0) / 4.0,
-        (1, 2): (Pp * Qp + Qq * Pq - col(c * (dp + dq))) / 4.0,
+    Qq, Pp, Pq, Qp = _quadrature_blocks(gamma)
+    # Mode-m data as (..., N, 1) columns, broadcast across n.
+    dq, dp, c = (np.diagonal(X, 0, -2, -1)[..., :, None] for X in (Qq, Pp, Pq))
+    eye = np.eye(gamma.shape[-1] // 2)
+    return _closed_tensor({
+        (0, 0): (-Pp**2 + Pq**2 + Qp**2 - Qq**2 + (dp - dq) ** 2 + 1.0 - eye / 2.0) / 8.0,
+        (0, 1): (-Pp * Pq + Qq * Qp + c * (dp - dq)) / 4.0,
+        (0, 2): (Pp**2 - dp**2 + Pq**2 - Qp**2 - Qq**2 + dq**2) / 8.0,
+        (1, 1): (-Pq * Qp - Pp * Qq + 2.0 * (dp * dq) - eye / 4.0) / 4.0,
+        (1, 2): (Pp * Qp + Qq * Pq - c * (dp + dq)) / 4.0,
         # Subtracting the separable reference from the (3,3) family gives twice
         # the naive half-sum; spelled out so the Killing contraction of h
         # reproduces the purity route exactly.
-        (2, 2): (-Pp**2 - Pq**2 - Qp**2 - Qq**2 + col((dp + dq) ** 2) - ones + eye / 2.0) / 8.0,
-    }
-    return MetricTensor(fams)
+        (2, 2): (-Pp**2 - Pq**2 - Qp**2 - Qq**2 + (dp + dq) ** 2 - 1.0 + eye / 2.0) / 8.0,
+    })
 
 
-def _contract_diagonals(diagonals: dict) -> float | np.ndarray:
-    """Sum over modes of kappa^{ij} g[(m,i),(m,j)] from the six (..., N) family diagonals."""
-    blocks = np.empty(np.broadcast_shapes(*(d.shape for d in diagonals.values())) + (3, 3))
-    for (i, j), d in diagonals.items():
-        blocks[..., i, j] = blocks[..., j, i] = d
+def _contract_diagonals(d00, d11, d22) -> float | np.ndarray:
+    """Sum over modes of kappa^{ii} g[(m,i),(m,i)] from the (..., N) diagonals of F^{00}, F^{11}, F^{22}.
+
+    kappa^{-1} is diagonal (checked at import), so no other component enters.
+    """
+    k00, k11, k22 = np.diagonal(_KILLING_INVERSE)
     # cumsum adds the per-mode terms in mode order, as a running sum does.
-    total = (blocks * _KILLING_INVERSE).sum(axis=(-2, -1)).cumsum(axis=-1)[..., -1]
+    total = (k00 * d00 + k11 * d11 + k22 * d22).cumsum(axis=-1)[..., -1]
     return float(total) if total.ndim == 0 else total
 
 
@@ -333,10 +349,12 @@ def killing_contraction(metric: MetricTensor) -> float | np.ndarray:
     """Sum over modes of kappa^{ij} g[(m,i),(m,j)] (mode-diagonal blocks only).
 
     The Killing form of the direct-sum algebra is block diagonal across modes,
-    so cross-mode blocks never enter the contraction: it reads the diagonals
-    of the families and never assembles :attr:`MetricTensor.matrix`.
+    so cross-mode blocks never enter the contraction, and within a mode it is
+    2 diag(-1, -1, 1), so only the i = j terms do: the contraction reads the
+    diagonals of F^{00}, F^{11} and F^{22} and never assembles
+    :attr:`MetricTensor.matrix`.
     """
-    return _contract_diagonals({ij: np.diagonal(F, 0, -2, -1) for ij, F in metric.families.items()})
+    return _contract_diagonals(*(np.diagonal(metric.families[i, i], 0, -2, -1) for i in range(3)))
 
 
 def gem_from_metric(gamma: np.ndarray) -> float | np.ndarray:
@@ -347,12 +365,13 @@ def gem_from_metric(gamma: np.ndarray) -> float | np.ndarray:
     Identical (up to rounding) to contracting metric_h without any
     subtraction.  Only the mode-diagonal blocks enter, so the closed forms of
     :func:`metric_g` are evaluated on the diagonals of Gamma's quadrature
-    blocks alone, where Qp's diagonal is Pq's; no N x N array is formed.
-    An array passes the purity gate once, here.
+    blocks alone, and the contraction reads the F^{00}, F^{11} and F^{22}
+    diagonals; no N x N array is formed.  An array passes the purity gate
+    once, here.
     """
     gamma = require_pure(gamma)
-    Qq, Pp, Pq = (np.diagonal(X, 0, -2, -1) for X in _quadrature_blocks(gamma))
-    return _contract_diagonals(_g_families(Qq, Pp, Pq, Pq, 1.0)) - (gamma.shape[-1] // 2) / 8.0
+    families = _g_families(*(np.diagonal(X, 0, -2, -1) for X in _quadrature_blocks(gamma)), 1.0)
+    return _contract_diagonals(*(families[i, i] for i in range(3))) - (gamma.shape[-1] // 2) / 8.0
 
 
 def gem_from_purity(gamma: np.ndarray) -> float | np.ndarray:

@@ -74,6 +74,12 @@ def test_failures_digests_and_provenance():
     assert (out["parent"]["attempted"], out["parent"]["failed"]) == (30, 0)
     # Ops are compared where both runs reached them: 3 per pair, 1 differing.
     assert (out["digests_compared"], out["digests_differing"]) == (30, 10)
+    # The first five differing ops, as (seed, op index): op 1 of seeds 1 to 5.
+    assert out["digests_differing_at"] == [[1, 1], [2, 1], [3, 1], [4, 1], [5, 1]]
+    pairs[2] = (pairs[2][0], _report(3, 153.0, 8.0, ["y", "x", "c", "d"]))
+    assert bench_record.aggregate(DECLARED, pairs)["digests_differing_at"] == [[1, 1], [2, 1], [3, 0], [3, 1], [4, 1]]
+    same = [(_report(s, 100.0, 10.0, ["a", "b"]), _report(s, 100.0, 10.0, ["a", "b", "c"])) for s in (1, 2)]
+    assert bench_record.aggregate(DECLARED, same)["digests_differing_at"] == []
     # Only what every run of a side shares is its provenance.
     assert out["parent"]["provenance"] == {"python": "3.11.7"}
     assert out["change"]["provenance"] == {"python": "3.11.7", "loadavg_1min_at_start": 0.5}

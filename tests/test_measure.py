@@ -6,6 +6,7 @@ import pytest
 import gaussgem.measure
 from gaussgem import (
     GraphSpec,
+    MetricTensor,
     PureState,
     UnphysicalStateError,
     evolve_covariance,
@@ -44,6 +45,12 @@ class TestKillingForm:
 
     def test_inverse(self):
         assert np.allclose(killing_form_sp2() @ gaussgem.measure._KILLING_INVERSE, np.eye(3), atol=1e-14)
+
+    def test_inverse_is_the_reciprocal_diagonal(self):
+        # The contraction reads only the diagonal of the inverse.
+        inverse = gaussgem.measure._KILLING_INVERSE
+        assert np.array_equal(np.diagonal(inverse), 1.0 / np.diagonal(killing_form_sp2()))
+        assert np.count_nonzero(inverse - np.diag(np.diagonal(inverse))) == 0
 
     def test_lorentzian_signature(self):
         eigs = np.sort(np.linalg.eigvalsh(killing_form_sp2()))
@@ -262,6 +269,49 @@ class TestContractionNeverAssembles:
         for metric in (metric_g(state), metric_h(state), metric_from_moments(moments), two_mode_metric_closed(0.7, 0.3)):
             with pytest.raises(AssertionError, match="assembled"):
                 metric.matrix
+
+
+class TestFamiliesAreTheComponents:
+    """``families[(i, j)]`` is the tensor's component block ``matrix[..., i::3, j::3]``, bit for bit."""
+
+    @pytest.mark.parametrize("case", FAMILY_CASES, ids=lambda case: f"{case[0]}-{case[1]}")
+    @pytest.mark.parametrize("route", sorted(METRIC_ROUTES))
+    def test_routes(self, route, case):
+        metric = METRIC_ROUTES[route](_family_state(case))
+        matrix = metric.matrix
+        for (i, j), F in metric.families.items():
+            assert np.array_equal(F, matrix[..., i::3, j::3]), (i, j)
+
+    @pytest.mark.parametrize("r, phi", CLOSED_POINTS)
+    def test_two_mode_closed(self, r, phi):
+        metric = two_mode_metric_closed(r, phi)
+        for (i, j), F in metric.families.items():
+            assert np.array_equal(F, metric.matrix[i::3, j::3]), (i, j)
+
+    def test_shifted_metric_on_a_path(self):
+        # metric_h's mode-m shift terms depend on m alone; written out, F^{11} was 0.09 off its component.
+        metric = metric_h(graph_state_covariance(GraphSpec(3, ((1, 2, 0.4 + 0.3j), (2, 3, -0.2 + 0.5j)))))
+        for i in range(3):
+            F = metric.families[i, i]
+            assert np.array_equal(F, metric.matrix[i::3, i::3]) and np.array_equal(F, F.T)
+
+
+class TestContractionReadsTheKillingDiagonal:
+    """kappa^{-1} is diagonal, so the contraction reads F^{00}, F^{11} and F^{22} alone."""
+
+    @pytest.mark.parametrize("case", [("one", 2), ("one", 7), ("stack", 3)], ids=lambda case: f"{case[0]}-{case[1]}")
+    @pytest.mark.parametrize("route", sorted(METRIC_ROUTES))
+    def test_off_diagonal_families_never_read(self, route, case):
+        metric = METRIC_ROUTES[route](_family_state(case))
+        poisoned = MetricTensor(
+            {(i, j): F if i == j else np.full_like(F, np.nan) for (i, j), F in metric.families.items()}
+        )
+        assert _same(killing_contraction(poisoned), killing_contraction(metric))
+
+    def test_off_diagonal_families_never_read_closed(self):
+        metric = two_mode_metric_closed(0.7, 0.3)
+        poisoned = MetricTensor({(i, j): F if i == j else np.full_like(F, np.nan) for (i, j), F in metric.families.items()})
+        assert _same(killing_contraction(poisoned), killing_contraction(metric))
 
 
 class TestPurityGateOnce:

@@ -14,8 +14,9 @@ read from ``.bench-out/`` of its tree.
 The output holds, per workload and side, the median and quartiles of every
 end-to-end metric with the values of each run, ``failed`` and ``attempted``,
 the provenance common to the side's runs and the traced per-layer metrics;
-per workload, the pairs each metric won, lost and tied, and how many ops
-gave different output digests on the two sides.  Beside each side's
+per workload, the pairs each metric won, lost and tied, how many ops gave
+different output digests on the two sides, and the (seed, op) positions of
+the first five of them.  Beside each side's
 per-layer metrics stand its traced run's ``failed_frac`` and
 ``missing_functions``: the listed functions the package no longer has,
 whose per-layer metrics read 0.  The file is rewritten after every pair, so
@@ -104,7 +105,8 @@ def aggregate(declared: list[dict], pairs: list[tuple[dict, dict]]) -> dict:
     least nine tenths of the pairs and its median is better than the
     parent's by more than the parent's interquartile range.  Op digests are
     compared position by position over the ops both runs of a pair reached,
-    since op i's input depends on (seed, i) only.
+    since op i's input depends on (seed, i) only; ``digests_differing_at``
+    lists the (seed, op) positions of the first five that differ.
     """
     out = {side: _side(declared, [pair[k] for pair in pairs]) for k, side in enumerate(SIDES)}
     verdicts = {}
@@ -121,9 +123,12 @@ def aggregate(declared: list[dict], pairs: list[tuple[dict, dict]]) -> dict:
             and sign * (change["median"] - parent["median"]) > parent["q3"] - parent["q1"],
         }
     out["pairs"] = verdicts
-    compared = [(a, b) for p, c in pairs for a, b in zip(p["digests"], c["digests"])]
+    compared = [(p["provenance"]["seed"], op, a, b)
+                for p, c in pairs for op, (a, b) in enumerate(zip(p["digests"], c["digests"]))]
+    differing = [[seed, op] for seed, op, a, b in compared if a != b]
     out["digests_compared"] = len(compared)
-    out["digests_differing"] = sum(a != b for a, b in compared)
+    out["digests_differing"] = len(differing)
+    out["digests_differing_at"] = differing[:5]
     return out
 
 
