@@ -299,19 +299,18 @@ class TestFamiliesAreTheComponents:
 class TestContractionReadsTheKillingDiagonal:
     """kappa^{-1} is diagonal, so the contraction reads F^{00}, F^{11} and F^{22} alone."""
 
+    @staticmethod
+    def _check(metric):
+        families = {(i, j): F if i == j else np.full_like(F, np.nan) for (i, j), F in metric.families.items()}
+        assert _same(killing_contraction(MetricTensor(families)), killing_contraction(metric))
+
     @pytest.mark.parametrize("case", [("one", 2), ("one", 7), ("stack", 3)], ids=lambda case: f"{case[0]}-{case[1]}")
     @pytest.mark.parametrize("route", sorted(METRIC_ROUTES))
     def test_off_diagonal_families_never_read(self, route, case):
-        metric = METRIC_ROUTES[route](_family_state(case))
-        poisoned = MetricTensor(
-            {(i, j): F if i == j else np.full_like(F, np.nan) for (i, j), F in metric.families.items()}
-        )
-        assert _same(killing_contraction(poisoned), killing_contraction(metric))
+        self._check(METRIC_ROUTES[route](_family_state(case)))
 
     def test_off_diagonal_families_never_read_closed(self):
-        metric = two_mode_metric_closed(0.7, 0.3)
-        poisoned = MetricTensor({(i, j): F if i == j else np.full_like(F, np.nan) for (i, j), F in metric.families.items()})
-        assert _same(killing_contraction(poisoned), killing_contraction(metric))
+        self._check(two_mode_metric_closed(0.7, 0.3))
 
 
 class TestPurityGateOnce:
