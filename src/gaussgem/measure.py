@@ -12,7 +12,7 @@ real arithmetic: with the two-point function C = Gamma + (i/2) Omega,
 Re(C_ac C_bd) = Gamma_ac Gamma_bd - omega_ac omega_bd / 4, so the moments are
 weighted sums of products of Gamma's quadrature planes plus one constant 3x3
 table on each mode-diagonal block, derived from the generators and the
-one-mode symplectic form.  A moment table keeps the first moments and these
+one-mode symplectic form.  A moment table holds the first moments and these
 connected Wick sums; the full second moments are derived from them on
 request.  The restriction of the Fubini-Study metric to the orbit of local
 one-mode Gaussian unitaries has components g[(mode,i),(mode',j)], minus the
@@ -27,14 +27,19 @@ purities,
 which is the cheap production route; the metric route exists as an
 independent cross-check of the whole construction.
 
-A metric tensor is stored as its six component families F^{ij}, i <= j,
-each an N x N array over the mode pair; the dense symmetric 3N x 3N matrix,
-with row index 3*(mode-1) + (i-1) for generator i of the given mode, is
-assembled from them only when read.  The Killing form is diagonal in the
-T1, T2, T3 basis, so the Killing contraction reads the diagonals of the
-three families F^{00}, F^{11}, F^{22} alone, and :func:`gem_from_metric`
-evaluates the closed forms on the diagonals of Gamma's quadrature blocks
-without forming any N x N array.
+A metric tensor is kept as the gated Gamma and its route's own formula
+table: the six component families F^{ij}, i <= j, each an N x N array over
+the mode pair, written as elementwise forms in Gamma's quadrature blocks.
+Nothing is evaluated until read.  Reading the families evaluates the forms
+on the full blocks; the dense symmetric 3N x 3N matrix, with row index
+3*(mode-1) + (i-1) for generator i of the given mode, is assembled from
+them.  The Killing form is diagonal in the T1, T2, T3 basis, so the Killing
+contraction asks the tensor for F^{00}, F^{11} and F^{22} alone, and the
+tensor evaluates those three forms on the diagonals of Gamma's quadrature
+blocks, which gives the families' diagonals bit for bit without forming any
+N x N array.  A moment table is kept the same way, and
+:func:`gem_from_metric` evaluates the same three forms of the metric's table
+directly.
 
 Every route also takes a (..., 2N, 2N) stack and keeps its leading axes:
 each slice is bit-identical to the one-state call, where a float stays a float.
@@ -45,11 +50,12 @@ graph builders return such states, gated once at build.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_PURITY_TOL, _mode_dets, build_omega, require_pure
+from .core import DEFAULT_PURITY_TOL, PureState, _mode_dets, build_omega, require_pure
 from .errors import UnphysicalStateError
 
 __all__ = [
@@ -106,8 +112,31 @@ if np.count_nonzero(_KILLING_INVERSE - np.diag(np.diagonal(_KILLING_INVERSE))):
     raise AssertionError(f"inverse Killing form {_KILLING_INVERSE} is not diagonal")
 
 
+#: The six component families F^{ij}, i <= j, and the three the Killing contraction reads.
+_FAMILIES = tuple((i, j) for i in range(3) for j in range(i, 3))
+_KILLING = ((0, 0), (1, 1), (2, 2))
+
+
 @dataclass(frozen=True)
-class MomentTable:
+class _Deferred:
+    """A route's result kept unevaluated: its source and the route's own formula table.
+
+    ``_table(_source, keys, diagonal)`` evaluates the entries named by
+    ``keys``, elementwise in Gamma's quadrature blocks: on the full
+    (..., N, N) planes, or, with ``diagonal``, on their (..., N) mode
+    diagonals, which gives each entry's mode diagonal bit for bit.  Each
+    read evaluates afresh into new arrays; nothing is cached.
+    """
+
+    _source: object
+    _table: Callable
+
+    def _evaluate(self, keys, diagonal: bool) -> dict:
+        return self._table(self._source, keys, diagonal)
+
+
+@dataclass(frozen=True)
+class MomentTable(_Deferred):
     """First moments and connected second moments of the local generators in a Gaussian state.
 
     ``first[..., m, i]`` is <T_(m,i)>; ``connected[..., m, n, i, j]`` is the
@@ -115,20 +144,34 @@ class MomentTable:
     sum, which is what the metric needs (the imaginary part cancels between
     the (m,i),(n,j) and (n,j),(m,i) orders).  Mode axes are 0-based here;
     leading axes index a stack.
+
+    The table keeps the gated Gamma, read-only, and the moment route's Wick
+    table.  ``first``, ``connected`` and ``second`` are evaluated on every
+    read and returned as new arrays; :func:`metric_from_moments` reads the
+    connected moments the same way, on the mode diagonals alone when only
+    they are needed.
     """
 
-    first: np.ndarray
-    connected: np.ndarray
+    @property
+    def first(self) -> np.ndarray:
+        """<T_(m,i)>, an (..., N, 3) array, read off the mode-diagonal blocks."""
+        return self._evaluate(("first",), True)["first"]
+
+    @property
+    def connected(self) -> np.ndarray:
+        """The (..., N, N, 3, 3) connected moments, evaluated on Gamma's planes."""
+        K = self._evaluate(_WICK_KEYS, False)
+        return np.moveaxis(np.array([[K[i, j] for j in range(3)] for i in range(3)]), (0, 1), (-2, -1))
 
     @property
     def second(self) -> np.ndarray:
-        """The full second moments, connected + <T_(m,i)><T_(n,j)>, formed on each access."""
+        """The full second moments, connected + <T_(m,i)><T_(n,j)>."""
         first = self.first
         return self.connected + first[..., :, None, :, None] * first[..., None, :, None, :]
 
 
-@dataclass(frozen=True)
-class MetricTensor:
+@dataclass(frozen=True, init=False)
+class MetricTensor(_Deferred):
     """Restricted Fubini-Study metric g, or its shifted form h, as its component families.
 
     ``families[(i, j)][..., m, n]``, i <= j, is exactly the ((m,i),(n,j))
@@ -136,13 +179,33 @@ class MetricTensor:
     ``matrix[..., i::3, j::3]`` bit for bit and each F^{ii} is symmetric over
     the mode pair; the (j, i) families follow from the symmetry of the
     tensor.  Leading axes index a stack.
+
+    A route's tensor keeps the gated Gamma, read-only, and the route's own
+    formula table.  ``families`` and ``matrix`` evaluate all six forms on
+    Gamma's planes on every read and return new arrays;
+    :func:`killing_contraction` evaluates F^{00}, F^{11} and F^{22} alone, on
+    the mode diagonals.  ``MetricTensor(families)`` keeps read-only copies of
+    six explicit families and contracts their diagonals.
     """
 
-    families: dict
+    def __init__(self, families: dict):
+        super().__init__({key: _read_only(np.array(F)) for key, F in families.items()}, _given)
+
+    @classmethod
+    def _of(cls, source, table) -> MetricTensor:
+        """A route's tensor: ``source`` read through ``table``, without the copies ``MetricTensor(families)`` takes."""
+        tensor = object.__new__(cls)
+        _Deferred.__init__(tensor, source, table)
+        return tensor
 
     @property
     def num_modes(self) -> int:
-        return self.families[0, 0].shape[-1]
+        return self._evaluate(((0, 0),), True)[0, 0].shape[-1]
+
+    @property
+    def families(self) -> dict:
+        """The six (..., N, N) families F^{ij}, i <= j, evaluated on each read as new arrays."""
+        return self._evaluate(_FAMILIES, False)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -151,7 +214,26 @@ class MetricTensor:
         Row 3*(mode-1) + (i-1) is generator i of ``mode``.  Assembled from the
         families on each read, as a new array.
         """
-        return _assemble(self.num_modes, self.families)
+        families = self.families
+        return _assemble(families[0, 0].shape[-1], families)
+
+
+def _given(families: dict, keys, diagonal: bool) -> dict:
+    """The table of ``MetricTensor(families)``: copies of the families, or views of their mode diagonals."""
+    if diagonal:
+        return {key: np.diagonal(families[key], 0, -2, -1) for key in keys}
+    return {key: families[key].copy() for key in keys}
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _snapshot(gamma: np.ndarray | PureState) -> np.ndarray:
+    """Gamma, gated once, as an array no caller can change: a state's own read-only matrix, else a read-only copy."""
+    gated = require_pure(gamma)
+    return gated if isinstance(gamma, PureState) else _read_only(gated.copy())
 
 
 def _quadrature_blocks(gamma: np.ndarray):
@@ -194,8 +276,8 @@ _WICK_OMEGA = -0.25 * np.einsum("ijabcd,ac,bd->ij", _WICK_WEIGHTS, build_omega(1
 _PLANE_PAIRS = [(u, v) for u in range(4) for v in range(u, 4)]
 
 
-def _wick_terms() -> tuple:
-    """The Gamma part of the Wick sum as ((i, j), ((weight, (u, v)), ...)) over nonzero weights.
+def _wick_terms() -> dict:
+    """The Gamma part of the Wick sum as (i, j) -> ((weight, (u, v)), ...) over nonzero weights.
 
     Plane u = 2a + c is Gamma's (a, c) quadrature block.  C_ac C_bd and
     C_bd C_ac are the same product of planes, so the weights of the two
@@ -206,10 +288,44 @@ def _wick_terms() -> tuple:
     terms = {}
     for (i, j, u, v), weight in zip(np.argwhere(folded).tolist(), folded[folded != 0].tolist()):
         terms.setdefault((i, j), []).append((weight, (u, v)))
-    return tuple((ij, tuple(pair_terms)) for ij, pair_terms in terms.items())
+    return {ij: tuple(pair_terms) for ij, pair_terms in terms.items()}
 
 
 _WICK_TERMS = _wick_terms()
+_WICK_KEYS = tuple((i, j) for i in range(3) for j in range(3))
+
+
+def _wick_table(gamma: np.ndarray, keys, diagonal: bool) -> dict:
+    """The moment route's formula table, on Gamma's quadrature planes or on their mode diagonals.
+
+    Entry "first" is the (..., N, 3) array of first moments, read off the
+    mode-diagonal blocks either way.  Entry (i, j) is the connected moment
+    K^{ij}[..., m, n] = connected[..., m, n, i, j]: the weighted plane
+    products of ``_WICK_TERMS[i, j]``, then ``_WICK_OMEGA[i, j]`` added on
+    the m = n entries.  Both are elementwise, so on the diagonals each (i, j)
+    gives the (..., N) mode diagonal of K^{ij} bit for bit.
+    """
+    num_modes = gamma.shape[-1] // 2
+    # planes[a, c][..., m, n] = Gamma^{mn}_ac; on the planes, copied once so the products read contiguous memory.
+    planes = np.moveaxis(gamma.reshape(gamma.shape[:-2] + (num_modes, 2) * 2), (-3, -1), (0, 1))
+    planes = np.diagonal(planes, 0, -2, -1) if diagonal else np.ascontiguousarray(planes)
+    entries = {}
+    if "first" in keys:
+        mode_blocks = planes if diagonal else np.diagonal(planes, 0, -2, -1)
+        entries["first"] = np.moveaxis(0.5 * np.tensordot(_GENERATORS, mode_blocks, axes=2), 0, -1)
+    flat = planes.reshape((4,) + planes.shape[2:])
+    products = {(u, v): flat[u] * flat[v] for u, v in _PLANE_PAIRS}
+    for key in (key for key in keys if key != "first"):
+        (weight, pair), *rest = _WICK_TERMS[key]
+        entry = weight * products[pair]
+        for weight, pair in rest:
+            entry += weight * products[pair]
+        if diagonal:
+            entry += _WICK_OMEGA[key]
+        else:  # every (m, m) entry of the contiguous (..., N, N) sum
+            entry.reshape(entry.shape[:-2] + (-1,))[..., :: num_modes + 1] += _WICK_OMEGA[key]
+        entries[key] = entry
+    return entries
 
 
 def moments_from_covariance(gamma: np.ndarray) -> MomentTable:
@@ -226,70 +342,74 @@ def moments_from_covariance(gamma: np.ndarray) -> MomentTable:
     quadrature planes; the omega part lives on the m = n blocks only, as the
     constant 3x3 table ``_WICK_OMEGA`` derived from the generators and
     ``build_omega(1)``.  Both are elementwise, so each stack slice is
-    bit-identical to the one-state call.
+    bit-identical to the one-state call.  The table keeps the gated Gamma and
+    evaluates these sums when read (:class:`MomentTable`).
 
     Raises:
         UnphysicalStateError: ``gamma`` fails the purity check.
     """
-    gamma = require_pure(gamma)
-    num_modes = gamma.shape[-1] // 2
-    lead = gamma.shape[:-2]
-    # The table outlives this call; taken before the temporaries, it does not sit above their
-    # freed memory on the heap (allocated last, it raised the peak RSS of a loop over random
-    # N = 96 graph states by 0.5 MB under glibc malloc).
-    connected = np.empty((3, 3) + lead + (num_modes, num_modes))
-    # planes[a, c][..., m, n] = Gamma^{mn}_ac, copied once so the products below read contiguous memory
-    planes = np.ascontiguousarray(np.moveaxis(gamma.reshape(lead + (num_modes, 2) * 2), (-3, -1), (0, 1)))
-    first = np.moveaxis(0.5 * np.tensordot(_GENERATORS, np.diagonal(planes, 0, -2, -1), axes=2), 0, -1)
-    flat = planes.reshape((4,) + planes.shape[2:])
-    products = {(u, v): flat[u] * flat[v] for u, v in _PLANE_PAIRS}
-    for (i, j), ((weight, pair), *rest) in _WICK_TERMS:
-        entry = np.multiply(weight, products[pair], out=connected[i, j])
-        for weight, pair in rest:
-            entry += weight * products[pair]
-    # Every (m, m) entry of the contiguous (3, 3, ..., N, N) table, one row per (i, j).
-    connected.reshape(3, 3, -1, num_modes * num_modes)[..., :: num_modes + 1] += _WICK_OMEGA[:, :, None, None]
-    return MomentTable(first=first, connected=np.moveaxis(connected, (0, 1), (-2, -1)))
+    return MomentTable(_snapshot(gamma), _wick_table)
+
+
+def _moment_metric_table(moments: MomentTable, keys, diagonal: bool) -> dict:
+    """metric_from_moments' formula table: F^{ij} = -(K^{ij} + (K^{ji})^T)/2 from the table's connected moments.
+
+    The diagonal families come out symmetric bit for bit, as addition
+    commutes; on the mode diagonals the transpose is the identity.
+    """
+    K = moments._evaluate({key for i, j in keys for key in ((i, j), (j, i))}, diagonal)
+    transpose = (lambda X: X) if diagonal else (lambda X: X.swapaxes(-1, -2))
+    return {(i, j): -0.5 * (K[i, j] + transpose(K[j, i])) for i, j in keys}
 
 
 def metric_from_moments(moments: MomentTable) -> MetricTensor:
     """Metric g[(m,i),(n,j)] = -(K[m,n,i,j] + K[n,m,j,i])/2 from the connected moments K.
 
-    Family F^{ij} = -(K^{ij} + (K^{ji})^T)/2 with K^{ij}[m, n] = K[m, n, i, j];
-    the diagonal families come out symmetric bit for bit, as addition commutes.
+    Family F^{ij} = -(K^{ij} + (K^{ji})^T)/2 with K^{ij}[m, n] = K[m, n, i, j],
+    evaluated from the moment table whenever the tensor is read.
     """
-    K = moments.connected
-    return MetricTensor(
-        {(i, j): -0.5 * (K[..., i, j] + K[..., j, i].swapaxes(-1, -2)) for i in range(3) for j in range(i, 3)}
-    )
+    return MetricTensor._of(moments, _moment_metric_table)
 
 
-def _g_families(Qq, Pp, Pq, Qp, eye) -> dict:
-    """The closed-form families of g from Gamma's quadrature blocks, all elementwise.
+def _blocks(gamma: np.ndarray, diagonal: bool) -> tuple:
+    """Qq, Pp, Pq, Qp and the mode identity, as the closed forms read them.
 
-    Takes the (..., N, N) blocks with ``eye = np.eye(N)``, or their (..., N)
-    diagonals with ``eye = 1.0``, which gives the diagonals of the families
-    bit for bit.
+    The (..., N, N) quadrature blocks with ``np.eye(N)``, or, with
+    ``diagonal``, their (..., N) mode diagonals with 1.0.
     """
-    return {
-        (0, 0): (-Pp**2 + Pq**2 + Qp**2 - Qq**2) / 8.0 - eye / 16.0,
-        (0, 1): (Qq * Qp - Pp * Pq) / 4.0,
-        (0, 2): (Pp**2 + Pq**2 - Qp**2 - Qq**2) / 8.0,
-        (1, 1): (-eye - 4.0 * (Pq * Qp + Pp * Qq)) / 16.0,
-        (1, 2): (Pp * Qp + Qq * Pq) / 4.0,
-        (2, 2): (eye - 2.0 * (Pp**2 + Pq**2 + Qp**2 + Qq**2)) / 16.0,
-    }
+    blocks = _quadrature_blocks(gamma)
+    if diagonal:
+        return (*(np.diagonal(X, 0, -2, -1) for X in blocks), 1.0)
+    return (*blocks, np.eye(gamma.shape[-1] // 2))
 
 
-def _closed_tensor(families: dict) -> MetricTensor:
-    """The tensor of closed-form families, each F^{ii} replaced by its symmetric part 0.5 (F + F^T).
+def _closed(forms: dict, keys, diagonal: bool) -> dict:
+    """The closed forms named by ``keys``; on the planes each F^{ii} becomes its symmetric part 0.5 (F + F^T).
 
     A closed form need not be symmetric in (m, n) as written (metric_h's
     mode-m shifts depend on m alone); its symmetric part is the component.
-    Its mode diagonal keeps its bits, as 0.5 (x + x) = x, and so does the
-    assembled matrix, which symmetrizes the same way.
+    On the mode diagonals the form already gives the component's diagonal,
+    as 0.5 (x + x) = x, and so does the assembled matrix, which symmetrizes
+    the same way.
     """
-    return MetricTensor({(i, j): 0.5 * (F + F.swapaxes(-1, -2)) if i == j else F for (i, j), F in families.items()})
+    families = {}
+    for i, j in keys:
+        F = forms[i, j]()
+        families[i, j] = 0.5 * (F + F.swapaxes(-1, -2)) if i == j and not diagonal else F
+    return families
+
+
+def _g_table(gamma: np.ndarray, keys, diagonal: bool) -> dict:
+    """metric_g's formula table: the closed-form families of g, elementwise in Gamma's quadrature blocks."""
+    Qq, Pp, Pq, Qp, eye = _blocks(gamma, diagonal)
+    return _closed({
+        (0, 0): lambda: (-Pp**2 + Pq**2 + Qp**2 - Qq**2) / 8.0 - eye / 16.0,
+        (0, 1): lambda: (Qq * Qp - Pp * Pq) / 4.0,
+        (0, 2): lambda: (Pp**2 + Pq**2 - Qp**2 - Qq**2) / 8.0,
+        (1, 1): lambda: (-eye - 4.0 * (Pq * Qp + Pp * Qq)) / 16.0,
+        (1, 2): lambda: (Pp * Qp + Qq * Pq) / 4.0,
+        (2, 2): lambda: (eye - 2.0 * (Pp**2 + Pq**2 + Qp**2 + Qq**2)) / 16.0,
+    }, keys, diagonal)
 
 
 def metric_g(gamma: np.ndarray) -> MetricTensor:
@@ -297,12 +417,31 @@ def metric_g(gamma: np.ndarray) -> MetricTensor:
 
     Agrees entrywise with :func:`metric_from_moments` applied to
     :func:`moments_from_covariance`; the closed forms skip the moment table.
+    The tensor keeps the gated Gamma and evaluates the forms when read
+    (:class:`MetricTensor`).
 
     Raises:
         UnphysicalStateError: ``gamma`` fails the purity check.
     """
-    gamma = require_pure(gamma)
-    return _closed_tensor(_g_families(*_quadrature_blocks(gamma), np.eye(gamma.shape[-1] // 2)))
+    return MetricTensor._of(_snapshot(gamma), _g_table)
+
+
+def _h_table(gamma: np.ndarray, keys, diagonal: bool) -> dict:
+    """metric_h's formula table: the closed-form families of h, elementwise in the blocks and each mode's own data."""
+    Qq, Pp, Pq, Qp, eye = _blocks(gamma, diagonal)
+    # Mode-m data: (..., N, 1) columns broadcast across n on the planes; the diagonals themselves on the diagonals.
+    dq, dp, c = (Qq, Pp, Pq) if diagonal else (np.diagonal(X, 0, -2, -1)[..., :, None] for X in (Qq, Pp, Pq))
+    return _closed({
+        (0, 0): lambda: (-Pp**2 + Pq**2 + Qp**2 - Qq**2 + (dp - dq) ** 2 + 1.0 - eye / 2.0) / 8.0,
+        (0, 1): lambda: (-Pp * Pq + Qq * Qp + c * (dp - dq)) / 4.0,
+        (0, 2): lambda: (Pp**2 - dp**2 + Pq**2 - Qp**2 - Qq**2 + dq**2) / 8.0,
+        (1, 1): lambda: (-Pq * Qp - Pp * Qq + 2.0 * (dp * dq) - eye / 4.0) / 4.0,
+        (1, 2): lambda: (Pp * Qp + Qq * Pq - c * (dp + dq)) / 4.0,
+        # Subtracting the separable reference from the (3,3) family gives twice
+        # the naive half-sum; spelled out so the Killing contraction of h
+        # reproduces the purity route exactly.
+        (2, 2): lambda: (-Pp**2 - Pq**2 - Qp**2 - Qq**2 + (dp + dq) ** 2 - 1.0 + eye / 2.0) / 8.0,
+    }, keys, diagonal)
 
 
 def metric_h(gamma: np.ndarray) -> MetricTensor:
@@ -311,27 +450,14 @@ def metric_h(gamma: np.ndarray) -> MetricTensor:
     The reference is the pure product state sharing each mode's diagonal
     covariance data, which removes the separable contribution at the level of
     the tensor: all mode-diagonal blocks vanish on separable states, and the
-    Killing contraction of h equals the entanglement measure directly.
+    Killing contraction of h equals the entanglement measure directly.  The
+    tensor keeps the gated Gamma and evaluates the forms when read
+    (:class:`MetricTensor`).
 
     Raises:
         UnphysicalStateError: ``gamma`` fails the purity check.
     """
-    gamma = require_pure(gamma)
-    Qq, Pp, Pq, Qp = _quadrature_blocks(gamma)
-    # Mode-m data as (..., N, 1) columns, broadcast across n.
-    dq, dp, c = (np.diagonal(X, 0, -2, -1)[..., :, None] for X in (Qq, Pp, Pq))
-    eye = np.eye(gamma.shape[-1] // 2)
-    return _closed_tensor({
-        (0, 0): (-Pp**2 + Pq**2 + Qp**2 - Qq**2 + (dp - dq) ** 2 + 1.0 - eye / 2.0) / 8.0,
-        (0, 1): (-Pp * Pq + Qq * Qp + c * (dp - dq)) / 4.0,
-        (0, 2): (Pp**2 - dp**2 + Pq**2 - Qp**2 - Qq**2 + dq**2) / 8.0,
-        (1, 1): (-Pq * Qp - Pp * Qq + 2.0 * (dp * dq) - eye / 4.0) / 4.0,
-        (1, 2): (Pp * Qp + Qq * Pq - c * (dp + dq)) / 4.0,
-        # Subtracting the separable reference from the (3,3) family gives twice
-        # the naive half-sum; spelled out so the Killing contraction of h
-        # reproduces the purity route exactly.
-        (2, 2): (-Pp**2 - Pq**2 - Qp**2 - Qq**2 + (dp + dq) ** 2 - 1.0 + eye / 2.0) / 8.0,
-    })
+    return MetricTensor._of(_snapshot(gamma), _h_table)
 
 
 def _contract_diagonals(d00, d11, d22) -> float | np.ndarray:
@@ -350,11 +476,13 @@ def killing_contraction(metric: MetricTensor) -> float | np.ndarray:
 
     The Killing form of the direct-sum algebra is block diagonal across modes,
     so cross-mode blocks never enter the contraction, and within a mode it is
-    2 diag(-1, -1, 1), so only the i = j terms do: the contraction reads the
-    diagonals of F^{00}, F^{11} and F^{22} and never assembles
-    :attr:`MetricTensor.matrix`.
+    2 diag(-1, -1, 1), so only the i = j terms do: the contraction asks the
+    tensor for F^{00}, F^{11} and F^{22} on the mode diagonals alone.  A
+    route's tensor evaluates just those three forms, on the (..., N)
+    diagonals of Gamma's blocks, so no N x N array is formed.
     """
-    return _contract_diagonals(*(np.diagonal(metric.families[i, i], 0, -2, -1) for i in range(3)))
+    diagonals = metric._evaluate(_KILLING, True)
+    return _contract_diagonals(*(diagonals[key] for key in _KILLING))
 
 
 def gem_from_metric(gamma: np.ndarray) -> float | np.ndarray:
@@ -363,22 +491,26 @@ def gem_from_metric(gamma: np.ndarray) -> float | np.ndarray:
     Equals killing_contraction(metric_g) - N/8, bit for bit; the subtraction
     is the separable baseline, so the result vanishes on product states.
     Identical (up to rounding) to contracting metric_h without any
-    subtraction.  Only the mode-diagonal blocks enter, so the closed forms of
-    :func:`metric_g` are evaluated on the diagonals of Gamma's quadrature
-    blocks alone, and the contraction reads the F^{00}, F^{11} and F^{22}
-    diagonals; no N x N array is formed.  An array passes the purity gate
-    once, here.
+    subtraction.  Only the mode-diagonal blocks enter, so the F^{00}, F^{11}
+    and F^{22} forms of :func:`metric_g`'s table are evaluated on the
+    diagonals of Gamma's quadrature blocks alone; no N x N array is formed.
+    An array passes the purity gate once, here.
     """
     gamma = require_pure(gamma)
-    families = _g_families(*(np.diagonal(X, 0, -2, -1) for X in _quadrature_blocks(gamma)), 1.0)
-    return _contract_diagonals(*(families[i, i] for i in range(3))) - (gamma.shape[-1] // 2) / 8.0
+    diagonals = _g_table(gamma, _KILLING, True)
+    return _contract_diagonals(*(diagonals[key] for key in _KILLING)) - (gamma.shape[-1] // 2) / 8.0
 
 
 def gem_from_purity(gamma: np.ndarray) -> float | np.ndarray:
     """Entanglement measure from reduced purities.
 
     (1/32) sum_mode [P(rho^(mode))^-2 - 1] = (1/8) sum_mode [det Gamma^(mode) - 1/4].
-    Non-negative for every pure state and zero exactly on product states.
+    Every physical state has det Gamma^(mode) >= 1/4, so the exact value is
+    non-negative, and zero exactly on product states.  The computed value
+    carries the rounding of the dets, about eps * sum_mode det Gamma^(mode),
+    and is not clamped: a product state can read a little below zero, as
+    the beamsplitter on the vacuum of graph_state_covariance(GraphSpec(3,
+    ((1, 3, 1+0j),))) reads -6.9e-18.
 
     Returns a float for a 2N x 2N covariance and an array of shape (...) for
     a (..., 2N, 2N) stack; every slice must pass the purity gate.

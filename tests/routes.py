@@ -5,8 +5,9 @@ way; ``reads`` says what of the state or input it reads.  The north star's
 rule is that routes compared with each other stay independent: neither may
 reach the other's entry points through the package's call graph
 (``test_routes.py`` checks it with ``ast``).  Shared layers, state
-preparation, the purity gate and ``build_omega``, may be called by any
-route; they must reach no route themselves.
+preparation, the purity gate, ``build_omega`` and the ``MetricTensor`` and
+``MomentTable`` containers, which each route fills with its own formula
+table, may be called by any route; they must reach no route themselves.
 
 Names are "module.function" inside ``gaussgem``.
 """
@@ -63,7 +64,8 @@ DEPENDENCES = {
     ("field pipeline", "purity"),
 }
 
-#: Layers every route may call: state preparation, the purity gate and the symplectic form.
+#: Layers every route may call: state preparation, the purity gate, the symplectic form, and the
+#: generic containers that keep a route's gated state and its own formula table.
 SHARED = (
     "graphs.GraphSpec",
     "graphs.graph_state_covariance",
@@ -76,4 +78,6 @@ SHARED = (
     "core.require_pure",
     "core.PureState",
     "core.build_omega",
+    "measure.MetricTensor",
+    "measure.MomentTable",
 )

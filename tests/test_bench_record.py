@@ -95,3 +95,18 @@ def test_traced_run_keeps_its_extra_block():
         "failed_frac": 0.0,
         "missing_functions": ["core.check_pure"],
     }
+
+
+WORKLOADS = [{"name": name, "why": ""} for name in ("scan-grid", "graph-dense", "lattice-field", "cli-cold")]
+
+
+def test_workloads_default_to_all_in_declared_order():
+    assert bench_record.select_workloads(WORKLOADS, None) == ["scan-grid", "graph-dense", "lattice-field", "cli-cold"]
+    assert bench_record.select_workloads(WORKLOADS, "graph-dense") == ["graph-dense"]
+    assert bench_record.select_workloads(WORKLOADS, "cli-cold, scan-grid") == ["scan-grid", "cli-cold"]
+
+
+@pytest.mark.parametrize("names", ["graph-sparse", "graph-dense,nope", "", ","])
+def test_unknown_or_empty_workloads_stop_the_run(names):
+    with pytest.raises(SystemExit, match="--workloads"):
+        bench_record.select_workloads(WORKLOADS, names)

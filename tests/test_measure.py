@@ -1,5 +1,7 @@
 """Tests for the metric construction and the measure itself."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,88 @@ class TestContractionNeverAssembles:
         for metric in (metric_g(state), metric_h(state), metric_from_moments(moments), two_mode_metric_closed(0.7, 0.3)):
             with pytest.raises(AssertionError, match="assembled"):
                 metric.matrix
+
+
+CONTRACTIONS = {
+    "metric_g": lambda state: killing_contraction(metric_g(state)),
+    "metric_h": lambda state: killing_contraction(metric_h(state)),
+    "metric_from_moments": lambda state: killing_contraction(metric_from_moments(moments_from_covariance(state))),
+    "gem_from_metric": gem_from_metric,
+}
+
+
+class TestContractionAllocatesLinearly:
+    """On a state, building a tensor and contracting it allocates less than one N x N float64 array.
+
+    numpy reports its buffers to ``tracemalloc``.  At N = 96 a quadrature
+    block, a family or ``np.eye(N)`` is 73,728 B, and a copy of Gamma four
+    times that, so the peak shows that only (..., N) diagonals are formed.
+    """
+
+    @pytest.mark.parametrize("route", sorted(CONTRACTIONS))
+    def test_peak_below_one_block(self, route):
+        state = _family_state(("one", 96))
+        CONTRACTIONS[route](state)  # first-call allocations are not the route's
+        tracemalloc.start()
+        try:
+            CONTRACTIONS[route](state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 96 * 8
+
+
+class TestTensorsAreSnapshots:
+    """A tensor or table keeps the state it was built from; neither the input nor a read result reaches it."""
+
+    @staticmethod
+    def _reads(metric, moments):
+        return metric.families, moments.connected, moments.first, killing_contraction(metric)
+
+    @staticmethod
+    def _same_reads(got, want):
+        (families, *arrays, value), (want_families, *want_arrays, want_value) = got, want
+        assert families.keys() == want_families.keys()
+        assert all(np.array_equal(families[key], want_families[key]) for key in families)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, want_arrays, strict=True))
+        assert _same(value, want_value)
+
+    @pytest.mark.parametrize("route", sorted(METRIC_ROUTES))
+    @pytest.mark.parametrize("kind", ["one", "stack"])
+    def test_mutated_input(self, route, kind):
+        gamma = np.array(_family_state((kind, 3)).gamma)  # a writable array
+        metric, moments = METRIC_ROUTES[route](gamma), moments_from_covariance(gamma)
+        before = self._reads(metric, moments)
+        gamma[...] = vacuum_state(3)
+        self._same_reads(self._reads(metric, moments), before)
+        assert not np.array_equal(killing_contraction(metric_g(gamma)), before[-1])  # the array did change
+
+    def test_moment_table_under_its_metric(self):
+        gamma = np.array(_family_state(("one", 4)).gamma)
+        moments = moments_from_covariance(gamma)
+        metric = metric_from_moments(moments)
+        before = self._reads(metric, moments)
+        gamma *= 2.0
+        self._same_reads(self._reads(metric, moments), before)
+
+    @pytest.mark.parametrize("route", sorted(METRIC_ROUTES))
+    def test_reads_are_new_arrays(self, route):
+        state = _family_state(("one", 3))
+        metric, moments = METRIC_ROUTES[route](state), moments_from_covariance(state)
+        before = self._reads(metric, moments)
+        families, connected, first, _ = self._reads(metric, moments)
+        for F in [*families.values(), connected, first]:
+            F[...] = np.nan
+        self._same_reads(self._reads(metric, moments), before)
+
+    def test_explicit_families(self):
+        families = {key: np.array(F) for key, F in metric_h(_family_state(("one", 3))).families.items()}
+        metric = MetricTensor(families)
+        before = metric.families, killing_contraction(metric)
+        for F in families.values():
+            F[...] = np.nan
+        assert all(np.array_equal(metric.families[key], F) for key, F in before[0].items())
+        assert _same(killing_contraction(metric), before[1])
 
 
 class TestFamiliesAreTheComponents:

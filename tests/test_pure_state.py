@@ -13,6 +13,7 @@ from gaussgem import (
     GraphSpec,
     LatticeFieldConfig,
     MetricTensor,
+    MomentTable,
     NumericOverflowError,
     PureState,
     UnphysicalStateError,
@@ -49,9 +50,11 @@ ROUTES = [
 
 
 def _arrays(result):
-    """A route's result as a tuple of arrays: a metric's matrix, the fields of a record, or the value itself."""
+    """A route's result as a tuple of arrays: a metric's matrix, a table's moments, the fields of a record, or the value."""
     if isinstance(result, MetricTensor):
         return (result.matrix,)
+    if isinstance(result, MomentTable):
+        return (result.first, result.connected)
     if dataclasses.is_dataclass(result):
         return tuple(np.asarray(getattr(result, f.name)) for f in dataclasses.fields(result))
     return (np.asarray(result),)

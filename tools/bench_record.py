@@ -1,8 +1,10 @@
 """Benchmark trajectory: the declared benchmark on a parent and a change, side by side.
 
     python3 tools/bench_record.py --parent REV --change REV --seeds K --out BENCH_<n>.json
+        [--workloads NAME[,NAME...]]
 
-Run from the root of a git checkout.  Each revision is extracted with
+Run from the root of a git checkout.  ``--workloads`` picks some of the
+workloads BENCHMARK.json declares; the default runs all of them.  Each revision is extracted with
 ``git archive`` into a directory of its own, and the command that
 BENCHMARK.json declares (``python3 bench/run.py``) runs unchanged in each.
 For every workload, seeds 1..K run as pairs: one ``--trace 0`` run per side,
@@ -48,6 +50,22 @@ def extract(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return commit
+
+
+def select_workloads(declared: list[dict], names: str | None) -> list[str]:
+    """The workloads to run, in BENCHMARK.json's order: all of ``declared``, or those ``names`` lists.
+
+    ``names`` is a comma-separated list; a name BENCHMARK.json does not
+    declare ends the run before any benchmark starts.
+    """
+    known = [w["name"] for w in declared]
+    if names is None:
+        return known
+    wanted = {name.strip() for name in names.split(",") if name.strip()}
+    unknown = sorted(wanted.difference(known))
+    if unknown or not wanted:
+        raise SystemExit(f"--workloads {names!r}: unknown {unknown or 'empty list'}; declared: {', '.join(known)}")
+    return [name for name in known if name in wanted]
 
 
 def run_bench(command: list[str], tree: Path, workload: str, seed: int, seconds: float,
@@ -139,6 +157,8 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=10, help="paired runs per workload (seeds 1..K)")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--work", default=None, help="directory for the two extracted trees")
+    parser.add_argument("--workloads", default=None,
+                        help="comma-separated workloads to run (default: every declared workload)")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory(dir=args.work) as work:
@@ -146,6 +166,7 @@ def main() -> int:
         commits = {side: extract(getattr(args, side), trees[side]) for side in SIDES}
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         declared = bench["end_to_end"]
+        workloads = select_workloads(bench["workloads"], args.workloads)
         doc = {
             "parent": commits["parent"],
             "change": commits["change"],
@@ -161,7 +182,7 @@ def main() -> int:
         def run(side, workload, seed, trace):
             return run_bench(bench["command"], trees[side], workload, seed, bench["run_seconds"], trace)
 
-        for workload in (w["name"] for w in bench["workloads"]):
+        for workload in workloads:
             pairs = []
             for seed in range(1, args.seeds + 1):
                 order = SIDES if seed % 2 else SIDES[::-1]
