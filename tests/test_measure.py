@@ -327,14 +327,6 @@ class TestTensorsAreSnapshots:
         self._same_reads(self._reads(metric, moments), before)
         assert not np.array_equal(killing_contraction(metric_g(gamma)), before[-1])  # the array did change
 
-    def test_moment_table_under_its_metric(self):
-        gamma = np.array(_family_state(("one", 4)).gamma)
-        moments = moments_from_covariance(gamma)
-        metric = metric_from_moments(moments)
-        before = self._reads(metric, moments)
-        gamma *= 2.0
-        self._same_reads(self._reads(metric, moments), before)
-
     @pytest.mark.parametrize("route", sorted(METRIC_ROUTES))
     def test_reads_are_new_arrays(self, route):
         state = _family_state(("one", 3))

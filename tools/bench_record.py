@@ -3,10 +3,11 @@
     python3 tools/bench_record.py --parent REV --change REV --seeds K --out BENCH_<n>.json
         [--workloads NAME[,NAME...]]
 
-Run from the root of a git checkout.  ``--workloads`` picks some of the
-workloads BENCHMARK.json declares; the default runs all of them.  Each revision is extracted with
+Run from the root of a git checkout.  Each revision is extracted with
 ``git archive`` into a directory of its own, and the command that
 BENCHMARK.json declares (``python3 bench/run.py``) runs unchanged in each.
+``--workloads`` picks some of the workloads BENCHMARK.json declares; the
+default runs all of them.
 For every workload, seeds 1..K run as pairs: one ``--trace 0`` run per side,
 with the parent first on odd seeds and the change first on even ones, so a
 drift of the host's speed favours neither side.  One ``--trace 1`` run per
