@@ -57,25 +57,31 @@ def _all_finite(value) -> bool:
     return bool(np.isfinite(value).all())
 
 
-def _in_double_range(fn):
-    """Make ``fn`` raise NumericOverflowError where its arithmetic leaves double range.
+def _within_double_range(name: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, raising NumericOverflowError that names ``name`` where it leaves double range.
 
     Python floats raise OverflowError or ZeroDivisionError there, numpy would
     warn, and some products turn into inf without either; all three end in
-    the one typed error.
+    the one typed error.  A public function whose O(N^2) result is fixed by
+    O(N) data calls its helper for that data through here and builds the rest
+    from finite numbers without arithmetic that can leave double range.
     """
-    message = f"{fn.__name__} overflows double precision at this mass and radius"
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            value = fn(*args, **kwargs)
+    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+        raise NumericOverflowError(f"{name} overflows double precision at this mass and radius") from exc
+    if not _all_finite(value):
+        raise NumericOverflowError(f"{name} overflows double precision at this mass and radius")
+    return value
+
+
+def _in_double_range(fn):
+    """Make ``fn`` raise NumericOverflowError, named after it, where its arithmetic leaves double range."""
 
     @functools.wraps(fn)
     def checked(*args, **kwargs):
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                value = fn(*args, **kwargs)
-        except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
-            raise NumericOverflowError(message) from exc
-        if not _all_finite(value):
-            raise NumericOverflowError(message)
-        return value
+        return _within_double_range(fn.__name__, fn, *args, **kwargs)
 
     return checked
 
@@ -182,28 +188,40 @@ def dispersion(k: int, cfg: LatticeFieldConfig) -> float:
     return float(_omega(cfg, k))
 
 
-def _fourier_basis(cfg: LatticeFieldConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized real Fourier rows over the sites a = 1..N, and each row's frequency.
+def _fourier_basis(cfg: LatticeFieldConfig) -> np.ndarray:
+    """Unnormalized real Fourier rows over the sites a = 1..N.
 
-    Rows as in :class:`BogoliubovMatrices`: ones (frequency m), cos(2 pi k a / N), sin(2 pi k a / N).
+    Rows as in :class:`BogoliubovMatrices`: ones, cos(2 pi k a / N), sin(2 pi k a / N).
     The angle is 2 pi j / N with j = k a mod N, so every entry is gathered
     from one table of the N phases 2 pi j / N, all below 2 pi; against
-    40-digit mpmath each entry is within 1e-15 of its exact value.
+    40-digit mpmath each entry is within 1e-15 of its exact value, and every
+    entry lies in [-1, 1].
     """
     N, n = cfg.num_modes, cfg.n
-    k = np.arange(1, n + 1)
-    j = np.multiply.outer(k, np.arange(1, N + 1))
+    j = np.multiply.outer(np.arange(1, n + 1), np.arange(1, N + 1))
     j %= N
     phase = 2.0 * np.pi * np.arange(N) / N
     basis = np.empty((N, N))
     basis[0] = 1.0
     basis[1 : n + 1] = np.cos(phase)[j]
     basis[n + 1 :] = np.sin(phase)[j]
-    omegas = _omega(cfg, k)
-    return basis, np.concatenate([[cfg.mass], omegas, omegas])
+    return basis
 
 
-@_in_double_range
+def _row_factors(cfg: LatticeFieldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """X's and Y's unnormalized row factors sqrt(f/w) + sqrt(w/f) and sqrt(w/f) - sqrt(f/w).
+
+    f is each Fourier row's frequency (m for the ones row, omega_k for the
+    cosine and sine rows of mode k) and w = sqrt(m^2 + 2/delta^2); the second
+    factor carries Y's overall minus sign.
+    """
+    omegas = _omega(cfg, np.arange(1, cfg.n + 1))
+    freqs = np.concatenate([[cfg.mass], omegas, omegas])
+    w_eff = math.sqrt(cfg.mass**2 + 2.0 / cfg.spacing**2)
+    up, down = np.sqrt(freqs / w_eff), np.sqrt(w_eff / freqs)
+    return up + down, down - up
+
+
 def bogoliubov_matrices(cfg: LatticeFieldConfig) -> BogoliubovMatrices:
     """X and Y of the site-operator -> normal-mode-operator transformation.
 
@@ -214,11 +232,16 @@ def bogoliubov_matrices(cfg: LatticeFieldConfig) -> BogoliubovMatrices:
     mirror the cosine rows exactly (same +- pattern), which is what the four
     symplectic identities force.  Against 40-digit mpmath every entry of X
     and Y is within 1e-15 of max |X| for n up to 150.
+
+    Finiteness is judged on the 2N row factors alone, which is the verdict on
+    X and Y: every Fourier entry lies in [-1, 1] and the normalization only
+    divides, so finite factors give finite X and Y; and each row's entry at
+    site a = N is exactly 1 or 0, which an inf or NaN factor turns into inf
+    or NaN.
     """
-    basis, freqs = _fourier_basis(cfg)
-    w_eff = math.sqrt(cfg.mass**2 + 2.0 / cfg.spacing**2)
-    up, down = np.sqrt(freqs / w_eff), np.sqrt(w_eff / freqs)
-    X, Y = basis * (up + down)[:, None], basis * (down - up)[:, None]  # Y's overall minus sign
+    factor_x, factor_y = _within_double_range("bogoliubov_matrices", _row_factors, cfg)
+    basis = _fourier_basis(cfg)
+    X, Y = basis * factor_x[:, None], basis * factor_y[:, None]
     for M in (X, Y):
         M[0] *= 0.5
         M[1:] /= math.sqrt(2.0)
@@ -226,13 +249,31 @@ def bogoliubov_matrices(cfg: LatticeFieldConfig) -> BogoliubovMatrices:
     return BogoliubovMatrices(x=X, y=Y)
 
 
-def _sym_antisym_defects(r: np.ndarray, work: np.ndarray) -> tuple[float, float]:
-    """max |(R + R^T)/2 - I| and max |(R^T - R)/2|, with ``work`` as scratch space."""
-    np.add(r, r.T, out=work)
-    work.flat[:: work.shape[0] + 1] -= 2.0
-    sym = 0.5 * float(np.max(np.abs(work, out=work)))
-    np.subtract(r.T, r, out=work)
-    return sym, 0.5 * float(np.max(np.abs(work, out=work)))
+_DEFECT_TILE = 128
+
+
+def _sym_antisym_defects(r: np.ndarray) -> tuple[float, float]:
+    """max |(R + R^T)/2 - I| and max |(R^T - R)/2|, one pair of tiles at a time.
+
+    |R + R^T - 2I| and |R^T - R| are symmetric, so the tile pairs A = R[I, J],
+    B = R[J, I]^T with I <= J cover every entry: A + B and B - A are the
+    dense sums entry for entry, formed in one tile of scratch.  np.max over
+    the tile maxima returns NaN if any tile held one, as the dense max did.
+    """
+    N, t = r.shape[0], _DEFECT_TILE
+    scratch = np.empty(min(N, t) ** 2)
+    sym, anti = [], []
+    for i in range(0, N, t):
+        for j in range(i, N, t):
+            a, b = r[i : i + t, j : j + t], r[j : j + t, i : i + t].T
+            s = scratch[: a.size].reshape(a.shape)
+            np.add(a, b, out=s)
+            if i == j:
+                s.flat[:: s.shape[0] + 1] -= 2.0
+            sym.append(np.max(np.abs(s, out=s)))
+            np.subtract(b, a, out=s)
+            anti.append(np.max(np.abs(s, out=s)))
+    return 0.5 * float(np.max(sym)), 0.5 * float(np.max(anti))
 
 
 @_in_double_range
@@ -246,14 +287,16 @@ def bogoliubov_residuals(b: BogoliubovMatrices) -> dict:
         X^T X - Y^T Y = (R' + R'^T)/2,   X^T Y - Y^T X = (R'^T - R')/2,
 
     so two N x N products check all four identities.  Each product is reduced
-    to its two maxima before the next one is formed, in the same buffer.
+    to its two maxima, tile by tile with no N x N scratch, before the next one
+    is formed in the same buffer.  Finiteness is judged on the four maxima: a
+    NaN or inf anywhere in a product reaches its maxima, and one in X or Y
+    reaches a product.
     """
     alpha, beta = b.x + b.y, b.x - b.y
     r = alpha @ beta.T
-    work = np.empty_like(r)
-    xxt_yyt, xyt_yxt = _sym_antisym_defects(r, work)
+    xxt_yyt, xyt_yxt = _sym_antisym_defects(r)
     np.matmul(alpha.T, beta, out=r)
-    xtx_yty, xty_ytx = _sym_antisym_defects(r, work)
+    xtx_yty, xty_ytx = _sym_antisym_defects(r)
     return {"XXt_YYt": xxt_yyt, "XYt_YXt": xyt_yxt, "XtX_YtY": xtx_yty, "XtY_YtX": xty_ytx}
 
 
@@ -282,17 +325,33 @@ def gem_field_exact(cfg: LatticeFieldConfig) -> float:
     d_k = omega_k - m = (4/delta^2) sin^2(pi k/N) / (omega_k + m) and d their mean,
 
         gem = [sum_k d_k^2/(m omega_k) + 2n/(m + d) sum_k (d_k - d)^2/omega_k] / (16N).
+
+    It holds exactly three float arrays of length n, 24n bytes, and
+    evaluates in place in them.  Finiteness is judged on the returned value,
+    which every term reaches through the three sums.
+
+    Raises:
+        InvalidArgumentError: numpy cannot allocate the three arrays (MemoryError).
     """
     N, n, m = cfg.num_modes, cfg.n, cfg.mass
     if n == 0:
         return 0.0
-    buf = np.sin(np.pi * np.arange(1, n + 1) / N)
+    try:
+        buf = np.arange(1, n + 1, dtype=float)
+        omegas, work = np.empty_like(buf), np.empty_like(buf)
+    except MemoryError as exc:
+        raise InvalidArgumentError(
+            f"n = {n} is too large for this host: the mode sums need three arrays of n floats, {24 * n} bytes"
+        ) from exc
+    buf *= np.pi
+    buf /= N
+    np.sin(buf, out=buf)
     buf *= buf
     buf *= 4.0
     buf /= cfg.spacing**2  # omega_k^2 - m^2
-    omegas = np.add(buf, m**2)  # m**2 raises past double range, where m * m gives inf
+    np.add(buf, m**2, out=omegas)  # m**2 raises past double range, where m * m gives inf
     np.sqrt(omegas, out=omegas)
-    work = np.add(omegas, m)
+    np.add(omegas, m, out=work)
     buf /= work  # d_k
     d_mean = float(np.sum(buf)) / n
     np.multiply(buf, buf, out=work)
@@ -304,7 +363,14 @@ def gem_field_exact(cfg: LatticeFieldConfig) -> float:
     return (own + 2.0 * n / (m + d_mean) * float(np.sum(work))) / (16.0 * N)
 
 
-@_in_double_range
+def _correlator_ring(cfg: LatticeFieldConfig) -> np.ndarray:
+    """c_q and c_p at the lags 0..N-1, a 2 x N array, as :func:`field_covariance` builds them."""
+    N, n = cfg.num_modes, cfg.n
+    freqs = np.concatenate([[cfg.mass], _omega(cfg, np.arange(1, n + 1))])
+    rows = np.fft.irfft(np.stack([cfg.spacing / (2.0 * freqs), freqs / (2.0 * cfg.spacing)]), N)
+    return np.concatenate([rows[:, : n + 1], rows[:, n:0:-1]], axis=1)
+
+
 def field_covariance(cfg: LatticeFieldConfig) -> np.ndarray:
     """Position-basis 2N x 2N ground-state covariance matrix.
 
@@ -317,11 +383,13 @@ def field_covariance(cfg: LatticeFieldConfig) -> np.ndarray:
     n before the fill, and Gamma is symmetric and translation invariant bit
     for bit.  Against 40-digit mpmath its max entry error is below 2e-16 of
     max |Gamma| for n up to 100.
+
+    Finiteness is judged on the 2N ring entries c_q, c_p, which is the
+    verdict on Gamma: the fill only copies, every entry of Gamma is a ring
+    entry or 0.0, and row 0 of each block holds the whole ring.
     """
-    N, n = cfg.num_modes, cfg.n
-    freqs = np.concatenate([[cfg.mass], _omega(cfg, np.arange(1, n + 1))])
-    rows = np.fft.irfft(np.stack([cfg.spacing / (2.0 * freqs), freqs / (2.0 * cfg.spacing)]), N)
-    ring = np.concatenate([rows[:, : n + 1], rows[:, n:0:-1]], axis=1)  # c_q, c_p at lags 0..N-1
+    N = cfg.num_modes
+    ring = _within_double_range("field_covariance", _correlator_ring, cfg)
     # Window N - i of the doubled ring is row i of the block: ring[(j - i) mod N].
     blocks = np.lib.stride_tricks.sliding_window_view(np.tile(ring, 2), N, axis=1)[:, N:0:-1]
     gamma = np.zeros((2 * N, 2 * N))

@@ -25,8 +25,9 @@ from gaussgem import (
     reduced_det_from_xy,
     require_pure,
 )
+from gaussgem import lattice
 from gaussgem.core import _purity_residual
-from gaussgem.lattice import _fourier_basis
+from gaussgem.lattice import _DEFECT_TILE, _fourier_basis, _sym_antisym_defects
 from oracles import (
     bogoliubov_by_loops,
     bogoliubov_residuals_eight_products,
@@ -202,6 +203,75 @@ class TestBogoliubovResidualsTwoProducts:
                 bogoliubov_residuals(BogoliubovMatrices(x=x, y=y))
 
 
+class TestBogoliubovResidualTiles:
+    """The tile-pair defects against the dense N x N expressions they replaced.
+
+    A max does not depend on the order it is taken in, so the tiles must
+    give the dense maxima exactly, and a NaN in any tile must reach them.
+    """
+
+    @pytest.mark.parametrize("N", [1, 5, _DEFECT_TILE, _DEFECT_TILE + 1, 801])
+    def test_equal_to_dense_defects(self, N):
+        rng = np.random.default_rng(N)
+        r = np.eye(N) + 1e-3 * rng.normal(size=(N, N))
+        want = 0.5 * np.max(np.abs(r + r.T - 2.0 * np.eye(N))), 0.5 * np.max(np.abs(r.T - r))
+        assert _sym_antisym_defects(r) == want
+        x, y = r, 1e-3 * rng.normal(size=(N, N))
+        alpha, beta = x + y, x - y
+        dense = [alpha @ beta.T, alpha.T @ beta]
+        want = [0.5 * np.max(np.abs(d)) for R in dense for d in (R + R.T - 2.0 * np.eye(N), R.T - R)]
+        assert list(bogoliubov_residuals(BogoliubovMatrices(x=x, y=y)).values()) == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_non_finite_entry_past_the_first_tile_raises(self, where, bad):
+        # Three tiles a side; the entry's row and column of R lie in the second and third.
+        N = 2 * _DEFECT_TILE + 44
+        x, y = np.eye(N), np.zeros((N, N))
+        (x if where == "x" else y)[N - 50, N - 40] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match="bogoliubov_residuals overflows"):
+                bogoliubov_residuals(BogoliubovMatrices(x=x, y=y))
+
+
+class TestFinitenessOnLinearData:
+    """field_covariance and bogoliubov_matrices judge finiteness on the O(N) data that fixes their result.
+
+    A non-finite ring or row factor must still raise, named after the public
+    function, through every caller.
+    """
+
+    CFG = LatticeFieldConfig(n=3, mass=1.0, radius=1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_ring(self, bad, monkeypatch):
+        ring = lattice._correlator_ring
+
+        def poisoned(cfg):
+            out = ring(cfg)
+            out[1, -1] = bad
+            return out
+
+        monkeypatch.setattr(lattice, "_correlator_ring", poisoned)
+        for build in (field_covariance, gem_field_pipeline):
+            with pytest.raises(NumericOverflowError, match="field_covariance overflows"):
+                build(self.CFG)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_row_factors(self, bad, monkeypatch):
+        factors = lattice._row_factors
+
+        def poisoned(cfg):
+            factor_x, factor_y = factors(cfg)
+            factor_y[-1] = bad
+            return factor_x, factor_y
+
+        monkeypatch.setattr(lattice, "_row_factors", poisoned)
+        with pytest.raises(NumericOverflowError, match="bogoliubov_matrices overflows"):
+            bogoliubov_matrices(self.CFG)
+
+
 class TestFourierRowsMatchLoops:
     """The FFT-built covariance and gathered Fourier rows against the per-k loops they replaced.
 
@@ -284,7 +354,7 @@ class TestLatticeAgainstMpmath:
     def test_fourier_rows(self, n):
         cfg = LatticeFieldConfig(n=n, mass=1.0, radius=1.0)
         N = cfg.num_modes
-        basis, _ = _fourier_basis(cfg)
+        basis = _fourier_basis(cfg)
         cos_sin = [mpmath.cos_sin(2 * mpmath.pi * k * a / N) for k in range(1, n + 1) for a in range(1, N + 1)]
         want = np.array(cos_sin, dtype=float).reshape(n, N, 2)
         # Rounding the reference to double adds at most 5.6e-17.
@@ -405,6 +475,27 @@ class TestFieldMeasure:
         masses = np.linspace(1.0, 100.0, 30)
         values = [gem_field_exact(LatticeFieldConfig(n=10, mass=float(m), radius=1.0)) for m in masses]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+class TestExactSumsMemory:
+    """gem_field_exact holds three arrays of n floats; a host that cannot allocate them is an input error.
+
+    The allocation is made to fail: a huge n must never be allocated here.
+    """
+
+    @pytest.mark.parametrize("allocator", ["arange", "empty_like"])
+    def test_failed_allocation_raises_invalid_argument(self, allocator, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        cfg = LatticeFieldConfig(n=10**12, mass=1.0, radius=1.0)
+        if allocator == "empty_like":  # arange succeeds, so keep n small
+            cfg = LatticeFieldConfig(n=5, mass=1.0, radius=1.0)
+        monkeypatch.setattr(np, allocator, refuse)
+        with pytest.raises(InvalidArgumentError, match=f"n = {cfg.n} is too large for this host") as info:
+            gem_field_exact(cfg)
+        assert f"{24 * cfg.n} bytes" in str(info.value)
+        assert isinstance(info.value.__cause__, MemoryError)
 
 
 class TestAsymptotics:
