@@ -656,7 +656,6 @@ class TestFieldSizeBound:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: n = {n} is too large") and err.count("\n") == 1
 
-
     def test_host_cannot_hold_the_mode_sums_exit_2(self, capsys, monkeypatch):
         # Below the bound, but past what the host can allocate: the allocation
         # is made to fail for this n only, so nothing huge is ever requested.

@@ -483,14 +483,13 @@ class TestExactSumsMemory:
     The allocation is made to fail: a huge n must never be allocated here.
     """
 
-    @pytest.mark.parametrize("allocator", ["arange", "empty_like"])
-    def test_failed_allocation_raises_invalid_argument(self, allocator, monkeypatch):
+    # The first allocation fails at a huge n; the later two at a small n, whose first one succeeds.
+    @pytest.mark.parametrize("allocator, n", [("arange", 10**12), ("empty_like", 5)])
+    def test_failed_allocation_raises_invalid_argument(self, allocator, n, monkeypatch):
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate")
 
-        cfg = LatticeFieldConfig(n=10**12, mass=1.0, radius=1.0)
-        if allocator == "empty_like":  # arange succeeds, so keep n small
-            cfg = LatticeFieldConfig(n=5, mass=1.0, radius=1.0)
+        cfg = LatticeFieldConfig(n=n, mass=1.0, radius=1.0)
         monkeypatch.setattr(np, allocator, refuse)
         with pytest.raises(InvalidArgumentError, match=f"n = {cfg.n} is too large for this host") as info:
             gem_field_exact(cfg)
