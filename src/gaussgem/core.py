@@ -268,14 +268,21 @@ def symplectic_from_hamiltonian(h: np.ndarray) -> np.ndarray:
     if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] % 2:
         raise InvalidArgumentError(f"quadratic generator must be 2N x 2N, got shape {h.shape}")
     _require_symmetric(h, "quadratic generator")
-    # Omega h only moves rows: row 2m is h's row 2m+1 and row 2m+1 is minus
-    # row 2m.  Adding 0.0 turns each -0.0 into the +0.0 that the dense
-    # product build_omega(N) @ h yields there, so the two agree bit for bit.
+    return matrix_exponential(_omega_times(h))
+
+
+def _omega_times(h: np.ndarray) -> np.ndarray:
+    """Omega h for a float (..., 2N, 2N) array, equal to build_omega(N) @ h bit for bit.
+
+    Checks nothing: the caller has judged ``h``.  Omega h only moves rows:
+    row 2m is h's row 2m+1 and row 2m+1 is minus row 2m.  Adding 0.0 turns
+    each -0.0 into the +0.0 that the dense product yields there.
+    """
     generator = np.empty_like(h)
     generator[..., 0::2, :] = h[..., 1::2, :]
     np.negative(h[..., 0::2, :], out=generator[..., 1::2, :])
     generator += 0.0
-    return matrix_exponential(generator)
+    return generator
 
 
 def vacuum_state(num_modes: int) -> np.ndarray:
@@ -325,10 +332,12 @@ def _symmetrized(product: np.ndarray) -> np.ndarray:
 
 def _mode_dets(gamma: np.ndarray) -> np.ndarray:
     """det Gamma^(mode) of every mode-diagonal 2x2 block, shape (..., N)."""
-    rows = np.arange(gamma.shape[-1]).reshape(-1, 2, 1)  # rows 2m, 2m + 1 of mode m
-    # One stacked det over the (..., N, 2, 2) mode blocks; it runs the same
-    # LAPACK call per block as a det of each block on its own.
-    return np.linalg.det(gamma[..., rows, rows.reshape(-1, 1, 2)])
+    n = gamma.shape[-1] // 2
+    # Gamma as (..., N, 2, N, 2) mode blocks; the einsum takes the diagonal
+    # blocks (m, m) as a (..., N, 2, 2) view.  One stacked det over them runs
+    # the same LAPACK call per block as a det of each block on its own.
+    blocks = gamma.reshape(gamma.shape[:-2] + (n, 2, n, 2))
+    return np.linalg.det(np.einsum("...mimj->...mij", blocks))
 
 
 def purity(gamma: np.ndarray) -> float:
@@ -379,9 +388,14 @@ def _purity_residual(gamma: np.ndarray) -> np.ndarray:
     J = np.empty_like(gamma)
     J[..., 0::2] = gamma[..., 1::2]
     J[..., 1::2] = -gamma[..., 0::2]
+    n = gamma.shape[-1]
     # An overflowing product leaves an inf or NaN residual, which the gate rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(J @ J + 0.25 * np.eye(gamma.shape[-1])).max(axis=(-2, -1))
+        residual = J @ J
+        # + I/4 in place: J @ J is a new C-contiguous array, so its flat
+        # reshape is a view whose every (n + 1)-th entry is on the diagonal.
+        residual.reshape(residual.shape[:-2] + (n * n,))[..., :: n + 1] += 0.25
+        return np.abs(residual, out=residual).max(axis=(-2, -1))
 
 
 def _purity_verdict(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:

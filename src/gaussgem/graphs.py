@@ -70,11 +70,12 @@ from .core import (
     _is_finite_real,
     _is_integer,
     _is_number,
+    _omega_times,
     _pure_by_construction,
     _require_mode_count,
     _symmetrized,
+    matrix_exponential,
     require_pure,
-    symplectic_from_hamiltonian,
 )
 from .errors import DivisionByZeroError, InvalidArgumentError, NumericOverflowError
 from .measure import MetricTensor, gem_from_purity
@@ -222,8 +223,14 @@ def _generators(num_modes: int, pairs: tuple, weights: np.ndarray) -> np.ndarray
 
 
 def _covariances(num_modes: int, pairs: tuple, weights: np.ndarray) -> np.ndarray:
-    """S S^T / 2 for S = exp(Omega h): the vacuum I/2 evolved, in one product."""
-    S = symplectic_from_hamiltonian(_generators(num_modes, pairs, weights))
+    """S S^T / 2 for S = exp(Omega h): the vacuum I/2 evolved, in one product.
+
+    The generator skips ``symplectic_from_hamiltonian``'s symmetry check:
+    ``_generators`` writes each edge block and its mirror from the same
+    values, so h is exactly symmetric, and finite since ``_weights`` judged
+    the weights.  ``matrix_exponential`` still judges its input and output.
+    """
+    S = matrix_exponential(_omega_times(_generators(num_modes, pairs, weights)))
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _symmetrized
         product = (0.5 * S) @ S.swapaxes(-1, -2)
     return _symmetrized(product)

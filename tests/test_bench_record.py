@@ -110,3 +110,37 @@ def test_workloads_default_to_all_in_declared_order():
 def test_unknown_or_empty_workloads_stop_the_run(names):
     with pytest.raises(SystemExit, match="--workloads"):
         bench_record.select_workloads(WORKLOADS, names)
+
+
+def _traced(calls, self_ms, failed_frac=0.0, missing=()):
+    return {
+        "metrics": {"core.require_pure.calls": [calls, "count"], "core.require_pure.self_ms": [self_ms, "ms"]},
+        "extra": {"failed_frac": failed_frac, "missing_functions": list(missing)},
+    }
+
+
+def test_traced_median_keeps_each_run():
+    runs = [_traced(5100, 12.5), _traced(5100, 9.0, missing=["core.check_pure"]),
+            _traced(5102, 30.0, failed_frac=0.01, missing=["core.reduced_covariance"])]
+    assert bench_record.traced_median(runs) == {
+        "per_layer": {"core.require_pure.calls": 5100, "core.require_pure.self_ms": 12.5},
+        "per_layer_runs": {"core.require_pure.calls": [5100, 5100, 5102],
+                           "core.require_pure.self_ms": [12.5, 9.0, 30.0]},
+        "failed_frac": 0.01,
+        "missing_functions": ["core.check_pure", "core.reduced_covariance"],
+    }
+
+
+def test_traced_runs_alternate_and_report_medians():
+    order = []
+
+    def run(side, workload, seed, trace):
+        order.append((side, seed, trace))
+        return _traced(100 * seed, {"parent": 10.0, "change": 8.0}[side] + seed)
+
+    sides = bench_record.traced_sides(run, "scan-grid")
+    assert bench_record.TRACED_SEEDS == (1, 2, 3)
+    assert order == [("parent", 1, 1), ("change", 1, 1), ("change", 2, 1), ("parent", 2, 1),
+                     ("parent", 3, 1), ("change", 3, 1)]
+    assert sides["parent"]["per_layer"] == {"core.require_pure.calls": 200, "core.require_pure.self_ms": 12.0}
+    assert sides["change"]["per_layer_runs"]["core.require_pure.self_ms"] == [9.0, 10.0, 11.0]

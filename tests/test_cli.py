@@ -781,3 +781,42 @@ class TestFieldPureByConstruction:
         assert out == plain
         cfg = lattice.LatticeFieldConfig(n=3, mass=1e-160, radius=1.0)
         assert lattice.gem_field_pipeline(cfg) == pytest.approx(lattice.gem_field_exact(cfg), rel=1e-13)
+
+
+class TestSharedParser:
+    """``main`` builds its argparse parser once per process and reuses it for every call."""
+
+    def test_command_sequence_matches_fresh_processes(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"modes": 2, "edges": [{"i": 1, "j": 2, "re": 0.3, "im": 0.5}]})
+        scan2 = ["scan2", "--re-range", "-1:1", "--im-range", "-1:1", "--steps", "3"]
+        sequence = [
+            (scan2, 0),
+            (["scan2", "--re-range", "-1:1", "--im-range", "-1:1", "--steps", "three"], 2),  # argparse error
+            (["gem", spec], 0),
+            (["field", "--n-list", "0,1,10", "--mass", "1", "--radius", "1", "--self-test"], 0),
+            (scan2, 0),
+        ]
+        cli._shared_parser.cache_clear()
+        for argv, code in sequence:
+            try:
+                got_code = main(argv)
+            except SystemExit as exc:
+                got_code = exc.code
+            out, err = capsys.readouterr()
+            fresh = run_subprocess(argv)
+            assert (got_code, out, err) == (code, fresh.stdout, fresh.stderr), argv
+            assert (code == 2) == err.startswith("usage: gaussgem scan2"), argv
+        assert cli._shared_parser.cache_info().misses == 1
+        with pytest.raises(SystemExit) as info:
+            main(["scan2", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: gaussgem scan2")
+        assert cli._shared_parser.cache_info().misses == 1
+
+    def test_commands_are_looked_up_per_call(self, monkeypatch, capsys):
+        main(["scan2", "--re-range", "0:1", "--im-range", "0:1", "--steps", "2"])  # the parser exists
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_scan2", lambda args: calls.append(args.steps) or ("rebound\n", ""))
+        assert main(["scan2", "--re-range", "0:1", "--im-range", "0:1", "--steps", "2"]) == 0
+        assert calls == [2] and capsys.readouterr().out == "rebound\n"

@@ -596,3 +596,51 @@ class TestInvariants:
                         wick = C[A, B] * C[Cc, D] + C[A, Cc] * C[B, D] + C[A, D] * C[B, Cc]
                         worst = max(worst, abs(fock - wick) / max(abs(wick), 1.0))
         assert worst < 1e-6
+
+
+class TestGateArithmetic:
+    """The gate's residual and the mode determinants against their plain dense forms, exactly.
+
+    ``_purity_residual`` adds I/4 on the diagonal of J @ J in place, and
+    ``_mode_dets`` takes the mode blocks as a view; both must give the
+    values of the plain expressions bit for bit.
+    """
+
+    @staticmethod
+    def _stacks(rng):
+        """Pure stacks from graph states, random symmetric stacks, and stacks holding inf and NaN."""
+        stacks = []
+        for num_modes in (1, 2, 3, 5):
+            pairs = tuple((i, i + 1) for i in range(1, num_modes))
+            if pairs:
+                weights = rng.normal(0.0, 0.9, (4, len(pairs))) + 1j * rng.normal(0.0, 0.9, (4, len(pairs)))
+                stacks.append(gaussgem.graph_state_covariances(num_modes, pairs, weights).gamma)
+            else:
+                stacks.append(vacuum_state(1)[None])
+            for scale in (1e-3, 1.0, 1e150):
+                a = rng.normal(0.0, scale, (3, 2, 2 * num_modes, 2 * num_modes))
+                stacks.append(a + a.swapaxes(-1, -2))
+        faulty = rng.normal(size=(3, 4, 4))
+        faulty[1, 2, 0], faulty[2, 1, 1] = np.inf, np.nan
+        stacks.append(faulty)
+        return stacks
+
+    def test_residual_equals_dense_expression(self, rng):
+        for stack in self._stacks(rng):
+            J = np.empty_like(stack)
+            J[..., 0::2], J[..., 1::2] = stack[..., 1::2], -stack[..., 0::2]
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.abs(J @ J + 0.25 * np.eye(stack.shape[-1])).max(axis=(-2, -1))
+            got = _purity_residual(stack)
+            assert np.array_equal(got, want, equal_nan=True)
+            for index in np.ndindex(stack.shape[:-2]):
+                assert np.array_equal(_purity_residual(stack[index]), want[index], equal_nan=True)
+
+    def test_mode_dets_equal_indexed_blocks(self, rng):
+        for stack in self._stacks(rng):
+            rows = np.arange(stack.shape[-1]).reshape(-1, 2, 1)
+            for gamma in (stack, stack.swapaxes(-1, -2), stack[..., ::-1, ::-1], stack[..., 0, :, :]):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = np.linalg.det(gamma[..., rows, rows.reshape(-1, 1, 2)])
+                    got = gaussgem.core._mode_dets(gamma)
+                assert np.array_equal(got, want, equal_nan=True)

@@ -721,3 +721,78 @@ class TestTwoModeMetricClosed:
         # including the zero on real couplings.
         closed = two_mode_metric_closed(r, phi)
         assert killing_contraction(closed) == gem_two_mode_closed(PolarCoupling(r, phi))
+
+
+def _edge_parts():
+    """Real or imaginary parts of edge weights: +-0.0, subnormals and magnitudes up to 1e300."""
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]),
+        st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False),
+    )
+
+
+@st.composite
+def _topologies_and_weights(draw):
+    """A topology on 2 to 6 modes and weights of shape (E,) or a stack (..., E) that ``_weights`` accepts."""
+    num_modes = draw(st.integers(min_value=2, max_value=6))
+    all_pairs = list(itertools.combinations(range(1, num_modes + 1), 2))
+    pairs = tuple(draw(st.lists(st.sampled_from(all_pairs), min_size=1, max_size=len(all_pairs), unique=True)))
+    shape = draw(st.sampled_from([(), (3,), (2, 2)])) + (len(pairs),)
+    parts = draw(st.lists(st.tuples(_edge_parts(), _edge_parts()), min_size=math.prod(shape),
+                          max_size=math.prod(shape)))
+    weights = np.array([complex(re, im) for re, im in parts]).reshape(shape)
+    return num_modes, pairs, weights
+
+
+class TestBuilderGenerator:
+    """The builders exponentiate Omega h without ``symplectic_from_hamiltonian``'s symmetry check.
+
+    That is sound because ``_generators`` builds h exactly symmetric and
+    finite from any weights that ``_weights`` accepts, and the result must
+    equal the public path S = symplectic_from_hamiltonian(h),
+    (S S^T / 2 symmetrized) bit for bit.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_topologies_and_weights())
+    def test_generator_is_exactly_symmetric_and_finite(self, case):
+        num_modes, pairs, weights = case
+        h = gaussgem.graphs._generators(num_modes, pairs, gaussgem.graphs._weights(weights))
+        assert h.shape == weights.shape[:-1] + (2 * num_modes, 2 * num_modes)
+        assert np.array_equal(h, h.swapaxes(-1, -2))
+        assert np.isfinite(h).all()
+
+    @staticmethod
+    def _public_path(spec):
+        S = symplectic_from_hamiltonian(hamiltonian_from_graph(spec))
+        product = (0.5 * S) @ S.T
+        return 0.5 * (product + product.T)
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_one_state_equals_public_path(self, rng):
+        specs = [GraphSpec(3), GraphSpec(2, ((1, 2, 0.7),)), GraphSpec(2, ((1, 2, -0.4 - 0.0j),))]
+        specs += [random_graph_spec(rng, n) for n in (2, 3, 4, 5, 6) for _ in range(4)]
+        for spec in specs:
+            self._assert_same_bits(graph_state_covariance(spec).gamma, self._public_path(spec))
+
+    def test_stack_slices_equal_public_path(self, rng):
+        for num_modes in range(2, 7):
+            pairs = random_graph_spec(rng, num_modes).pairs
+            weights = rng.normal(0.0, 0.8, (5, len(pairs))) + 1j * rng.normal(0.0, 0.8, (5, len(pairs)))
+            weights[0] = 0.0  # an edgeless state inside a stack: the exponential's diagonal fix-up
+            weights[1] = rng.normal(0.0, 0.8, len(pairs))  # real weights only
+            stack = graph_state_covariances(num_modes, pairs, weights).gamma
+            for k, row in enumerate(weights):
+                spec = GraphSpec(num_modes, tuple((i, j, w) for (i, j), w in zip(pairs, row)))
+                self._assert_same_bits(stack[k], self._public_path(spec))
+
+    @pytest.mark.parametrize("weight", [2**70, 2**70 * 1j, -(2**70)])
+    def test_weight_past_the_exponential_still_overflows(self, weight):
+        with pytest.raises(NumericOverflowError, match="matrix exponential overflowed"):
+            graph_state_covariance(GraphSpec(2, ((1, 2, weight),)))
+        with pytest.raises(NumericOverflowError, match="matrix exponential overflowed"):
+            graph_state_covariances(3, PATH3, np.array([[0.5j, 0.5j], [weight, 0.5j]]))

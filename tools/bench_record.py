@@ -10,20 +10,23 @@ BENCHMARK.json declares (``python3 bench/run.py``) runs unchanged in each.
 default runs all of them.
 For every workload, seeds 1..K run as pairs: one ``--trace 0`` run per side,
 with the parent first on odd seeds and the change first on even ones, so a
-drift of the host's speed favours neither side.  One ``--trace 1`` run per
-side and workload follows, for the per-layer metrics.  Each run's report is
-read from ``.bench-out/`` of its tree.
+drift of the host's speed favours neither side.  Three ``--trace 1`` runs
+per side and workload follow, at seeds 1, 2 and 3 in the same alternated
+order, for the per-layer metrics; one traced run cannot tell a move of a
+few percent from the host's drift.  Each run's report is read from
+``.bench-out/`` of its tree.
 
 The output holds, per workload and side, the median and quartiles of every
 end-to-end metric with the values of each run, ``failed`` and ``attempted``,
-the provenance common to the side's runs and the traced per-layer metrics;
-per workload, the pairs each metric won, lost and tied, how many ops gave
-different output digests on the two sides, and the (seed, op) positions of
-the first five of them.  Beside each side's
-per-layer metrics stand its traced run's ``failed_frac`` and
-``missing_functions``: the listed functions the package no longer has,
-whose per-layer metrics read 0.  The file is rewritten after every pair, so
-an interrupted recording keeps what it finished.
+the provenance common to the side's runs and the traced per-layer metrics,
+each the median of the side's three traced runs with the three values in
+``per_layer_runs``; per workload, the pairs each metric won, lost and tied,
+how many ops gave different output digests on the two sides, and the
+(seed, op) positions of the first five of them.  Beside each side's
+per-layer metrics stand the largest ``failed_frac`` of its traced runs and
+their ``missing_functions``: the listed functions the package no longer
+has, whose per-layer metrics read 0.  The file is rewritten after every
+pair, so an interrupted recording keeps what it finished.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -40,6 +44,14 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+
+#: Seeds of each side's traced runs, whose per-layer metrics are reported as medians.
+TRACED_SEEDS = (1, 2, 3)
+
+
+def alternated(seed: int) -> tuple[str, str]:
+    """The sides in run order at ``seed``: the parent first on odd seeds, the change first on even ones."""
+    return SIDES if seed % 2 else SIDES[::-1]
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -115,6 +127,32 @@ def traced_layers(report: dict) -> dict:
     }
 
 
+def traced_median(reports: list[dict]) -> dict:
+    """One side's traced runs in one: each per-layer metric's median, with the runs' values beside it.
+
+    ``failed_frac`` is the largest of the runs' and ``missing_functions``
+    lists what any of them found missing.
+    """
+    layers = [traced_layers(report) for report in reports]
+    names = layers[0]["per_layer"]
+    runs = {name: [layer["per_layer"][name] for layer in layers] for name in names}
+    return {
+        "per_layer": {name: statistics.median(values) for name, values in runs.items()},
+        "per_layer_runs": runs,
+        "failed_frac": max(layer["failed_frac"] for layer in layers),
+        "missing_functions": sorted({name for layer in layers for name in layer["missing_functions"]}),
+    }
+
+
+def traced_sides(run, workload: str) -> dict:
+    """Side -> :func:`traced_median` of its traced runs ``run(side, workload, seed, 1)`` at ``TRACED_SEEDS``."""
+    reports = {side: [] for side in SIDES}
+    for seed in TRACED_SEEDS:
+        for side in alternated(seed):
+            reports[side].append(run(side, workload, seed, 1))
+    return {side: traced_median(reports[side]) for side in SIDES}
+
+
 def aggregate(declared: list[dict], pairs: list[tuple[dict, dict]]) -> dict:
     """Summary of one workload's (parent report, change report) pairs, one pair per seed.
 
@@ -174,6 +212,7 @@ def main() -> int:
             "command": bench["command"],
             "seconds": bench["run_seconds"],
             "order": "parent first on odd seeds, change first on even seeds",
+            "traced_seeds": list(TRACED_SEEDS),
             "workloads": {},
         }
 
@@ -186,13 +225,12 @@ def main() -> int:
         for workload in workloads:
             pairs = []
             for seed in range(1, args.seeds + 1):
-                order = SIDES if seed % 2 else SIDES[::-1]
-                reports = {side: run(side, workload, seed, 0) for side in order}
+                reports = {side: run(side, workload, seed, 0) for side in alternated(seed)}
                 pairs.append((reports["parent"], reports["change"]))
                 doc["workloads"][workload] = aggregate(declared, pairs)
                 save()
-            for side in SIDES:
-                doc["workloads"][workload][side].update(traced_layers(run(side, workload, 1, 1)))
+            for side, layers in traced_sides(run, workload).items():
+                doc["workloads"][workload][side].update(layers)
             save()
     return 0
 
