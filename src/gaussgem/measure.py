@@ -516,9 +516,9 @@ def gem_from_purity(gamma: np.ndarray) -> float | np.ndarray:
     a (..., 2N, 2N) stack; every slice must pass the purity gate.
     """
     dets = _mode_dets(require_pure(gamma))
-    # cumsum adds in mode order, as a running sum does; np.sum would add pairwise.
-    total = (dets - 0.25).cumsum(axis=-1)[..., -1] / 8.0
-    return float(total) if np.ndim(total) == 0 else total
+    # accumulate adds in mode order, as a running sum does; np.sum would add pairwise.
+    total = np.add.accumulate(dets - 0.25, axis=-1)[..., -1] / 8.0
+    return float(total) if total.ndim == 0 else total
 
 
 def mode_purities(gamma: np.ndarray) -> list[float] | np.ndarray:

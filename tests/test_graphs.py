@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from gaussgem import (
     PolarCoupling,
     UnphysicalStateError,
     asymptotic_coefficients,
+    build_omega,
     compact_gem_two_mode,
     complete_elliptic,
     evolve_covariance,
@@ -273,6 +276,26 @@ class TestGraphStateCovariance:
         with pytest.raises(UnphysicalStateError) as raised:
             graph_state_covariances(2, ((1, 2),), [[0.5j], [180j]])
         assert str(raised.value) == message.format(" at stack index (1,)")
+
+    @pytest.mark.parametrize(
+        "weight, error, match",
+        [
+            (150j, UnphysicalStateError, r"\|\|Gamma\|\|_1\^2 overflows"),
+            (250j, NumericOverflowError, r"S Gamma S\^T"),
+            (400j, NumericOverflowError, "matrix exponential overflowed"),
+            (2**70, NumericOverflowError, "matrix exponential overflowed"),
+        ],
+    )
+    def test_triangle_faults_raise_their_error_without_warning(self, weight, error, match):
+        # One np.errstate covers the triangle's squarings, product and symmetrization:
+        # each stage's fault must still raise its own error, and none may leak a RuntimeWarning.
+        stack = np.array([[0.5j] * 3, [weight] * 3])
+        for build in (lambda: graph_state_covariance(GraphSpec.with_uniform_weight(3, TRIANGLE, weight)),
+                      lambda: graph_state_covariances(3, TRIANGLE, stack)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(error, match=match):
+                    build()
 
     def test_matches_fock_preparation(self, rng):
         # Full covariance agreement with the truncated-Fock preparation
@@ -762,6 +785,16 @@ class TestBuilderGenerator:
         assert np.array_equal(h, h.swapaxes(-1, -2))
         assert np.isfinite(h).all()
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=_topologies_and_weights())
+    def test_builder_generator_equals_dense_product(self, case):
+        # The builders write Omega h straight from the weights; it must equal build_omega(N) @ h
+        # bit for bit, sign bits of zeros included, as symplectic_from_hamiltonian's input does.
+        num_modes, pairs, weights = case
+        weights = gaussgem.graphs._weights(weights)
+        got = gaussgem.graphs._edge_matrix(num_modes, pairs, weights, gaussgem.graphs._omega_h_block)
+        self._assert_same_bits(got, build_omega(num_modes) @ gaussgem.graphs._generators(num_modes, pairs, weights))
+
     @staticmethod
     def _public_path(spec):
         S = symplectic_from_hamiltonian(hamiltonian_from_graph(spec))
@@ -789,6 +822,71 @@ class TestBuilderGenerator:
             for k, row in enumerate(weights):
                 spec = GraphSpec(num_modes, tuple((i, j, w) for (i, j), w in zip(pairs, row)))
                 self._assert_same_bits(stack[k], self._public_path(spec))
+
+    @staticmethod
+    def _scipy_path(spec):
+        """Gamma from public scipy and numpy alone: S = expm(Omega h), then (0.5 S) S^T symmetrized.
+
+        h is written block by block here and must equal ``hamiltonian_from_graph`` bit for bit.
+        """
+        h = np.zeros((2 * spec.num_modes, 2 * spec.num_modes))
+        for i, j, w in spec.edges:
+            a, b = 2 * (i - 1), 2 * (j - 1)
+            h[a : a + 2, b : b + 2] = h[b : b + 2, a : a + 2] = [[w.real, -w.imag], [-w.imag, w.real]]
+        TestBuilderGenerator._assert_same_bits(hamiltonian_from_graph(spec), h)
+        S = scipy.linalg.expm(build_omega(spec.num_modes) @ h)
+        product = (0.5 * S) @ S.T
+        return 0.5 * (product + product.T)
+
+    @staticmethod
+    def _gem_by_mode_blocks(gamma):
+        """(1/8) sum over modes of (det Gamma^(mode) - 1/4), each block's np.linalg.det added in mode order."""
+        terms = [np.linalg.det(gamma[m : m + 2, m : m + 2]) - 0.25 for m in range(0, len(gamma), 2)]
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        return total / 8.0
+
+    @staticmethod
+    def _squarings(spec):
+        """The scaling s that scipy's kernels pick for the generator Omega h of ``spec``."""
+        scratch = np.zeros((5, 2 * spec.num_modes, 2 * spec.num_modes))
+        scratch[0] = build_omega(spec.num_modes) @ hamiltonian_from_graph(spec)
+        return gaussgem.core._pade_kernels().pick_pade_structure(scratch)[1]
+
+    def test_one_state_equals_scipy_path(self, rng):
+        # The reference shares no code with the library's matrix exponential.
+        zeros = (0.0, -0.0)
+        specs = [GraphSpec(3), GraphSpec(2, ((1, 2, 0.7),)), GraphSpec(3, ((1, 3, 1.0 + 0j),))]
+        specs += [GraphSpec(3, ((1, 2, complex(re, 0.6)), (2, 3, complex(0.4, im)), (1, 3, complex(re, im))))
+                  for re in zeros for im in zeros]
+        strong = []
+        for num_modes in (3, 4, 5):
+            for _ in range(3):
+                pairs = random_graph_spec(rng, num_modes).pairs
+                weights = 3.0 * np.exp(2j * np.pi * rng.uniform(size=len(pairs))) * rng.uniform(1.0, 1.3, len(pairs))
+                strong.append(GraphSpec(num_modes, tuple((i, j, w) for (i, j), w in zip(pairs, weights))))
+        assert min(self._squarings(spec) for spec in strong) >= 1
+        for spec in specs + strong:
+            state = graph_state_covariance(spec)
+            want = self._scipy_path(spec)
+            self._assert_same_bits(state.gamma, want)
+            gem, want_gem = gem_from_purity(state), self._gem_by_mode_blocks(want)
+            assert gem == want_gem and math.copysign(1.0, gem) == math.copysign(1.0, want_gem)
+
+    def test_stack_slices_equal_scipy_path(self, rng):
+        for num_modes in (3, 4, 5):
+            pairs = random_graph_spec(rng, num_modes).pairs
+            weights = 3.0 * np.exp(2j * np.pi * rng.uniform(size=(4, len(pairs))))
+            weights[0] = 0.0
+            weights[1] = weights[1].real
+            stack = graph_state_covariances(num_modes, pairs, weights)
+            gems = gem_from_purity(stack)
+            for k, row in enumerate(weights):
+                spec = GraphSpec(num_modes, tuple((i, j, w) for (i, j), w in zip(pairs, row)))
+                want = self._scipy_path(spec)
+                self._assert_same_bits(stack.gamma[k], want)
+                assert gems[k] == self._gem_by_mode_blocks(want)
 
     @pytest.mark.parametrize("weight", [2**70, 2**70 * 1j, -(2**70)])
     def test_weight_past_the_exponential_still_overflows(self, weight):

@@ -35,8 +35,17 @@ from oracles import (
     field_covariance_by_loops,
 )
 
-mpmath.mp.dps = 40
 EPS = np.finfo(float).eps
+
+
+@pytest.fixture(autouse=True)
+def _forty_digits():
+    """Each test here computes its mpmath references at 40 digits, or more under its own ``workdps``.
+
+    Scoped to the test, so the precision does not carry over to other test files.
+    """
+    with mpmath.workdps(40):
+        yield
 
 
 def _mp_dispersion(k, n, mass, radius):
