@@ -27,7 +27,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import InvalidArgumentError, NumericOverflowError, UnphysicalStateError
 
@@ -176,54 +175,6 @@ def _all_finite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
-def _exponentials(stack: np.ndarray) -> np.ndarray:
-    """exp of each slice of a float (B, n, n) stack with n >= 1: the work of :func:`matrix_exponential`.
-
-    Judges the input and the output finite.  Runs under
-    ``np.errstate(over="ignore", invalid="ignore")``, which the caller holds,
-    so that an overflowing squaring comes out non-finite and is caught here.
-    Returns a (B, n, n) array.  A stack that fits one work array within its
-    byte budget, a single matrix included, keeps its results there and is
-    returned as the view ``work[:, 0]``; a taller one copies each block's
-    results out.
-
-    Raises:
-        InvalidArgumentError: non-finite entries.
-        NumericOverflowError: the exponential overflows to non-finite values.
-    """
-    if not _all_finite(stack):
-        raise InvalidArgumentError("matrix_exponential needs finite entries")
-    count, n = len(stack), stack.shape[-1]
-    # Sums of |entries| below and above the diagonal: both nonzero makes a generic slice.
-    sums = np.abs(stack).reshape(count, n * n) @ _triangle_masks(n)
-    # Slices that scipy treats apart enter the kernels as zeros and are fixed up after the loop.
-    generic = None if np.count_nonzero(sums) == sums.size else sums.all(axis=-1)
-    pade_input = stack if generic is None else np.where(generic[:, None, None], stack, 0.0)
-    kernels = _pade_kernels()
-    block_rows = _expm_block(n)
-    work = np.empty((min(count, block_rows), 5, n, n))
-    # A stack that fits one work array within its budget keeps its results there; a taller one copies them out.
-    in_place = count <= block_rows and work.nbytes <= _EXPM_WORK_BYTES
-    out = work[:, 0] if in_place else np.empty_like(stack)
-    for lo in range(0, count, block_rows):
-        block = work[: count - lo]
-        block[:, 0] = pade_input[lo : lo + block_rows]
-        _pade_in_place(kernels, block)
-        if not in_place:
-            out[lo : lo + block_rows] = block[:, 0]
-    if generic is not None:
-        diagonal = ~sums.any(axis=-1)
-        out[diagonal] = np.exp(stack[diagonal]) * np.eye(n)
-        triangular = ~(generic | diagonal)
-        if triangular.any():
-            import scipy.linalg
-
-            out[triangular] = scipy.linalg.expm(stack[triangular])
-    if not _all_finite(out):
-        raise NumericOverflowError("matrix exponential overflowed for the given norm")
-    return out
-
-
 def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     """exp(M) for a square real matrix, or for each slice of a (..., n, n) stack.
 
@@ -231,37 +182,35 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     scaling-and-squaring Pade algorithm of Al-Mohy and Higham (SIAM J.
     Matrix Anal. Appl. 31, 970 (2009)), which handles the non-normal
     generators Omega @ h arising here without an eigendecomposition.  A 2-D
-    matrix is a stack of one, and one function (:func:`_exponentials`) serves
-    both.  Every slice goes through scipy's own kernels,
+    matrix is a stack of one.  Every slice goes through scipy's own kernels,
     ``pick_pade_structure`` (order m and scaling s) and ``pade_UV_calc``
     (the Pade quotient) of ``scipy.linalg._matfuncs_expm``, then s squarings
     ``e = e @ e``, as ``expm``'s loop does, but without its per-slice Python
     wrapper.  One loop copies contiguous blocks stack[lo : lo + B] into one
     reused (B, 5, n, n) work array, whose slices work[j] are the kernels'
-    scratch (:func:`_pade_in_place`).  B is fixed by n (:func:`_expm_block`),
-    so the work array stays within 64 KiB, or one (5, n, n) scratch for
-    n > 40, however tall the stack.  A stack that fits one work array within
-    that budget keeps its results there; a taller one copies each block's
-    results out.  One vectorized test over the stack finds the slices with
-    nothing below, or nothing above, the diagonal, which scipy treats apart
-    (its ``bandwidth`` branch).  They enter the kernels as zeros, one cheap
-    s = 0 call each, and are overwritten after the loop: diagonal ones, zero
-    included, all at once with ``np.exp(slices) * np.eye(n)``, which gives
-    the values of scipy's ``np.diag(np.exp(np.diag(slice)))`` (exp(0) * 0 = 0
-    off the diagonal), the other triangular ones with public
-    ``scipy.linalg.expm``.  The kernels are private; they are called with
+    scratch (:func:`_pade_in_place`), and copies each block's results out to
+    out[lo : lo + B]; a single matrix within the work array's budget keeps
+    its result there instead.  B is fixed by n (:func:`_expm_block`), so the
+    work array stays within 64 KiB, or one (5, n, n) scratch for n > 40,
+    however tall the stack.  One vectorized test over the stack finds the
+    slices with nothing below, or nothing above, the diagonal, which scipy
+    treats apart (its ``bandwidth`` branch).  They enter the kernels as
+    zeros, one cheap s = 0 call each, and are overwritten after the loop:
+    diagonal ones, zero included, all at once with ``np.exp(slices) *
+    np.eye(n)``, which gives the values of scipy's
+    ``np.diag(np.exp(np.diag(slice)))`` (exp(0) * 0 = 0 off the diagonal),
+    the other triangular ones with public ``scipy.linalg.expm``.  The kernels are private; they are called with
     the interface of scipy 1.17, the floor in ``pyproject.toml``, and loaded
     on first use from their own extension file (:func:`_pade_kernels`), so
     only a non-diagonal triangular slice imports ``scipy.linalg``.
 
     A single generic matrix, as a small graph state's generator, pays the
-    kernels and a fixed cost of about a dozen numpy calls: one
-    ``np.count_nonzero`` each to judge the input and the output finite, the
-    triangle test (one product and one count), the (1, 5, n, n) work array
-    and the copy into it, and one ``np.errstate``.  It takes no fix-up mask
-    and no output array of its own: the result is a view of the work array.
-    On the 6 x 6 generator of a 3-mode graph (one pinned Xeon core, one BLAS
-    thread) a call takes 13-15 us, of which the kernels take about 4 us.
+    kernels and a fixed cost of about a dozen numpy calls: ``np.asarray``
+    and the shape checks, one ``np.errstate``, one ``np.count_nonzero``
+    each to judge the input and the output finite, the triangle test (one
+    product and one count), and the (1, 5, n, n) work array and the copy
+    into it.  It takes no fix-up mask and no output array of its own: the
+    result is a contiguous (n, n) view of the work array.
 
     Raises:
         InvalidArgumentError: non-square input or non-finite entries.
@@ -272,11 +221,43 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     M = np.asarray(matrix, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise InvalidArgumentError(f"matrix_exponential needs a square matrix, got shape {M.shape}")
+    if not _all_finite(M):
+        raise InvalidArgumentError("matrix_exponential needs finite entries")
     if M.size == 0:  # as scipy.linalg.expm: an empty result of the input's shape
         return np.empty(M.shape)
+
     n = M.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):  # _exponentials checks its output
-        return _exponentials(M.reshape(-1, n, n)).reshape(M.shape)
+    stack = M.reshape(-1, n, n)
+    count = len(stack)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        # Sums of |entries| below and above the diagonal: both nonzero makes a generic slice.
+        sums = np.abs(stack).reshape(count, n * n) @ _triangle_masks(n)
+        # Slices that scipy treats apart enter the kernels as zeros and are fixed up after the loop.
+        generic = None if np.count_nonzero(sums) == sums.size else sums.all(axis=-1)
+        pade_input = stack if generic is None else np.where(generic[:, None, None], stack, 0.0)
+        kernels = _pade_kernels()
+        block_rows = _expm_block(n)
+        work = np.empty((min(count, block_rows), 5, n, n))
+        # A single matrix within the budget keeps its result in the work array; a stack copies them out.
+        in_place = count == 1 and work.nbytes <= _EXPM_WORK_BYTES
+        out = work[:, 0] if in_place else np.empty_like(stack)
+        for lo in range(0, count, block_rows):
+            block = work[: count - lo]
+            block[:, 0] = pade_input[lo : lo + block_rows]
+            _pade_in_place(kernels, block)
+            if not in_place:
+                out[lo : lo + block_rows] = block[:, 0]
+        if generic is not None:
+            diagonal = ~sums.any(axis=-1)
+            out[diagonal] = np.exp(stack[diagonal]) * np.eye(n)
+            triangular = ~(generic | diagonal)
+            if triangular.any():
+                import scipy.linalg
+
+                out[triangular] = scipy.linalg.expm(stack[triangular])
+    if not _all_finite(out):
+        raise NumericOverflowError("matrix exponential overflowed for the given norm")
+    return out.reshape(M.shape)
 
 
 def _require_symmetric(matrix: np.ndarray, name: str) -> None:
@@ -368,14 +349,11 @@ def _symmetrized(product: np.ndarray) -> np.ndarray:
 def _mode_dets(gamma: np.ndarray) -> np.ndarray:
     """det Gamma^(mode) of every mode-diagonal 2x2 block, shape (..., N)."""
     n = gamma.shape[-1] // 2
-    # Gamma as (..., N, 2, N, 2) mode blocks; ``diagonal`` takes the diagonal
-    # blocks (m, m) as a (..., 2, 2, N) view, row and column first.  The det
-    # gufunc behind ``np.linalg.det`` reads each block through those two axes
-    # and runs the same LAPACK call per block as a det of each block on its
-    # own; called directly, it skips ``np.linalg.det``'s per-call checks,
-    # which a float (..., 2, 2) block always passes.
+    # Gamma as (..., N, 2, N, 2) mode blocks; the einsum takes the diagonal
+    # blocks (m, m) as a (..., N, 2, 2) view.  One stacked det over them runs
+    # the same LAPACK call per block as a det of each block on its own.
     blocks = gamma.reshape(gamma.shape[:-2] + (n, 2, n, 2))
-    return _umath_linalg.det(blocks.diagonal(0, -4, -2), axes=[(-3, -2), ()], signature="d->d")
+    return np.linalg.det(np.einsum("...mimj->...mij", blocks))
 
 
 def purity(gamma: np.ndarray) -> float:

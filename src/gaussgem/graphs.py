@@ -68,13 +68,14 @@ import numpy as np
 from .core import (
     PureState,
     _at_stack_index,
-    _exponentials,
     _is_finite_real,
     _is_integer,
     _is_number,
+    _omega_times,
     _pure_by_construction,
     _require_mode_count,
     _symmetrized,
+    matrix_exponential,
     require_pure,
 )
 from .errors import DivisionByZeroError, InvalidArgumentError, NumericOverflowError
@@ -210,21 +211,6 @@ class GraphSpec:
         return cls(num_modes, tuple((i, j, weight) for (i, j) in pairs))
 
 
-def _h_block(re: np.ndarray, im: np.ndarray) -> tuple:
-    """h's edge block [[Re w, -Im w], [-Im w, Re w]], row by row."""
-    minus_im = -im
-    return re, minus_im, minus_im, re
-
-
-def _omega_h_block(re: np.ndarray, im: np.ndarray) -> tuple:
-    """Omega h's edge block [[-Im w, Re w], [-Re w, Im w]], row by row, with no -0.0.
-
-    0.0 - x and x + 0.0 are -x and x with a -0.0 turned into the +0.0 that
-    the dense product ``build_omega(N) @ h`` yields there.
-    """
-    return 0.0 - im, re + 0.0, 0.0 - re, im + 0.0
-
-
 @functools.lru_cache(maxsize=8)
 def _block_positions(num_modes: int, pairs: tuple) -> np.ndarray:
     """(2, E, 4) flat positions in a 2N x 2N matrix of each edge's (i, j) block and its mirror (j, i), row by row."""
@@ -237,44 +223,34 @@ def _block_positions(num_modes: int, pairs: tuple) -> np.ndarray:
     return positions
 
 
-def _edge_matrix(num_modes: int, pairs: tuple, weights: np.ndarray, block) -> np.ndarray:
-    """(..., 2N, 2N) stack with each edge's ``block(Re w, Im w)`` at (i, j) and at (j, i), zeros elsewhere.
+def _generators(num_modes: int, pairs: tuple, weights: np.ndarray) -> np.ndarray:
+    """(..., 2N, 2N) generator stack h for validated pairs and complex weights (..., E).
 
-    Both blocks take the same four values: h's edge block is symmetric, and
-    Omega h's (j, i) block, the symplectic unit times h's, equals its (i, j)
-    block.  Every entry is one part of one weight or its negation, so the
-    stack equals a block-by-block construction exactly.
+    Each edge's block [[Re w, -Im w], [-Im w, Re w]] goes to (i, j) and to
+    its mirror (j, i) in one scatter; the block is symmetric, so both take
+    the same four values.  Every entry is one part of one weight or its
+    negation, so the stack equals a block-by-block construction exactly.
     """
     values = np.empty(weights.shape + (4,))  # each edge's block, row by row
-    for k, entry in enumerate(block(weights.real, weights.imag)):
-        values[..., k] = entry
+    values[..., 0] = values[..., 3] = weights.real
+    values[..., 1] = values[..., 2] = -weights.imag
     n = 2 * num_modes
-    matrix = np.zeros(weights.shape[:-1] + (n * n,))
-    matrix[..., _block_positions(num_modes, pairs)] = values[..., None, :, :]
-    return matrix.reshape(weights.shape[:-1] + (n, n))
-
-
-def _generators(num_modes: int, pairs: tuple, weights: np.ndarray) -> np.ndarray:
-    """(..., 2N, 2N) generator stack h for validated pairs and complex weights (..., E)."""
-    return _edge_matrix(num_modes, pairs, weights, _h_block)
+    h = np.zeros(weights.shape[:-1] + (n * n,))
+    h[..., _block_positions(num_modes, pairs)] = values[..., None, :, :]
+    return h.reshape(weights.shape[:-1] + (n, n))
 
 
 def _covariances(num_modes: int, pairs: tuple, weights: np.ndarray) -> np.ndarray:
     """S S^T / 2 for S = exp(Omega h): the vacuum I/2 evolved, in one product.
 
-    The generator Omega h is written directly from the weights, equal to
-    ``_omega_times(_generators(...))`` bit for bit.  It skips
-    ``symplectic_from_hamiltonian``'s symmetry check: h's edge blocks and
-    their mirrors take the same values, so h is exactly symmetric, and
-    finite since ``_weights`` judged the weights.  ``_exponentials`` still
-    judges its input and output, and one ``np.errstate`` covers the
-    squarings, the product and the symmetrization, each checked finite.
+    The generator skips ``symplectic_from_hamiltonian``'s symmetry check:
+    ``_generators`` writes each edge block and its mirror from the same
+    values, so h is exactly symmetric, and finite since ``_weights`` judged
+    the weights.  ``matrix_exponential`` still judges its input and output.
     """
-    n = 2 * num_modes
-    with np.errstate(over="ignore", invalid="ignore"):  # each stage checks its result
-        S = _exponentials(_edge_matrix(num_modes, pairs, weights, _omega_h_block).reshape(-1, n, n))
-        gamma = _symmetrized((0.5 * S) @ S.swapaxes(-1, -2))
-    return gamma.reshape(weights.shape[:-1] + (n, n))
+    S = matrix_exponential(_omega_times(_generators(num_modes, pairs, weights)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _symmetrized
+        return _symmetrized((0.5 * S) @ S.swapaxes(-1, -2))
 
 
 def graph_state_covariances(num_modes: int, pairs, weights) -> PureState:

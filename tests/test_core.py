@@ -204,6 +204,15 @@ class TestExponentialDriver:
         for M in (rng.standard_normal((4, 4)), rng.standard_normal((3, 4, 4)), np.diag([1.0, 2.0])):
             assert not np.shares_memory(matrix_exponential(M), matrix_exponential(M))
 
+    def test_results_are_contiguous_and_stacks_hold_no_work_array(self, rng):
+        # A single matrix may keep its result in the work array; a stack's result holds its own entries only.
+        B = gaussgem.core._expm_block(4)
+        for shape in ((4, 4), (1, 4, 4), (2, 4, 4), (B, 4, 4), (2 * B + 3, 4, 4), (2, 3, 4, 4)):
+            out = matrix_exponential(rng.standard_normal(shape))
+            assert out.shape == shape and out.flags.c_contiguous
+            if len(shape) > 2 and np.prod(shape[:-2]) > 1:
+                assert (out if out.base is None else out.base).nbytes == out.nbytes
+
     def test_dense_graph_generator(self, rng):
         h = hamiltonian_from_graph(random_graph_spec(rng, 96, edge_prob=0.04))
         M = build_omega(96) @ h
