@@ -28,6 +28,7 @@ from gaussgem import (
 from gaussgem import lattice
 from gaussgem.core import _purity_residual
 from gaussgem.lattice import _DEFECT_TILE, _fourier_basis, _sym_antisym_defects
+import reference
 from oracles import (
     bogoliubov_by_loops,
     bogoliubov_residuals_eight_products,
@@ -40,27 +41,13 @@ EPS = np.finfo(float).eps
 
 @pytest.fixture(autouse=True)
 def _forty_digits():
-    """Each test here computes its mpmath references at 40 digits, or more under its own ``workdps``.
+    """Each test here makes its own mpmath calls at 40 digits, or more under its own ``workdps``.
 
-    Scoped to the test, so the precision does not carry over to other test files.
+    The helpers of ``reference`` set their precision themselves.  Scoped to
+    the test, so the precision does not carry over to other test files.
     """
     with mpmath.workdps(40):
         yield
-
-
-def _mp_dispersion(k, n, mass, radius):
-    N = 2 * n + 1
-    delta = 2 * mpmath.pi * radius / N
-    return mpmath.sqrt(mass**2 + 4 * mpmath.sin(mpmath.pi * k / N) ** 2 / delta**2)
-
-
-def _mp_gem_exact(n, mass, radius):
-    N = 2 * n + 1
-    omegas = [_mp_dispersion(k, n, mpmath.mpf(mass), mpmath.mpf(radius)) for k in range(1, n + 1)]
-    bracket = mpmath.mpf(1)
-    bracket += 2 * mpmath.fsum(mass / w + w / mass for w in omegas)
-    bracket += 4 * mpmath.fsum(omegas) * mpmath.fsum(1 / w for w in omegas)
-    return bracket / (32 * N) - mpmath.mpf(N) / 32
 
 
 class TestConfig:
@@ -127,7 +114,7 @@ class TestDispersion:
 
     def test_three_site_value_high_precision(self):
         cfg = LatticeFieldConfig(n=1, mass=1.0, radius=1.0)
-        want = float(_mp_dispersion(1, 1, mpmath.mpf(1), mpmath.mpf(1)))
+        want = float(reference.field_dispersion(1, 1, 1, 1))
         assert dispersion(1, cfg) == pytest.approx(want, abs=1e-14)
         assert dispersion(1, cfg) == pytest.approx(1.297659, abs=1e-6)
 
@@ -315,27 +302,6 @@ class TestFourierRowsMatchLoops:
             assert dispersion(k, cfg) == math.sqrt(cfg.mass**2 + 4.0 * s * s / cfg.spacing**2)
 
 
-def _mp_correlation_rows(cfg):
-    """c_q(d), c_p(d) for d = 0..N-1: (1/N) sum over all N modes of the variance times cos(2 pi k d / N)."""
-    N, n = cfg.num_modes, cfg.n
-    mass, radius = mpmath.mpf(cfg.mass), mpmath.mpf(cfg.radius)
-    delta = 2 * mpmath.pi * radius / N
-    freqs = [mass] + [_mp_dispersion(k, n, mass, radius) for k in range(1, n + 1)]
-    rows = []
-    for var in ([delta / (2 * w) for w in freqs], [w / (2 * delta) for w in freqs]):
-        rows.append([
-            (var[0] + 2 * mpmath.fsum(var[k] * mpmath.cos(2 * mpmath.pi * k * d / N) for k in range(1, n + 1))) / N
-            for d in range(N)
-        ])
-    return rows
-
-
-def _hi_lo(values):
-    """Each mpmath value as an unevaluated sum of two doubles, hi + lo."""
-    hi = np.array([float(v) for v in values])
-    return hi, np.array([float(v - mpmath.mpf(h)) for v, h in zip(values, hi)])
-
-
 class TestLatticeAgainstMpmath:
     """The lattice constructions against 40-digit mpmath.
 
@@ -353,8 +319,8 @@ class TestLatticeAgainstMpmath:
         sites = np.arange(N)
         lag = (sites[None, :] - sites[:, None]) % N
         worst = 0.0
-        for block, row in zip((gamma[0::2, 0::2], gamma[1::2, 1::2]), _mp_correlation_rows(cfg)):
-            hi, lo = _hi_lo(row)
+        for block, row in zip((gamma[0::2, 0::2], gamma[1::2, 1::2]), reference.field_correlation_rows(cfg)):
+            hi, lo = reference.hi_lo(row)
             worst = max(worst, np.max(np.abs((block - hi[lag]) - lo[lag])))
         assert worst <= 2e-16 * np.max(np.abs(gamma))
         assert not gamma[0::2, 1::2].any() and not gamma[1::2, 0::2].any()
@@ -377,7 +343,7 @@ class TestLatticeAgainstMpmath:
         # The docstring's envelope: below 9 eps (N/4 + 8 gem), 8.7 at worst
         # (n = 400, tau = 0.01); the bound leaves room for another FFT's rounding.
         with mpmath.workdps(50):
-            want = _mp_gem_exact(n, tau, 1.0)
+            want = reference.field_gem_exact(n, tau, 1.0, dps=50)
             got = gem_field_pipeline(LatticeFieldConfig(n=n, mass=tau, radius=1.0))
             error = float(abs(mpmath.mpf(got) - want))
         assert error <= 10.0 * EPS * ((2 * n + 1) / 4.0 + 8.0 * float(want))
@@ -396,7 +362,7 @@ class TestReducedDeterminant:
     def test_three_site_value(self):
         cfg = LatticeFieldConfig(n=1, mass=1.0, radius=1.0)
         b = bogoliubov_matrices(cfg)
-        w1 = _mp_dispersion(1, 1, mpmath.mpf(1), mpmath.mpf(1))
+        w1 = reference.field_dispersion(1, 1, 1, 1)
         bracket = 1 + 2 * (1 / w1 + w1) + 4
         want = float(bracket / 36)
         assert reduced_det_from_xy(b, 1) == pytest.approx(want, abs=1e-12)
@@ -412,7 +378,7 @@ class TestReducedDeterminant:
         for (n, mass, radius) in [(1, 1.0, 1.0), (4, 0.3, 2.0), (7, 5.0, 0.4)]:
             cfg = LatticeFieldConfig(n=n, mass=mass, radius=radius)
             b = bogoliubov_matrices(cfg)
-            want = float(_mp_gem_exact(n, mass, radius) * 32 * cfg.num_modes + cfg.num_modes**2)
+            want = float(reference.field_gem_exact(n, mass, radius) * 32 * cfg.num_modes + cfg.num_modes**2)
             want /= 4.0 * cfg.num_modes**2  # invert the measure normalization back to det
             assert reduced_det_from_xy(b, 1) == pytest.approx(want, abs=1e-10)
 
@@ -425,7 +391,7 @@ class TestReducedDeterminant:
 class TestFieldMeasure:
     def test_three_site_value(self):
         cfg = LatticeFieldConfig(n=1, mass=1.0, radius=1.0)
-        want = float(_mp_gem_exact(1, 1, 1))
+        want = float(reference.field_gem_exact(1, 1, 1))
         assert gem_field_exact(cfg) == pytest.approx(want, abs=1e-15)
         assert gem_field_exact(cfg) == pytest.approx(1.42244e-3, abs=1e-8)
 
@@ -435,8 +401,7 @@ class TestFieldMeasure:
         # The measure lies far below N eps here, so a form that subtracts N/32
         # loses all of it (0.0 for 1.7e-25 at n = 3, mass 1e6); the reference
         # subtracts it too, so it runs at 60 digits.
-        with mpmath.workdps(60):
-            want = float(_mp_gem_exact(n, mass, 1.0))
+        want = float(reference.field_gem_exact(n, mass, 1.0, dps=60))
         got = gem_field_exact(LatticeFieldConfig(n=n, mass=mass, radius=1.0))
         assert got > 0.0
         assert got == pytest.approx(want, rel=1e-15)
@@ -486,6 +451,26 @@ class TestFieldMeasure:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+class TestExactSumsEnvelope:
+    """gem_field_exact against the 60-digit mode sums, within the docstring's 8 eps.
+
+    n crosses the squares 16, 100 and 4096, where the sine table's row
+    length B = isqrt(n) grows and its tail row empties, and the masses span
+    tau = 1e-6 to 1e6 at radius 1.  The worst case measured here is 5.7 eps
+    (n = 2, tau = 1e6), where the measure goes like sin^4 and no sum
+    averages the sines' rounding; one np.sin per mode read 1.85 eps.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 99, 100, 101, 1000, 4095, 4096, 4097])
+    def test_relative_error(self, n):
+        worst = 0.0
+        for tau in (1e-6, 1e-3, 0.5, 1.0, 30.0, 1e3, 1e6):
+            want = reference.field_gem_exact(n, tau, 1.0, dps=60)
+            got = gem_field_exact(LatticeFieldConfig(n=n, mass=tau, radius=1.0))
+            worst = max(worst, float(abs(mpmath.mpf(got) - want) / want))
+        assert worst <= 8 * EPS
+
+
 class TestExactSumsMemory:
     """gem_field_exact holds three arrays of n floats; a host that cannot allocate them is an input error.
 
@@ -504,6 +489,45 @@ class TestExactSumsMemory:
             gem_field_exact(cfg)
         assert f"{24 * cfg.n} bytes" in str(info.value)
         assert isinstance(info.value.__cause__, MemoryError)
+
+    def test_past_largest_array_size(self):
+        # 8N bytes fit numpy's largest array size, the three arrays' 24n do not: refused before allocating.
+        cfg = LatticeFieldConfig(n=4 * 10**17, mass=1.0, radius=1.0)
+        with pytest.raises(InvalidArgumentError, match=f"n = {cfg.n} is too large for this host") as info:
+            gem_field_exact(cfg)
+        assert info.value.__cause__ is None
+
+
+class TestDenseArraysMemory:
+    """field_covariance and bogoliubov_matrices: a host that cannot hold their N x N arrays is an input error.
+
+    The allocation is made to fail, or the byte count lies past numpy's
+    largest array size and is refused before anything is allocated.
+    """
+
+    CFG = LatticeFieldConfig(n=5, mass=1.0, radius=1.0)
+
+    @pytest.mark.parametrize(
+        "build, allocator, nbytes",
+        [(field_covariance, "zeros", 32 * 11**2), (gem_field_pipeline, "zeros", 32 * 11**2),
+         (bogoliubov_matrices, "empty", 24 * 11**2)],
+    )
+    def test_failed_allocation_raises_invalid_argument(self, build, allocator, nbytes, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(np, allocator, refuse)
+        with pytest.raises(InvalidArgumentError, match="N = 11 is too large for this host") as info:
+            build(self.CFG)
+        assert f"{nbytes} bytes" in str(info.value)
+        assert isinstance(info.value.__cause__, MemoryError)
+
+    @pytest.mark.parametrize("build", [field_covariance, gem_field_pipeline, bogoliubov_matrices])
+    def test_past_largest_array_size(self, build):
+        # 24 N^2 > 2^63 from N = 6.2e8 on: refused before the O(N) data is built.
+        cfg = LatticeFieldConfig(n=10**9, mass=1.0, radius=1.0)
+        with pytest.raises(InvalidArgumentError, match=f"N = {cfg.num_modes} is too large for this host"):
+            build(cfg)
 
 
 class TestAsymptotics:
