@@ -361,8 +361,9 @@ def gem_field_exact(cfg: LatticeFieldConfig) -> float:
     It holds three float arrays of length n, 24n bytes, and evaluates in
     place in them, beside four tables of about sqrt(n) floats.  Against
     60-digit mpmath, for n from 1 to 4097 and tau = mass * radius from 1e-6
-    to 1e6, the relative error stayed below 6 eps.  Finiteness is judged on
-    the returned value, which every term reaches through the three sums.
+    to 1e6, the relative error is within 8 eps; the worst measured is
+    5.7 eps, at n = 2 and tau = 1e6.  Finiteness is judged on the returned
+    value, which every term reaches through the three sums.
 
     Raises:
         InvalidArgumentError: numpy cannot allocate the three arrays (24n bytes).

@@ -524,7 +524,7 @@ class TestDenseArraysMemory:
 
     @pytest.mark.parametrize("build", [field_covariance, gem_field_pipeline, bogoliubov_matrices])
     def test_past_largest_array_size(self, build):
-        # 24 N^2 > 2^63 from N = 6.2e8 on: refused before the O(N) data is built.
+        # 32 N^2 and 24 N^2 bytes pass 2^63 from N = 5.4e8 and 6.2e8 on: refused before the O(N) data is built.
         cfg = LatticeFieldConfig(n=10**9, mass=1.0, radius=1.0)
         with pytest.raises(InvalidArgumentError, match=f"N = {cfg.num_modes} is too large for this host"):
             build(cfg)
