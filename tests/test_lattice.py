@@ -458,7 +458,7 @@ class TestExactSumsEnvelope:
     length B = isqrt(n) grows and its tail row empties, and the masses span
     tau = 1e-6 to 1e6 at radius 1.  The worst case measured here is 5.7 eps
     (n = 2, tau = 1e6), where the measure goes like sin^4 and no sum
-    averages the sines' rounding; one np.sin per mode read 1.85 eps.
+    averages the sines' rounding.
     """
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 99, 100, 101, 1000, 4095, 4096, 4097])
