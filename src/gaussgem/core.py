@@ -36,7 +36,6 @@ __all__ = [
     "build_omega",
     "evolve_covariance",
     "matrix_exponential",
-    "purity",
     "require_pure",
     "symplectic_from_hamiltonian",
     "vacuum_state",
@@ -354,44 +353,6 @@ def _mode_dets(gamma: np.ndarray) -> np.ndarray:
     # the same LAPACK call per block as a det of each block on its own.
     blocks = gamma.reshape(gamma.shape[:-2] + (n, 2, n, 2))
     return np.linalg.det(np.einsum("...mimj->...mij", blocks))
-
-
-def purity(gamma: np.ndarray) -> float:
-    """Purity tr(rho^2) of the Gaussian state with covariance ``gamma``.
-
-    For an N-mode covariance this is (1/2)^N / sqrt(det Gamma); the single-mode
-    case reduces to 1/(2 sqrt(det)).  It is computed from ln det(2 Gamma), read
-    off the Cholesky factor of 2 Gamma, which does not underflow at large N and
-    exists only for a positive-definite covariance.  det must not fall below
-    the uncertainty bound by a relative 4 ``DEFAULT_PURITY_TOL`` (one mode:
-    det >= 1/4 - tol), and no mode's 2x2 block may have det below
-    1/4 - tol: det(2 Gamma) alone passes diag(0.3, 0.3, 2, 2), whose first
-    mode has det 0.09.  The result is clamped to 1 to absorb rounding on
-    pure states.
-
-    Raises:
-        InvalidArgumentError: ``gamma`` is not a symmetric 2N x 2N matrix with N >= 1.
-        UnphysicalStateError: ``gamma`` is not positive definite, or its det
-            or a mode's det lies below the uncertainty bound.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] % 2 or not gamma.shape[0]:
-        raise InvalidArgumentError(f"covariance must be 2N x 2N with N >= 1, got shape {gamma.shape}")
-    _require_symmetric(gamma, "covariance")
-    try:
-        chol = np.linalg.cholesky(2.0 * gamma)
-    except np.linalg.LinAlgError as exc:
-        raise UnphysicalStateError("covariance is not positive definite") from exc
-    excess = 2.0 * np.log(np.diagonal(chol)).sum()  # ln det(2 Gamma) = ln(det Gamma / (1/4)^N)
-    if not excess >= np.log1p(-4.0 * DEFAULT_PURITY_TOL):
-        raise UnphysicalStateError(f"det(Gamma) below the uncertainty bound: det(2 Gamma) = e^{excess:.6g}")
-    dets = _mode_dets(gamma)
-    if (dets < 0.25 - DEFAULT_PURITY_TOL).any():
-        mode = int(np.argmin(dets))
-        raise UnphysicalStateError(
-            f"mode {mode + 1} violates the uncertainty bound: det Gamma_m = {dets[mode]:.6g} < 1/4"
-        )
-    return min(1.0, float(np.exp(-0.5 * excess)))
 
 
 def _purity_residual(gamma: np.ndarray) -> np.ndarray:

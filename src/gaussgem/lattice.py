@@ -316,12 +316,24 @@ def bogoliubov_residuals(b: BogoliubovMatrices) -> dict:
     is formed in the same buffer.  Finiteness is judged on the four maxima: a
     NaN or inf anywhere in a product reaches its maxima, and one in X or Y
     reaches a product.
+
+    Raises:
+        InvalidArgumentError: numpy cannot allocate alpha, beta and R, three
+            N x N arrays of floats, or the tile scratch of at most 128 x 128
+            floats (24 N^2 + 8 min(N, 128)^2 bytes).
     """
-    alpha, beta = b.x + b.y, b.x - b.y
-    r = alpha @ beta.T
-    xxt_yyt, xyt_yxt = _sym_antisym_defects(r)
-    np.matmul(alpha.T, beta, out=r)
-    xtx_yty, xty_ytx = _sym_antisym_defects(r)
+    N = b.x.shape[0]
+    tile = min(N, _DEFECT_TILE)
+    with _host_holds(
+        f"N = {N}",
+        f"alpha, beta, R and the tile scratch need three N x N arrays of floats and one {tile} x {tile} tile",
+        24 * N * N + 8 * tile * tile,
+    ):
+        alpha, beta = b.x + b.y, b.x - b.y
+        r = alpha @ beta.T
+        xxt_yyt, xyt_yxt = _sym_antisym_defects(r)
+        np.matmul(alpha.T, beta, out=r)
+        xtx_yty, xty_ytx = _sym_antisym_defects(r)
     return {"XXt_YYt": xxt_yyt, "XYt_YXt": xyt_yxt, "XtX_YtY": xtx_yty, "XtY_YtX": xty_ytx}
 
 
@@ -372,7 +384,7 @@ def gem_field_exact(cfg: LatticeFieldConfig) -> float:
     if n == 0:
         return 0.0
     with _host_holds(f"n = {n}", "the mode sums need three arrays of n floats", 24 * n):
-        buf = np.arange(1, n + 1, dtype=float)
+        buf = np.empty(n)
         omegas, work = np.empty_like(buf), np.empty_like(buf)
     B = math.isqrt(n)
     rows, tail = divmod(n, B)

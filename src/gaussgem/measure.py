@@ -522,9 +522,11 @@ def gem_from_purity(gamma: np.ndarray) -> float | np.ndarray:
 
 
 def mode_purities(gamma: np.ndarray) -> list[float] | np.ndarray:
-    """Reduced single-mode purities 1/(2 sqrt(det Gamma^(mode))), one per mode, clamped to 1.
+    """Reduced single-mode purities 1/(2 sqrt(det Gamma^(mode))), one per mode, each at most 1.
 
     A list of N floats for one state; an array of shape (..., N) for a stack.
+    A det within ``DEFAULT_PURITY_TOL`` below 1/4 is read as 1/4, so its
+    purity is exactly 1.
 
     Raises:
         UnphysicalStateError: ``gamma`` fails the purity check, or a reduced
@@ -533,5 +535,5 @@ def mode_purities(gamma: np.ndarray) -> list[float] | np.ndarray:
     dets = _mode_dets(require_pure(gamma))
     if (dets < 0.25 - DEFAULT_PURITY_TOL).any():
         raise UnphysicalStateError(f"reduced det {dets.min()} below the uncertainty bound 0.25")
-    purities = np.minimum(1.0, 0.5 / np.sqrt(np.maximum(dets, 0.25)))
+    purities = 0.5 / np.sqrt(np.maximum(dets, 0.25))  # at most 1: sqrt and division round correctly
     return purities.tolist() if purities.ndim == 1 else purities

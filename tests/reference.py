@@ -10,6 +10,12 @@ only n, mass and radius, from the numbers or the config it is given.
 
 Lattice field (see ``gaussgem.lattice``): N = 2n + 1 sites on a circle of
 radius R, spacing delta = 2 pi R / N, mass m.
+
+Graph states (see ``gaussgem.graphs``): N modes, quadratures ordered
+(q1, p1, ..., qN, pN), edges as (i, j, w) triples with 1 <= i < j <= N and
+complex weight w.  The generator h has the block [[Re w, -Im w], [-Im w, Re w]]
+at (i, j) and at (j, i), S = exp(Omega h) with Omega the block diagonal of
+[[0, 1], [-1, 0]], and the state's covariance is Gamma = S S^T / 2.
 """
 
 import mpmath
@@ -69,3 +75,49 @@ def hi_lo(values, *, dps=DPS):
     with mpmath.workdps(dps):
         hi = np.array([float(v) for v in values])
         return hi, np.array([float(v - mpmath.mpf(h)) for v, h in zip(values, hi)])
+
+
+def graph_generator(num_modes, edges, *, dps=DPS):
+    """The 2N x 2N generator h of a graph, as an mpmath matrix."""
+    with mpmath.workdps(dps):
+        h = mpmath.zeros(2 * num_modes)
+        for i, j, w in edges:
+            w = mpmath.mpc(w)
+            for a, b in ((2 * i - 2, 2 * j - 2), (2 * j - 2, 2 * i - 2)):
+                h[a, b] = h[a + 1, b + 1] = w.real
+                h[a, b + 1] = h[a + 1, b] = -w.imag
+        return h
+
+
+def graph_covariance(num_modes, edges, *, dps=DPS):
+    """Gamma = S S^T / 2 with S = mpmath.expm(Omega h), as an mpmath matrix."""
+    with mpmath.workdps(dps):
+        omega = mpmath.zeros(2 * num_modes)
+        for m in range(num_modes):
+            omega[2 * m, 2 * m + 1], omega[2 * m + 1, 2 * m] = 1, -1
+        S = mpmath.expm(omega * graph_generator(num_modes, edges, dps=dps))
+        return S * S.T / 2
+
+
+def _mode_det(gamma, m):
+    """det of mode m's 2 x 2 diagonal block (0-based), at the caller's precision."""
+    a = 2 * m
+    return gamma[a, a] * gamma[a + 1, a + 1] - gamma[a, a + 1] * gamma[a + 1, a]
+
+
+def gem_purity_form(gamma, *, dps=DPS):
+    """(1/32) sum_m [P_m^-2 - 1] with P_m = 1 / (2 sqrt(det Gamma_m)), i.e. (1/8) sum_m (det Gamma_m - 1/4)."""
+    with mpmath.workdps(dps):
+        return mpmath.fsum(_mode_det(gamma, m) - mpmath.mpf(1) / 4 for m in range(gamma.rows // 2)) / 8
+
+
+def log_negativity_two_mode(gamma, *, dps=DPS):
+    """-ln(2 nu~) of a pure two-mode state, from mode 1's block: ln(2 sqrt(d) + 2 sqrt(d - 1/4)), d = det Gamma_11.
+
+    nu~ = sqrt(d) - sqrt(d - 1/4) for a pure state (Adesso and Illuminati,
+    J. Phys. A 40, 7821 (2007)); its reciprocal form sums two non-negative
+    terms, so nothing cancels at strong squeezing.
+    """
+    with mpmath.workdps(dps):
+        d = _mode_det(gamma, 0)
+        return mpmath.log(2 * mpmath.sqrt(d) + 2 * mpmath.sqrt(d - mpmath.mpf(1) / 4))

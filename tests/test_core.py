@@ -3,7 +3,6 @@
 import ast
 import inspect
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from gaussgem import (
     metric_g,
     mode_purities,
     moments_from_covariance,
-    purity,
     require_pure,
     symplectic_from_hamiltonian,
     vacuum_state,
@@ -36,7 +34,6 @@ from conftest import random_graph_spec, random_local_symplectic
 from oracles import (
     fock_covariance,
     fock_four_point,
-    fock_reduced_purity,
     quadrature_ops_two_mode,
     reduced_covariance,
     taylor_expm,
@@ -332,11 +329,6 @@ class TestVacuum:
     def test_three_modes(self):
         assert np.array_equal(vacuum_state(3), 0.5 * np.eye(6))
 
-    def test_reduced_purity_is_one(self):
-        gamma = vacuum_state(4)
-        for mode in range(1, 5):
-            assert purity(reduced_covariance(gamma, mode)) == pytest.approx(1.0, abs=1e-14)
-
     def test_zero_modes_rejected(self):
         with pytest.raises(InvalidArgumentError):
             vacuum_state(0)
@@ -398,64 +390,6 @@ class TestReducedCovariance:
                 assert block[0, 1] == pytest.approx(block[1, 0], abs=1e-14)
 
 
-class TestPurity:
-    def test_vacuum(self):
-        assert purity(vacuum_state(1)) == pytest.approx(1.0, abs=1e-15)
-        assert purity(vacuum_state(3)) == pytest.approx(1.0, abs=1e-13)
-
-    def test_isotropic_single_mode(self):
-        assert purity(1.5 * np.eye(2)) == pytest.approx(1.0 / 3.0, abs=1e-14)
-
-    def test_thermal_reduction_of_squeezed_pair(self):
-        # Reduced state of the r=1 squeezed pair is thermal; its purity is
-        # 1/cosh(2r), cross-checked against the truncated Fock computation.
-        r, cutoff = 1.0, 40
-        gamma = graph_state_covariance(GraphSpec(2, ((1, 2, 1j * r),))).gamma
-        value = purity(reduced_covariance(gamma, 1))
-        fock = fock_reduced_purity(two_mode_squeezed_state(r, cutoff), cutoff)
-        assert value == pytest.approx(fock, abs=1e-8)
-        assert value == pytest.approx(1.0 / np.cosh(2.0), abs=1e-12)
-
-    def test_unphysical_rejected(self):
-        with pytest.raises(UnphysicalStateError):
-            purity(0.1 * np.eye(2))
-
-    def test_single_mode_uncertainty_rejected(self):
-        # det(2 Gamma) = 5.76 clears the global bound, but mode 1 has det 0.09 < 1/4.
-        with pytest.raises(UnphysicalStateError, match="mode 1"):
-            purity(np.diag([0.3, 0.3, 2.0, 2.0]))
-
-    @pytest.mark.parametrize("diagonal", [[-1.0, -1.0], [-1.0, -1.0, 2.0, 2.0]])
-    def test_not_positive_definite_rejected(self, diagonal):
-        # det(2 Gamma) is positive here, but Gamma is no covariance.
-        with pytest.raises(UnphysicalStateError, match="positive definite"):
-            purity(np.diag(diagonal))
-
-    def test_asymmetric_rejected(self):
-        # The Cholesky factor reads only the lower triangle; without a symmetry
-        # test the 5.0 above the diagonal goes unseen and the purity comes out 1.
-        with pytest.raises(InvalidArgumentError, match="symmetric"):
-            purity(np.array([[0.5, 5.0], [0.0, 0.5]]))
-
-    def test_clamped_at_one(self):
-        # Rounding can push det a hair under the bound; the clamp absorbs it.
-        eps = 1e-12
-        assert purity((0.5 - eps) * np.eye(2)) == 1.0
-
-    def test_no_underflow_at_600_modes(self):
-        # Vacuum except one mode at 2 I: det Gamma and (1/4)^600 both
-        # underflow as plain floats, but the purity is 1/4.
-        gamma = vacuum_state(600)
-        gamma[:2, :2] = 2.0 * np.eye(2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert purity(gamma) == pytest.approx(0.25, rel=1e-14)
-
-    def test_unphysical_rejected_at_600_modes(self):
-        with pytest.raises(UnphysicalStateError):
-            purity(0.49 * np.eye(1200))
-
-
 class TestCheckPure:
     """The gate's residual, read through ``core._purity_residual``, and its verdict, through ``require_pure``."""
 
@@ -475,6 +409,24 @@ class TestCheckPure:
         with pytest.raises(UnphysicalStateError, match="not pure"):
             require_pure(np.eye(2))
         assert _purity_residual(np.eye(2)) == pytest.approx(0.75, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "gamma, residual",
+        [
+            (0.1 * np.eye(2), 0.24),
+            # det(2 Gamma) = 5.76 clears the bound for two modes, but mode 1 has det 0.09 < 1/4.
+            (np.diag([0.3, 0.3, 2.0, 2.0]), 3.75),
+            # det(2 Gamma) is positive, yet Gamma is not positive definite.
+            (np.diag([-1.0, -1.0, 2.0, 2.0]), 3.75),
+            # The 5.0 above the diagonal enters the residual: no triangle goes unread.
+            (np.array([[0.5, 5.0], [0.0, 0.5]]), 25.0),
+        ],
+        ids=["below-bound", "one-mode-below-bound", "not-positive-definite", "asymmetric"],
+    )
+    def test_unphysical_not_pure(self, gamma, residual):
+        with pytest.raises(UnphysicalStateError, match="not pure"):
+            require_pure(gamma)
+        assert _purity_residual(gamma) == pytest.approx(residual, abs=1e-15)
 
     def test_verdict_is_the_gate_verdict(self):
         # A squeezed pure state whose raw residual exceeds the unscaled 1e-9:
@@ -515,13 +467,12 @@ class TestRequirePure:
 
     @pytest.mark.parametrize(
         "route",
-        [gem_from_purity, metric_g, moments_from_covariance, mode_purities, require_pure, PureState, purity],
+        [gem_from_purity, metric_g, moments_from_covariance, mode_purities, require_pure, PureState],
     )
     def test_zero_mode_covariance_rejected(self, route):
         with pytest.raises(InvalidArgumentError, match="N >= 1"):
             route(np.zeros((0, 0)))
-        if route is not purity:  # an empty stack of 4 x 4 covariances is still a stack
-            route(np.zeros((0, 4, 4)))
+        route(np.zeros((0, 4, 4)))  # an empty stack of 4 x 4 covariances is still a stack
 
     def test_no_public_callable_takes_tol(self):
         for name in gaussgem.__all__:

@@ -46,6 +46,7 @@ from gaussgem import (
 from gaussgem.core import _pure_by_construction, _purity_residual
 from conftest import random_graph_spec
 from oracles import fock_covariance, log_negativity_eigvals, prepared_graph_state, quadrature_ops_two_mode
+import reference
 
 TRIANGLE = ((1, 2), (2, 3), (1, 3))
 PATH3 = ((1, 2), (2, 3))
@@ -695,6 +696,28 @@ class TestLogNegativity:
         got = log_negativity_two_mode(stack)
         for k, gamma in enumerate(stack.gamma):
             assert got[k] == pytest.approx(log_negativity_eigvals(gamma), abs=1e-9)
+
+
+class TestLogNegativityEnvelope:
+    """log_negativity_two_mode against the 60-digit reference state of the same weight, within its docstring's figures."""
+
+    @staticmethod
+    def _relative_error(w):
+        got = log_negativity_two_mode(graph_state_covariance(GraphSpec(2, ((1, 2, w),))))
+        want = reference.log_negativity_two_mode(reference.graph_covariance(2, [(1, 2, w)], dps=60), dps=60)
+        with mpmath.workdps(60):
+            return float(abs(got - want) / want)
+
+    @pytest.mark.parametrize(
+        "w, bound", [(1e-6j, np.finfo(float).eps), (6j, 1.9e-14), (8j, 1.3e-13), (100j, 2.4e-14)]
+    )
+    def test_imaginary_weights(self, w, bound):
+        assert self._relative_error(w) <= bound
+
+    def test_random_weights(self):
+        # 40 weights uniform on [-6, 6]^2; the worst, 5.07e-14, is at -0.596 + 3.556i.
+        weights = np.random.default_rng(0).uniform(-6.0, 6.0, (40, 2))
+        assert max(self._relative_error(complex(a, b)) for a, b in weights) <= 5.1e-14
 
 
 class TestTwoModeMetricClosed:

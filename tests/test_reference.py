@@ -3,7 +3,9 @@
 The checks run at a caller precision of 15 digits and ask the helper for
 60, so they also show that a helper keeps its own precision.  At n = 1 the
 lattice has N = 3 sites and one mode pair, with
-omega_1^2 = m^2 + (4/delta^2) sin^2(pi/3) = m^2 + 27/(4 pi^2 R^2).
+omega_1^2 = m^2 + (4/delta^2) sin^2(pi/3) = m^2 + 27/(4 pi^2 R^2).  The
+two-mode graph state of weight w = i r has mode blocks cosh(2r) I / 2, so
+gem = sinh^2(2r) / 16 and the log negativity is 2r.
 """
 
 import mpmath
@@ -66,3 +68,15 @@ def test_hi_lo_one_third():
     hi, lo = reference.hi_lo(values, dps=60)
     assert np.array_equal(hi, [1 / 3, 0.5])
     assert np.array_equal(lo, [2.0**-54 / 3, 0.0])
+
+
+@pytest.mark.parametrize("r", [1e-6, 0.5, 6.0, 100.0])
+def test_graph_two_mode_squeezed(r):
+    # At r = 1e-6, det Gamma_m - 1/4 ~ r^2 cancels about 12 of the 60 digits.
+    gamma = reference.graph_covariance(2, [(1, 2, 1j * r)], dps=60)
+    with mpmath.workdps(60):
+        r = mpmath.mpf(r)
+        gem, logneg = mpmath.sinh(2 * r) ** 2 / 16, 2 * r
+    assert _within(reference.gem_purity_form(gamma, dps=60), gem, digits=45)
+    assert _within(reference.log_negativity_two_mode(gamma, dps=60), logneg, digits=45)
+    assert mpmath.mp.dps == 15
