@@ -656,21 +656,21 @@ class TestFieldSizeBound:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: n = {n} is too large") and err.count("\n") == 1
 
-    def test_host_cannot_hold_the_mode_sums_exit_2(self, capsys, monkeypatch):
-        # Below the bound, but past what the host can allocate: the allocation
-        # is made to fail for this n only, so nothing huge is ever requested.
-        n, arange = 10**12, np.arange
+    def test_host_cannot_hold_the_partials_exit_2(self, capsys, monkeypatch):
+        # Below the bound, but past what the host can allocate: the partials'
+        # allocation is made to fail, so no sweep over 10^12 modes starts.
+        n, empty = 10**12, np.empty
 
-        def refuse_huge(*args, **kwargs):
-            if len(args) > 1 and args[1] > 10**9:
+        def refuse_huge(shape, *args, **kwargs):
+            if np.prod(shape) > 10**6:
                 raise MemoryError("Unable to allocate")
-            return arange(*args, **kwargs)
+            return empty(shape, *args, **kwargs)
 
-        monkeypatch.setattr(np, "arange", refuse_huge)
+        monkeypatch.setattr(np, "empty", refuse_huge)
         code, out, err = run_cli(["field", "--n-list", str(n), "--mass", "1", "--radius", "1"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: n = {n} is too large for this host") and err.count("\n") == 1
-        assert f"{24 * n} bytes" in err
+        assert f"{24 * 2**15 + 40 * -(-n // 2**15)} bytes" in err
 
 
 class TestSharedFlags:

@@ -1,6 +1,8 @@
 """Tests for the lattice field ground state and its asymptotics."""
 
+import functools
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -451,51 +453,82 @@ class TestFieldMeasure:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+@functools.cache
+def _sums_reference(n, tau):
+    """The 60-digit mode sums at radius 1, computed once per (n, tau) for every test that needs them."""
+    return reference.field_gem_exact(n, tau, 1.0, dps=60)
+
+
 class TestExactSumsEnvelope:
     """gem_field_exact against the 60-digit mode sums, within the docstring's 8 eps.
 
     n crosses the squares 16, 100 and 4096, where the sine table's row
     length B = isqrt(n) grows and its tail row empties, and the masses span
-    tau = 1e-6 to 1e6 at radius 1.  The worst case measured here is 5.7 eps
+    tau = 1e-6 to 1e6 at radius 1.  The worst case measured here is 6.5 eps
     (n = 2, tau = 1e6), where the measure goes like sin^4 and no sum
-    averages the sines' rounding.
+    averages the sines' rounding.  Every n here fits one chunk of 2^15
+    modes; the same envelope is checked again with chunks of 64 modes, so
+    n = 100 to 4097 spans 2 to 65 chunks and the partials' combination is
+    exercised.
     """
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 99, 100, 101, 1000, 4095, 4096, 4097])
-    def test_relative_error(self, n):
+    NS = [1, 2, 3, 15, 16, 17, 99, 100, 101, 1000, 4095, 4096, 4097]
+    TAUS = (1e-6, 1e-3, 0.5, 1.0, 30.0, 1e3, 1e6)
+
+    def _worst(self, n):
         worst = 0.0
-        for tau in (1e-6, 1e-3, 0.5, 1.0, 30.0, 1e3, 1e6):
-            want = reference.field_gem_exact(n, tau, 1.0, dps=60)
+        for tau in self.TAUS:
+            want = _sums_reference(n, tau)
             got = gem_field_exact(LatticeFieldConfig(n=n, mass=tau, radius=1.0))
             worst = max(worst, float(abs(mpmath.mpf(got) - want) / want))
-        assert worst <= 8 * EPS
+        return worst
+
+    @pytest.mark.parametrize("n", NS)
+    def test_relative_error(self, n):
+        assert self._worst(n) <= 8 * EPS
+
+    @pytest.mark.parametrize("n", NS)
+    def test_relative_error_in_chunks_of_64(self, n, monkeypatch):
+        monkeypatch.setattr(lattice, "_CHUNK", 64)
+        assert self._worst(n) <= 8 * EPS
+
+    def test_chunk_lengths_agree(self, monkeypatch):
+        # 1563, 106 and 4 chunks; with chunks of 64 the table's rows shorten from isqrt(n) = 316 to 64.
+        values = []
+        for chunk in (64, 1024, 2**15):
+            monkeypatch.setattr(lattice, "_CHUNK", chunk)
+            values.append([gem_field_exact(LatticeFieldConfig(n=10**5, mass=tau, radius=1.0)) for tau in self.TAUS])
+        values = np.array(values)
+        assert np.all(values.max(axis=0) - values.min(axis=0) <= 4 * EPS * values.min(axis=0))
 
 
 class TestExactSumsMemory:
-    """gem_field_exact holds three arrays of n floats; a host that cannot allocate them is an input error.
+    """gem_field_exact sweeps the modes in chunks: its memory is bounded, and a host that cannot hold it is an input error.
 
-    The allocation is made to fail: a huge n must never be allocated here.
+    The allocation is made to fail: a huge n must never be swept here.
     """
 
-    # The first allocation fails at a huge n; the later two at a small n, whose first one succeeds.
-    @pytest.mark.parametrize("allocator, n", [("empty", 10**12), ("empty_like", 5)])
-    def test_failed_allocation_raises_invalid_argument(self, allocator, n, monkeypatch):
+    def test_tracemalloc_peak(self):
+        cfg = LatticeFieldConfig(n=10**6, mass=1.0, radius=1.0)
+        tracemalloc.start()
+        try:
+            gem_field_exact(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6  # three arrays of n floats would take 24 MB
+
+    def test_failed_allocation_raises_invalid_argument(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate")
 
-        cfg = LatticeFieldConfig(n=n, mass=1.0, radius=1.0)
-        monkeypatch.setattr(np, allocator, refuse)
+        cfg = LatticeFieldConfig(n=10**12, mass=1.0, radius=1.0)
+        monkeypatch.setattr(np, "empty", refuse)
         with pytest.raises(InvalidArgumentError, match=f"n = {cfg.n} is too large for this host") as info:
             gem_field_exact(cfg)
-        assert f"{24 * cfg.n} bytes" in str(info.value)
+        # Three buffers of 2^15 floats and ceil(n / 2^15) rows of five partials.
+        assert f"{24 * 2**15 + 40 * -(-cfg.n // 2**15)} bytes" in str(info.value)
         assert isinstance(info.value.__cause__, MemoryError)
-
-    def test_past_largest_array_size(self):
-        # 8N bytes fit numpy's largest array size, the three arrays' 24n do not: refused before allocating.
-        cfg = LatticeFieldConfig(n=4 * 10**17, mass=1.0, radius=1.0)
-        with pytest.raises(InvalidArgumentError, match=f"n = {cfg.n} is too large for this host") as info:
-            gem_field_exact(cfg)
-        assert info.value.__cause__ is None
 
 
 class TestDenseArraysMemory:
