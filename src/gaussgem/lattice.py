@@ -386,8 +386,9 @@ def gem_field_exact(cfg: LatticeFieldConfig) -> float:
     the pairwise variance update of Chan, Golub and LeVeque (Am. Stat. 37,
     242 (1983)): the cross term vanishes at the weighted mean, so every term
     is non-negative.  Memory is 24 min(n, L) + 40 ceil(n/L) bytes plus two
-    tables of B floats, under 1 MB up to n = 10^7; time is linear in n,
-    about 10 ns per mode.  Against 60-digit mpmath, for n from 1 to 4097 and
+    tables of B floats, under 1 MB up to n = 10^7.  Time is linear in n:
+    about 13 ns per mode at n = 10^6 on one core of an Intel Xeon VM
+    (AVX-512, 2 MB of L2 per core).  Against 60-digit mpmath, for n from 1 to 4097 and
     tau = mass * radius from 1e-6 to 1e6, the relative error is within
     8 eps, in one chunk and with chunks of 64 modes (up to 65 chunks).
     Finiteness is judged on the returned value, which every term reaches
@@ -444,7 +445,8 @@ def gem_field_exact(cfg: LatticeFieldConfig) -> float:
         partials[c] = sum_d, weight, mu, f.sum(), sum_d2w
     sum_d, weight, mu, within, sum_d2w = partials.T
     d_mean = float(sum_d.sum()) / n
-    own = float(np.sum(sum_d2w)) / m
+    own = float(sum_d2w.sum()) / m
+    # A_c + W_c (mu_c - d)^2 in place: at huge n the partials are the largest array.
     mu -= d_mean
     mu *= mu
     mu *= weight
