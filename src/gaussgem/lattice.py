@@ -388,9 +388,10 @@ def gem_field_exact(cfg: LatticeFieldConfig) -> float:
     is non-negative.  Memory is 24 min(n, L) + 40 ceil(n/L) bytes plus two
     tables of B floats, under 1 MB up to n = 10^7.  Time is linear in n:
     about 13 ns per mode at n = 10^6 on one core of an Intel Xeon VM
-    (AVX-512, 2 MB of L2 per core).  Against 60-digit mpmath, for n from 1 to 4097 and
-    tau = mass * radius from 1e-6 to 1e6, the relative error is within
-    8 eps, in one chunk and with chunks of 64 modes (up to 65 chunks).
+    (AVX-512, 2 MB of L2 per core).  Against 60-digit mpmath, for n from 1
+    to 4097 and tau = mass * radius from 1e-6 to 1e6, the relative error is
+    within 8 eps, in one chunk and with chunks of 64 modes (up to 65
+    chunks); the worst measured is 6.5 eps, at n = 2 and tau = 1e6.
     Finiteness is judged on the returned value, which every term reaches
     through the partials.
 

@@ -468,7 +468,7 @@ class TestExactSumsEnvelope:
     (n = 2, tau = 1e6), where the measure goes like sin^4 and no sum
     averages the sines' rounding.  Every n here fits one chunk of 2^15
     modes; the same envelope is checked again with chunks of 64 modes, so
-    n = 100 to 4097 spans 2 to 65 chunks and the partials' combination is
+    n from 99 up spans 2 to 65 chunks and the partials' combination is
     exercised.
     """
 
@@ -497,7 +497,8 @@ class TestExactSumsEnvelope:
         values = []
         for chunk in (64, 1024, 2**15):
             monkeypatch.setattr(lattice, "_CHUNK", chunk)
-            values.append([gem_field_exact(LatticeFieldConfig(n=10**5, mass=tau, radius=1.0)) for tau in self.TAUS])
+            values.append([gem_field_exact(LatticeFieldConfig(n=10**5, mass=tau, radius=1.0))
+                           for tau in self.TAUS])
         values = np.array(values)
         assert np.all(values.max(axis=0) - values.min(axis=0) <= 4 * EPS * values.min(axis=0))
 
@@ -516,7 +517,7 @@ class TestExactSumsMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 10**6  # three arrays of n floats would take 24 MB
+        assert peak < 2 * 10**6
 
     def test_failed_allocation_raises_invalid_argument(self, monkeypatch):
         def refuse(*args, **kwargs):
